@@ -11,6 +11,7 @@ command with the same inputs reproduces its outputs byte-identically.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -48,7 +49,6 @@ from .verify import (
 )
 
 SUITES = ("identities", "jumps", "convergence", "operator_limits", "all")
-KERNELS = ("uniform_survivor", "ground_mode", "mixture_reweighted")
 
 
 class ConfigError(ValueError):
@@ -58,6 +58,13 @@ class ConfigError(ValueError):
 def _require(cond, msg):
     if not cond:
         raise ConfigError(msg)
+
+
+def _int(value, what):
+    """A JSON integer (booleans and floats are rejected, not truncated)."""
+    _require(isinstance(value, int) and not isinstance(value, bool),
+             f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _check_keys(obj, allowed, where):
@@ -107,7 +114,7 @@ class RunConfig:
         else:
             raise ConfigError(f"unknown domain kind '{dom['kind']}'")
 
-        self.truncation = int(raw["truncation"])
+        self.truncation = _int(raw["truncation"], "truncation")
         _require(self.truncation >= 1, "truncation must be >= 1")
 
         comps = raw["components"]
@@ -127,27 +134,30 @@ class RunConfig:
             c = comp.get("comparison_c")
             self.component_specs.append((weight, higher, None if c is None else float(c)))
 
-        self.kernel_kind = raw["kernel"]
-        _require(self.kernel_kind in KERNELS,
-                 f"kernel must be one of {KERNELS}, got '{self.kernel_kind}'")
+        kinds = [kind.value for kind in KernelKind]
+        _require(raw["kernel"] in kinds, f"kernel must be one of {kinds}, got '{raw['kernel']}'")
+        self.kernel_kind = KernelKind(raw["kernel"])
 
         n_list = raw["n_list"]
         _require(isinstance(n_list, list) and n_list, "n_list must be a nonempty list")
-        self.n_list = [int(n) for n in n_list]
+        self.n_list = [_int(n, "n_list entries") for n in n_list]
         _require(all(n >= 1 for n in self.n_list), "n_list entries must be >= 1")
         _require(self.n_list == sorted(self.n_list) and len(set(self.n_list)) == len(self.n_list),
                  "n_list must be strictly increasing")
 
-        self.replicas = int(raw["replicas"])
+        self.replicas = _int(raw["replicas"], "replicas")
         _require(self.replicas >= 2, "replicas must be >= 2")
         self.dt = float(raw["dt"])
         _require(self.dt > 0, "dt must be positive")
         self.horizon = float(raw["horizon"])
-        _require(self.horizon > 0, "horizon must be positive")
-        self.seed = int(raw["seed"])
+        steps = self.horizon / self.dt
+        _require(math.isfinite(steps) and round(steps) >= 1
+                 and math.isclose(steps, round(steps), rel_tol=1e-9),
+                 "horizon must be a positive whole multiple of dt")
+        self.seed = _int(raw["seed"], "seed")
         _require(self.seed >= 0, "seed must be a nonnegative integer")
         self.output_dir = str(raw["output_dir"])
-        self.record_stride = int(raw.get("record_stride", 1))
+        self.record_stride = _int(raw.get("record_stride", 1), "record_stride")
         _require(self.record_stride >= 1, "record_stride must be >= 1")
 
         obs = raw.get("observables", [{"name": "mode1", "modes": [1], "terms": [[1.0, [1]]]}])
@@ -166,9 +176,11 @@ class RunConfig:
                 coef, powers = term
                 _require(isinstance(powers, list) and len(powers) == len(modes),
                          f"observables[{i}] powers must match the mode count")
-                clean_terms.append((float(coef), tuple(int(p) for p in powers)))
+                clean_terms.append(
+                    (float(coef), tuple(_int(p, f"observables[{i}] powers") for p in powers)))
             name = spec.get("name", f"obs{i}")
-            self.observable_specs.append((name, tuple(int(m) for m in modes), clean_terms))
+            modes = tuple(_int(m, f"observables[{i}].modes entries") for m in modes)
+            self.observable_specs.append((name, modes, clean_terms))
         for _name, modes, _terms in self.observable_specs:
             _require(max(modes) <= self.truncation,
                      "observable mode index beyond the basis truncation")
@@ -185,11 +197,7 @@ class RunConfig:
         return InitialLaw(tuple(comps))
 
     def build_kernel(self, basis, law):
-        if self.kernel_kind == "uniform_survivor":
-            return RelocationKernel.uniform_survivor()
-        if self.kernel_kind == "ground_mode":
-            return RelocationKernel.ground_mode(basis)
-        return RelocationKernel.mixture_reweighted(law)
+        return RelocationKernel(self.kernel_kind, basis, law)
 
     def build_observables(self):
         return [
@@ -247,7 +255,6 @@ def _suite_reports(config, suite, seed, jobs):
     observables = config.build_observables()
     n_top = config.n_list[-1]
     M = config.replicas
-    root = np.random.SeedSequence(seed)
     reports = []
 
     if suite in ("identities", "all"):
@@ -259,7 +266,7 @@ def _suite_reports(config, suite, seed, jobs):
                 "the jumps suite couples the relocation kernel to the initial "
                 "law; set kernel = mixture_reweighted")
         k_b = bonferroni_k(4 * len(observables))
-        subs = root.spawn(2 * len(observables) + 1)
+        subs = np.random.SeedSequence(seed).spawn(2 * len(observables) + 1)
         for i, f in enumerate(observables):
             reports.append(exit_moment_check(
                 law, f, n_top, M, config.dt, subs[2 * i], jobs=jobs, k=k_b))
@@ -274,13 +281,13 @@ def _suite_reports(config, suite, seed, jobs):
         k_b = bonferroni_k(len(modes))
         reports += convergence_experiment(
             law, config.horizon, config.n_list, M, config.dt, kernel,
-            root.spawn(1)[0], jobs=jobs, modes=modes, k=k_b)
+            np.random.SeedSequence(seed).spawn(1)[0], jobs=jobs, modes=modes, k=k_b)
 
     if suite in ("operator_limits", "all"):
         g = observables[0]
         one = CylinderFunction.constant(1.0)
         k_b = bonferroni_k(2 + len(config.n_list))
-        subs = root.spawn(3)
+        subs = np.random.SeedSequence(seed).spawn(3)
         reports += operator_limit_check(
             law, g, one, config.horizon, config.n_list, M, config.dt, kernel,
             subs[0], jobs=jobs, mode="semigroup", k=k_b)

@@ -34,7 +34,6 @@ __all__ = [
     "admissible_from_perturbation",
     "sample_ground_mode",
     "sample_initial_configuration",
-    "relocation_density",
     "reweighted_mixture",
     "sample_relocation",
     "sample_curvature_weighted",
@@ -235,10 +234,6 @@ class InitialLaw:
     def weights(self):
         return np.array([w for w, _ in self.components])
 
-    @property
-    def max_c(self) -> float:
-        return max(ad.c for _, ad in self.components)
-
     def pick_component(self, rng) -> int:
         return int(rng.choice(len(self.components), p=self.weights))
 
@@ -246,7 +241,7 @@ class InitialLaw:
 class KernelKind(enum.Enum):
     UNIFORM_SURVIVOR = "uniform_survivor"
     GROUND_MODE = "ground_mode"
-    MIXTURE_REWEIGHTED = "lll"
+    MIXTURE_REWEIGHTED = "mixture_reweighted"
 
 
 @dataclass(frozen=True)
@@ -255,15 +250,13 @@ class RelocationKernel:
 
     UNIFORM_SURVIVOR copies a uniformly chosen other atom; GROUND_MODE draws
     from the normalized ground mode regardless of the configuration;
-    MIXTURE_REWEIGHTED draws from the configuration-reweighted mixture.  ``envelope_c`` is
-    the declared two-sided ground-mode comparison constant for the kernel
-    density (None when the kernel has no density, i.e. atom copying).
+    MIXTURE_REWEIGHTED draws from the configuration-reweighted mixture.
+    Kinds that need no basis or law ignore them.
     """
 
     kind: KernelKind
     basis: SpectralBasis = None
     law: InitialLaw = None
-    envelope_c: float = None
 
     @classmethod
     def uniform_survivor(cls):
@@ -271,14 +264,11 @@ class RelocationKernel:
 
     @classmethod
     def ground_mode(cls, basis: SpectralBasis):
-        u1 = basis.unit_integrals[0]
-        return cls(KernelKind.GROUND_MODE, basis=basis, envelope_c=max(u1, 1.0 / u1))
+        return cls(KernelKind.GROUND_MODE, basis=basis)
 
     @classmethod
     def mixture_reweighted(cls, law: InitialLaw):
-        return cls(
-            KernelKind.MIXTURE_REWEIGHTED, basis=law.basis, law=law, envelope_c=law.max_c**3
-        )
+        return cls(KernelKind.MIXTURE_REWEIGHTED, basis=law.basis, law=law)
 
 
 def _mixture_log_weights(law: InitialLaw, others):
@@ -309,12 +299,6 @@ def reweighted_mixture(law: InitialLaw, others):
     for a_m, (_, ad) in zip(alpha, law.components):
         coeffs += a_m * ad.mu.coeffs
     return DensityMeasure(law.basis, coeffs, 1.0), rho
-
-
-def relocation_density(law: InitialLaw, others, x) -> float:
-    """Relocation-density value at x given the other particle positions."""
-    measure, _ = reweighted_mixture(law, others)
-    return float(measure.density(x)[0])
 
 
 def _mixture_component_probs(law: InitialLaw, others):

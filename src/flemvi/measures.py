@@ -10,7 +10,6 @@ to all pairings while still counting in the atom total n.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -29,8 +28,6 @@ __all__ = [
     "bl_distance",
     "default_dictionary",
     "discrete_generator",
-    "write_atoms_csv",
-    "read_atoms_csv",
 ]
 
 
@@ -99,14 +96,6 @@ class EmpiricalMeasure:
     @property
     def interior_positions(self) -> np.ndarray:
         return self.positions[~self.boundary_mask]
-
-    def with_atom(self, i, position, on_boundary=False):
-        """Copy with atom i replaced."""
-        pos = self.positions.copy()
-        pos[i] = np.asarray(position, dtype=float)
-        mask = self.boundary_mask.copy()
-        mask[i] = on_boundary
-        return EmpiricalMeasure(self.domain, pos, mask)
 
 
 @dataclass(frozen=True)
@@ -344,26 +333,3 @@ def discrete_generator(f: CylinderFunction, mu: EmpiricalMeasure, basis: Spectra
     dots = np.einsum("ind,jnd->ij", grads, grads) / mu.n  # atom-averaged gradient dots
     second = math.fsum((H * dots).ravel()) / (2.0 * mu.n)
     return float(first + second)
-
-
-def write_atoms_csv(mu: EmpiricalMeasure, path):
-    """One row per atom: x1[,x2],boundary (17-significant-digit floats)."""
-    cols = [f"x{i + 1}" for i in range(mu.domain.dimension)] + ["boundary"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for row, flag in zip(mu.positions, mu.boundary_mask):
-            writer.writerow([format(v, ".17g") for v in row] + [int(flag)])
-
-
-def read_atoms_csv(domain: Domain, path) -> EmpiricalMeasure:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[-1] != "boundary" or len(header) != domain.dimension + 1:
-            raise ValueError(f"unexpected atom-CSV header: {header}")
-        positions, mask = [], []
-        for row in reader:
-            positions.append([float(v) for v in row[:-1]])
-            mask.append(bool(int(row[-1])))
-    return EmpiricalMeasure(domain, np.array(positions), np.array(mask))

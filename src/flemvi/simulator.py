@@ -22,12 +22,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import subprocess
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
 from .geometry import Domain
 from .kernels import InitialLaw, RelocationKernel, sample_initial_configuration, sample_relocation
 from .measures import CylinderFunction, EmpiricalMeasure, cylinder_value
@@ -38,7 +38,6 @@ __all__ = [
     "TrajectoryResult",
     "step",
     "run",
-    "first_exit",
     "first_exit_batch",
     "run_replicas",
     "mean_and_stderr",
@@ -180,10 +179,13 @@ def _step_inplace(domain, positions, time, dt, kernel, rng):
     return new_time, events
 
 
-def advance_steps(domain, positions, n_steps, dt, kernel, rng, time=0.0):
-    """In-place multi-step advance without recording; returns the new time."""
-    for _ in range(n_steps):
-        time, _events = _step_inplace(domain, positions, time, dt, kernel, rng)
+def advance_steps(domain, positions, n_steps, dt, kernel, rng, time=0.0, on_step=None):
+    """In-place multi-step advance; returns the new time.  ``on_step(k,
+    time, events)``, if given, observes the state after step k (0-based)."""
+    for k in range(n_steps):
+        time, events = _step_inplace(domain, positions, time, dt, kernel, rng)
+        if on_step is not None:
+            on_step(k, time, events)
     return time
 
 
@@ -230,15 +232,16 @@ def run(cfg0: ParticleConfig, T, dt, kernel: RelocationKernel, observables,
     times = [cfg.time]
     rows = [observe()]
     counts = [len(events)]
-    for k in range(n_steps):
-        cfg.time, new_events = _step_inplace(
-            cfg.domain, cfg.positions, cfg.time, dt, kernel, cfg.rng
-        )
+
+    def record(k, time, new_events):
         events.extend(new_events)
         if (k + 1) % record_stride == 0 or k == n_steps - 1:
-            times.append(cfg.time)
+            times.append(time)
             rows.append(observe())
             counts.append(len(events))
+
+    cfg.time = advance_steps(cfg.domain, cfg.positions, n_steps, dt, kernel, cfg.rng,
+                             cfg.time, on_step=record)
     cfg.jump_log = events
     return TrajectoryResult(
         times=np.array(times),
@@ -305,19 +308,6 @@ def first_exit_batch(domain: Domain, starts, dt, rng, max_steps=10**7):
     raise RuntimeError(f"{len(alive)} configurations never exited in {max_steps} steps")
 
 
-def first_exit(domain: Domain, positions, dt, rng, max_steps=10**7):
-    """Diffuse one configuration without relocation until the first particle
-    hits the boundary; returns (exit configuration, tau) with the hit
-    particle flagged as a boundary atom."""
-    pos = np.atleast_2d(np.asarray(positions, dtype=float))
-    if not np.all(domain.contains_many(pos)):
-        raise ValueError("first_exit needs an interior start")
-    finals, hit_index, taus = first_exit_batch(domain, pos[None], dt, rng, max_steps)
-    mask = np.zeros(len(pos), dtype=bool)
-    mask[hit_index[0]] = True
-    return EmpiricalMeasure(domain, finals[0], mask), float(taus[0])
-
-
 def run_replicas(M, seed, worker, jobs=1):
     """Evaluate ``worker(rng, replica_index)`` for M replicas on independent
     counter-based streams; results come back in replica order regardless of
@@ -346,6 +336,16 @@ def mean_and_stderr(values):
     return mean, math.sqrt(var / m)
 
 
+def _sample_and_advance(law: InitialLaw, n, t, dt, kernel: RelocationKernel, rng):
+    """Draw an n-particle start from the initial law and advance a copy of
+    it by round(t/dt) steps; returns (start, state at t)."""
+    domain = law.basis.domain
+    start = sample_initial_configuration(law, n, rng)
+    pos = start.positions.copy()
+    advance_steps(domain, pos, int(round(t / dt)), dt, kernel, rng)
+    return start, EmpiricalMeasure(domain, pos)
+
+
 def semigroup_estimate(law: InitialLaw, g: CylinderFunction, psi: CylinderFunction,
                        t, n, M, dt, kernel: RelocationKernel, seed, jobs=1):
     """Monte Carlo for the pairing of the time-t semigroup applied to g with
@@ -354,16 +354,10 @@ def semigroup_estimate(law: InitialLaw, g: CylinderFunction, psi: CylinderFuncti
     if M < 2:
         raise ValueError("need at least two replicas for a standard error")
     basis = law.basis
-    domain = basis.domain
-    n_steps = int(round(t / dt))
 
     def worker(rng, _m):
-        start = sample_initial_configuration(law, n, rng)
-        psi0 = cylinder_value(psi, start, basis)
-        pos = start.positions.copy()
-        advance_steps(domain, pos, n_steps, dt, kernel, rng)
-        gt = cylinder_value(g, EmpiricalMeasure(domain, pos), basis)
-        return gt * psi0
+        start, state = _sample_and_advance(law, n, t, dt, kernel, rng)
+        return cylinder_value(g, state, basis) * cylinder_value(psi, start, basis)
 
     vals = run_replicas(M, seed, worker, jobs)
     return mean_and_stderr(vals)
@@ -385,31 +379,22 @@ def resolvent_estimate(law: InitialLaw, g: CylinderFunction, beta, n, M, dt,
     n_steps = int(math.ceil(t_cut / dt))
     # integral of e^{-beta t} over each step, plus the tail frozen at T_cut
     edges = np.exp(-beta * dt * np.arange(n_steps + 1))
-    weights = (edges[:-1] - edges[1:]) / beta
-    tail_weight = edges[-1] / beta
-    g_sup = [0.0]
+    weights = np.append((edges[:-1] - edges[1:]) / beta, edges[-1] / beta)
 
     def worker(rng, _m):
-        start = sample_initial_configuration(law, n, rng)
-        pos = start.positions.copy()
-        time = 0.0
-        acc = []
-        sup = 0.0
-        for k in range(n_steps):
-            val = cylinder_value(g, EmpiricalMeasure(domain, pos), basis)
-            sup = max(sup, abs(val))
-            acc.append(val * weights[k])
-            time, _ev = _step_inplace(domain, pos, time, dt, kernel, rng)
-        val = cylinder_value(g, EmpiricalMeasure(domain, pos), basis)
-        sup = max(sup, abs(val))
-        acc.append(val * tail_weight)
-        g_sup[0] = max(g_sup[0], sup)
-        return math.fsum(acc)
+        pos = sample_initial_configuration(law, n, rng).positions.copy()
+        vals = []
 
-    vals = run_replicas(M, seed, worker, jobs)
+        def observe(*_step):
+            vals.append(cylinder_value(g, EmpiricalMeasure(domain, pos), basis))
+
+        observe()
+        advance_steps(domain, pos, n_steps, dt, kernel, rng, on_step=observe)
+        return math.fsum(np.asarray(vals) * weights), max(abs(v) for v in vals)
+
+    vals, sups = zip(*run_replicas(M, seed, worker, jobs))
     est, err = mean_and_stderr(vals)
-    tail_bound = g_sup[0] * math.exp(-beta * t_cut) / beta
-    return est, err, tail_bound
+    return est, err, max(sups) * math.exp(-beta * t_cut) / beta
 
 
 # -- artifacts ----------------------------------------------------------------
@@ -463,28 +448,14 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _git_describe():
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-        if out.returncode == 0:
-            return out.stdout.strip()
-    except OSError:
-        pass
-    return "unknown"
-
-
 def write_manifest(path, seed, config: dict):
-    """JSON manifest: seed, config hash, build description.  No timestamps or
-    timings — outputs must be byte-identical across reruns."""
+    """JSON manifest: seed, config hash, package version.  No timestamps,
+    timings or checkout state — outputs must be byte-identical across
+    reruns wherever they run."""
     manifest = {
         "seed": int(seed),
         "config_sha256": config_hash(config),
-        "build": _git_describe(),
+        "build": __version__,
     }
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

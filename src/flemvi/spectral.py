@@ -177,12 +177,6 @@ class SpectralBasis:
         pts = self._as_points(pts)
         return np.vstack([self.eigenfunction(k, pts) for k in range(1, self.K + 1)])
 
-    def eigenpair(self, k):
-        """(eigenvalue, eigenfunction) for mode k, the latter a vectorized
-        callable; k is 1-based."""
-        self._check_mode(k)
-        return float(self.lambdas[k - 1]), (lambda pts, _k=k: self.eigenfunction(_k, pts))
-
     # -- quadrature ----------------------------------------------------------
 
     @property
@@ -199,12 +193,6 @@ class SpectralBasis:
         else:
             vals = np.asarray(fn_or_values, dtype=float)
         return float(math.fsum(vals * self.quad_weights))
-
-    def project(self, fn):
-        """Pairings of ``fn`` with every eigenfunction, by quadrature."""
-        vals = np.asarray(fn(self.quad_points), dtype=float)
-        wv = vals * self.quad_weights
-        return np.array([math.fsum(row * wv) for row in self.h_quad])
 
     def gram_error(self):
         """Worst quadrature deviation from eigenfunction orthonormality."""
@@ -256,12 +244,6 @@ class DensityMeasure:
         return cls(basis, np.zeros(basis.K), 0.0)
 
     @classmethod
-    def from_callable(cls, basis, fn):
-        coeffs = basis.project(fn)
-        l1 = basis.integrate(lambda pts: np.abs(np.asarray(fn(pts), dtype=float)))
-        return cls(basis, coeffs, l1)
-
-    @classmethod
     def stationary_profile(cls, basis):
         """Ground mode normalized to mass one — the flow's fixed point."""
         coeffs = np.zeros(basis.K)
@@ -289,12 +271,6 @@ class DensityMeasure:
         self.basis._check_mode(k)
         return float(self.coeffs[k - 1])
 
-    @property
-    def spectral_norm_sq(self):
-        """Truncated sum of squared eigenvalue-weighted coefficients — a
-        smoothness-class proxy."""
-        return float(math.fsum((self.basis.lambdas * self.coeffs) ** 2))
-
     def cdf_1d(self, x):
         """Cumulative mass on an interval domain (closed form per mode)."""
         if self.basis.domain.dimension != 1:
@@ -310,16 +286,6 @@ class DensityMeasure:
             amp = coeff * math.sqrt(2.0 / L) * L / (j * math.pi)
             out = out + amp * (1.0 - np.cos(j * math.pi * (x - a) / L))
         return float(out[0]) if scalar else out
-
-    def check_probability(self, tol=1e-8):
-        """Assert unit mass within tol and nonnegativity on the grid."""
-        m = self.mass()
-        if abs(m - 1.0) > tol:
-            raise ValueError(f"mass {m!r} differs from 1 by more than {tol}")
-        dens = self.density(self.basis.interior_grid())
-        if dens.min() < -tol:
-            raise ValueError(f"density dips to {dens.min():.3e} on the grid")
-        return True
 
 
 def heat_kernel(basis, t, x, y):

@@ -29,7 +29,6 @@ from .kernels import (
     KernelKind,
     admissible_from_perturbation,
     sample_curvature_weighted,
-    sample_initial_configuration,
     sample_relocation,
 )
 from .measures import (
@@ -42,7 +41,7 @@ from .measures import (
     pair,
 )
 from .simulator import (
-    advance_steps,
+    _sample_and_advance,
     first_exit_batch,
     mean_and_stderr,
     resolvent_estimate,
@@ -407,6 +406,19 @@ def identity_suite(basis, law=None, seed=20260814, fd_pairs=20):
 # boundary-flux moment (exit-side pairing of the curvature-weighted law)
 # ---------------------------------------------------------------------------
 
+def _exit_side_batch(law, n, B, dt, rng):
+    """B start configurations from the curvature-weighted law, each with its
+    total mass, diffused without relocation to the first boundary hit.
+    Returns (starts, masses, finals, hit_index) as in first_exit_batch."""
+    starts = np.empty((B, n, law.basis.domain.dimension))
+    masses = np.empty(B)
+    for i in range(B):
+        emp, masses[i] = sample_curvature_weighted(law, n, rng)
+        starts[i] = emp.positions
+    finals, hit_index, _taus = first_exit_batch(law.basis.domain, starts, dt, rng)
+    return starts, masses, finals, hit_index
+
+
 def exit_moment_check(law, f, n, M, dt, seed, jobs=1, k=DEFAULT_K_SIGMA):
     """First-exit moment estimator against its population (n -> inf) value.
 
@@ -426,13 +438,7 @@ def exit_moment_check(law, f, n, M, dt, seed, jobs=1, k=DEFAULT_K_SIGMA):
 
     def worker(rng, b):
         B = sizes[b]
-        starts = np.empty((B, n, domain.dimension))
-        masses = np.empty(B)
-        for i in range(B):
-            emp, mass = sample_curvature_weighted(law, n, rng)
-            starts[i] = emp.positions
-            masses[i] = mass
-        finals, hit_index, _taus = first_exit_batch(domain, starts, dt, rng)
+        _starts, masses, finals, hit_index = _exit_side_batch(law, n, B, dt, rng)
         vals = np.empty(B)
         for i in range(B):
             mask = np.zeros(n, dtype=bool)
@@ -487,13 +493,7 @@ def jump_increment_checks(law, f, n, M, dt, kernel, seed, jobs=1,
 
     def worker(rng, b):
         B = sizes[b]
-        starts = np.empty((B, n, domain.dimension))
-        masses = np.empty(B)
-        for i in range(B):
-            emp, mass = sample_curvature_weighted(law, n, rng)
-            starts[i] = emp.positions
-            masses[i] = mass
-        finals, hit_index, _taus = first_exit_batch(domain, starts, dt, rng)
+        starts, masses, finals, hit_index = _exit_side_batch(law, n, B, dt, rng)
         out = np.empty((B, 2))
         for i in range(B):
             hit = hit_index[i]
@@ -558,24 +558,13 @@ def boundary_cutoff_diagnostic(law, n_list, M, dt, seed, jobs=1, cap=10.0):
     atom — so only the soft version carries information.  Values are
     reported per n with no assertion attached.
     """
-    basis = law.basis
-    domain = basis.domain
-    root = _as_seedseq(seed)
-    subs = root.spawn(len(n_list))
-    reports = []
-    for n, sub in zip(n_list, subs):
-        t0 = time.perf_counter()
-        sizes = _batch_sizes(M, _BATCH)
+    domain = law.basis.domain
+    sizes = _batch_sizes(M, _BATCH)
 
-        def worker(rng, b, n=n):
+    def estimate(n, sub):
+        def worker(rng, b):
             B = sizes[b]
-            starts = np.empty((B, n, domain.dimension))
-            masses = np.empty(B)
-            for i in range(B):
-                emp, mass = sample_curvature_weighted(law, n, rng)
-                starts[i] = emp.positions
-                masses[i] = mass
-            finals, hit_index, _taus = first_exit_batch(domain, starts, dt, rng)
+            _starts, masses, finals, hit_index = _exit_side_batch(law, n, B, dt, rng)
             vals = np.empty(B)
             for i in range(B):
                 dists = domain.dist_to_boundary_many(finals[i])
@@ -584,12 +573,60 @@ def boundary_cutoff_diagnostic(law, n_list, M, dt, seed, jobs=1, cap=10.0):
                 vals[i] = masses[i] / n * math.exp(-s * s)
             return vals
 
-        vals = np.concatenate(run_replicas(len(sizes), sub, worker, jobs))
-        lhs, stderr = mean_and_stderr(vals)
-        reports.append(diagnostic_report(
-            f"boundary_cutoff[n={n}]", lhs, stderr,
-            time.perf_counter() - t0, M,
-            note="hard-cutoff analogue is identically 0 at every n"))
+        return mean_and_stderr(np.concatenate(run_replicas(len(sizes), sub, worker, jobs)))
+
+    stats, runtimes = _run_ladder(n_list, seed, estimate)
+    return [
+        diagnostic_report(f"boundary_cutoff[n={n}]", lhs, stderr, rt, M,
+                          note="hard-cutoff analogue is identically 0 at every n")
+        for n, (lhs, stderr), rt in zip(n_list, stats, runtimes)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# population ladders
+# ---------------------------------------------------------------------------
+
+def _ladder_sizes(n_list, kernel):
+    """The population ladder as ints, checked strictly increasing and, for
+    survivor-copy relocation, free of single-particle systems."""
+    n_list = [int(n) for n in n_list]
+    if n_list != sorted(n_list) or len(set(n_list)) != len(n_list):
+        raise ValueError("n_list must be strictly increasing")
+    if kernel.kind is KernelKind.UNIFORM_SURVIVOR and min(n_list) < 2:
+        raise ValueError(
+            "survivor-copy relocation is undefined with fewer than two particles")
+    return n_list
+
+
+def _run_ladder(n_list, seed, estimate):
+    """``estimate(n, stream)`` per n, each on its own stream spawned from
+    ``seed``; returns the results and their wall-clock runtimes."""
+    results, runtimes = [], []
+    for n, sub in zip(n_list, _as_seedseq(seed).spawn(len(n_list))):
+        t0 = time.perf_counter()
+        results.append(estimate(n, sub))
+        runtimes.append(time.perf_counter() - t0)
+    return results, runtimes
+
+
+def _ladder_reports(label, trend_name, n_list, stats, runtimes, target, M, k,
+                    assert_every_n=False):
+    """Rows of one (mean, stderr) per n against one target: ``label|n=..]``
+    per n, asserted at k sigma for the largest n (for every n with
+    ``assert_every_n``) and a diagnostic otherwise, then the trend row."""
+    reports = []
+    for n, (est, se), rt in zip(n_list, stats, runtimes):
+        name = f"{label}|n={n}]"
+        if assert_every_n or n == n_list[-1]:
+            reports.append(statistical_report(name, est, se, target, M, rt, k=k))
+        else:
+            reports.append(diagnostic_report(name, est, se, rt, M,
+                                             note=f"target {target:.6g}"))
+    reports.append(trend_report(
+        trend_name, [abs(est - target) for est, _se in stats],
+        [se for _est, se in stats], sum(runtimes), M * len(n_list),
+        note=f"n_list={n_list}"))
     return reports
 
 
@@ -607,56 +644,29 @@ def convergence_experiment(law, t, n_list, M, dt, kernel, seed, jobs=1,
     and the deviation ladder must be nonincreasing (one sigma-inversion
     allowed); smaller-n rows are reported as diagnostics.
     """
-    n_list = [int(n) for n in n_list]
-    if n_list != sorted(n_list) or len(set(n_list)) != len(n_list):
-        raise ValueError("n_list must be strictly increasing")
-    if kernel.kind is KernelKind.UNIFORM_SURVIVOR and min(n_list) < 2:
-        raise ValueError(
-            "survivor-copy relocation is undefined with fewer than two particles")
+    n_list = _ladder_sizes(n_list, kernel)
     basis = law.basis
-    domain = basis.domain
     if max(modes) > basis.K:
         raise ValueError("observable mode beyond the basis truncation")
-    n_steps = int(round(t / dt))
     targets = {
         kk: math.fsum(w * flow(ad.mu, t).pair(kk) for w, ad in law.components)
         for kk in modes
     }
-    root = _as_seedseq(seed)
-    subs = root.spawn(len(n_list))
-    stats = {}
-    runtimes = {}
-    for n, sub in zip(n_list, subs):
-        t0 = time.perf_counter()
 
-        def worker(rng, _m, n=n):
-            emp = sample_initial_configuration(law, n, rng)
-            pos = emp.positions.copy()
-            advance_steps(domain, pos, n_steps, dt, kernel, rng)
-            state = EmpiricalMeasure(domain, pos)
+    def estimate(n, sub):
+        def worker(rng, _m):
+            _start, state = _sample_and_advance(law, n, t, dt, kernel, rng)
             return [pair(kk, state, basis) for kk in modes]
 
         vals = np.asarray(run_replicas(M, sub, worker, jobs))
-        stats[n] = [mean_and_stderr(vals[:, j]) for j in range(len(modes))]
-        runtimes[n] = time.perf_counter() - t0
+        return [mean_and_stderr(vals[:, j]) for j in range(len(modes))]
 
+    per_n, runtimes = _run_ladder(n_list, seed, estimate)
     reports = []
     for j, kk in enumerate(modes):
-        devs = [abs(stats[n][j][0] - targets[kk]) for n in n_list]
-        ses = [stats[n][j][1] for n in n_list]
-        for n in n_list[:-1]:
-            mean, se = stats[n][j]
-            reports.append(diagnostic_report(
-                f"convergence[mode{kk}|n={n}]", mean, se, runtimes[n], M,
-                note=f"target {targets[kk]:.6g}"))
-        mean, se = stats[n_list[-1]][j]
-        reports.append(statistical_report(
-            f"convergence[mode{kk}|n={n_list[-1]}]", mean, se, targets[kk],
-            M, runtimes[n_list[-1]], k=k))
-        reports.append(trend_report(
-            f"convergence_trend[mode{kk}]", devs, ses,
-            sum(runtimes.values()), M * len(n_list),
-            note=f"n_list={n_list}"))
+        reports += _ladder_reports(
+            f"convergence[mode{kk}", f"convergence_trend[mode{kk}]", n_list,
+            [stats[j] for stats in per_n], runtimes, targets[kk], M, k)
     return reports
 
 
@@ -698,26 +708,18 @@ def operator_limit_check(law, g, psi, t_or_beta, n_list, M, dt, kernel, seed,
     a constant observable's resolvent rows are exact, so all of them are
     asserted.
     """
-    n_list = [int(n) for n in n_list]
-    if n_list != sorted(n_list) or len(set(n_list)) != len(n_list):
-        raise ValueError("n_list must be strictly increasing")
+    n_list = _ladder_sizes(n_list, kernel)
     if mode not in ("semigroup", "resolvent"):
         raise ValueError("mode must be 'semigroup' or 'resolvent'")
-    root = _as_seedseq(seed)
-    subs = root.spawn(len(n_list))
-    reports = []
-    per_n = []
     if mode == "semigroup":
         t = float(t_or_beta)
         target = math.fsum(
             w * cylinder_value(g, flow(ad.mu, t)) * cylinder_value(psi, ad.mu)
             for w, ad in law.components)
         label = f"semigroup[{g.name}|t={t:g}"
-        for n, sub in zip(n_list, subs):
-            t0 = time.perf_counter()
-            est, se = semigroup_estimate(law, g, psi, t, n, M, dt, kernel, sub,
-                                         jobs=jobs)
-            per_n.append((n, est, se, time.perf_counter() - t0))
+
+        def estimate(n, sub):
+            return semigroup_estimate(law, g, psi, t, n, M, dt, kernel, sub, jobs=jobs)
     else:
         if not _is_constant_one(psi):
             raise ValueError(
@@ -726,29 +728,16 @@ def operator_limit_check(law, g, psi, t_or_beta, n_list, M, dt, kernel, seed,
         beta = float(t_or_beta)
         target = resolvent_target(law, g, beta)
         label = f"resolvent[{g.name}|beta={beta:g}"
-        for n, sub in zip(n_list, subs):
-            t0 = time.perf_counter()
-            est, se, _tail = resolvent_estimate(law, g, beta, n, M, dt, kernel,
-                                                sub, jobs=jobs)
-            per_n.append((n, est, se, time.perf_counter() - t0))
 
-    assert_every_n = mode == "resolvent" and _is_constant_one(g)
-    for n, est, se, rt in per_n[:-1]:
-        if assert_every_n:
-            reports.append(statistical_report(
-                f"{label}|n={n}]", est, se, target, M, rt, k=k))
-        else:
-            reports.append(diagnostic_report(
-                f"{label}|n={n}]", est, se, rt, M, note=f"target {target:.6g}"))
-    n, est, se, rt = per_n[-1]
-    reports.append(statistical_report(
-        f"{label}|n={n}]", est, se, target, M, rt, k=k))
-    devs = [abs(est - target) for _n, est, _se, _rt in per_n]
-    ses = [se for _n, _est, se, _rt in per_n]
-    reports.append(trend_report(
-        f"{label}]_trend", devs, ses, sum(rt for *_x, rt in per_n),
-        M * len(n_list), note=f"n_list={n_list}"))
-    return reports
+        def estimate(n, sub):
+            est, se, _tail = resolvent_estimate(law, g, beta, n, M, dt, kernel, sub,
+                                                jobs=jobs)
+            return est, se
+
+    stats, runtimes = _run_ladder(n_list, seed, estimate)
+    return _ladder_reports(
+        label, f"{label}]_trend", n_list, stats, runtimes, target, M, k,
+        assert_every_n=mode == "resolvent" and _is_constant_one(g))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from flemvi.cli import ConfigError, RunConfig, load_config, main
+from flemvi.cli import SUITES, ConfigError, RunConfig, load_config, main
 
 PI = math.pi
 
@@ -97,6 +97,12 @@ def test_missing_required_key(cfg_file, tmp_path, missing):
         {"components": [{"weight": 1.0, "modes": {"1": 0.1}}]},
         {"observables": [{"name": "m", "modes": [1], "terms": [[1.0, [1, 2]]]}]},
         {"observables": [{"name": "m", "modes": [99], "terms": [[1.0, [1]]]}]},
+        {"truncation": 16.7},
+        {"replicas": 2.9},
+        {"n_list": [True, 5]},
+        {"seed": True},
+        {"dt": 0.3, "horizon": 0.1},
+        {"horizon": 0.101},
     ],
 )
 def test_invalid_values_rejected(cfg_file, overrides):
@@ -224,6 +230,19 @@ def test_verify_jumps_byte_identical_across_jobs(cfg_file, tmp_path):
     main(["verify", "--config", path, "--suite", "jumps", "--jobs", "3",
           "--out", str(b)])
     assert (a / "report_jumps.json").read_bytes() == (b / "report_jumps.json").read_bytes()
+
+
+def test_verify_all_rows_equal_standalone_suites(cfg_file, tmp_path):
+    # each suite draws from its own stream of the seed, so its rows do not
+    # depend on which other suites ran in the same call
+    path = cfg_file({"replicas": 4, "dt": 0.01, "horizon": 1.0})
+    rows = {}
+    for suite in SUITES:
+        out = tmp_path / suite
+        main(["verify", "--config", path, "--suite", suite, "--jobs", "1",
+              "--out", str(out)])
+        rows[suite] = json.loads((out / f"report_{suite}.json").read_text())["reports"]
+    assert rows.pop("all") == [row for suite_rows in rows.values() for row in suite_rows]
 
 
 def test_verify_jumps_requires_coupled_kernel(cfg_file, capsys):

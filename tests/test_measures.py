@@ -15,8 +15,6 @@ from flemvi.measures import (
     default_dictionary,
     discrete_generator,
     pair,
-    read_atoms_csv,
-    write_atoms_csv,
 )
 from flemvi.spectral import DensityMeasure
 
@@ -77,13 +75,6 @@ def test_empirical_measure_pairing(basis_1d, rng):
 def test_density_measure_pairing(basis_1d):
     prof = DensityMeasure.stationary_profile(basis_1d)
     assert pair(1, prof, basis_1d) == pytest.approx(prof.pair(1), abs=1e-15)
-
-
-def test_empirical_with_atom_replacement():
-    emp = EmpiricalMeasure(DOM, [[1.0], [2.0]])
-    moved = emp.with_atom(1, [2.5])
-    assert moved.positions[1, 0] == 2.5
-    assert emp.positions[1, 0] == 2.0  # original untouched
 
 
 def test_boundary_atom_requires_flag():
@@ -193,13 +184,3 @@ def _cdf_inv(prof, u, tol=1e-10):
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-# -- atoms CSV round trip --------------------------------------------------------
-
-def test_atoms_csv_roundtrip(tmp_path, rng):
-    emp = EmpiricalMeasure(DOM, rng.uniform(0.1, 3.0, size=(9, 1)))
-    path = tmp_path / "atoms.csv"
-    write_atoms_csv(emp, path)
-    back = read_atoms_csv(DOM, path)
-    np.testing.assert_array_equal(back.positions, emp.positions)

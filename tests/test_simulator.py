@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from flemvi import __version__
 from flemvi.geometry import interval
 from flemvi.kernels import RelocationKernel, sample_initial_configuration
 from flemvi.measures import CylinderFunction
@@ -208,7 +209,8 @@ def test_artifact_writers(tmp_path, stationary_law):
     manifest = json.loads(mpath.read_text())
     assert manifest["seed"] == 9
     assert manifest["config_sha256"] == config_hash({"x": 1})
-    assert "build" in manifest
+    # the package version, not the state of any checkout
+    assert manifest["build"] == __version__
 
 
 def test_initial_configuration_seeds_reproducible(stationary_law):

@@ -29,13 +29,13 @@ GROUND_L1 = 2.0 * math.sqrt(2.0 / PI)
 
 def test_eigenvalues_interval(basis_1d):
     for k in (1, 2, 5, 16):
-        lam, _fn = basis_1d.eigenpair(k)
+        lam = basis_1d.lambdas[k - 1]
         assert lam == pytest.approx(-0.5 * k * k, rel=1e-14)
 
 
 def test_eigenvalues_rectangle(basis_2d):
     # modes are sorted by decreasing eigenvalue (least-negative first)
-    lams = [basis_2d.eigenpair(k)[0] for k in range(1, basis_2d.K + 1)]
+    lams = list(basis_2d.lambdas)
     assert all(lams[i] >= lams[i + 1] for i in range(len(lams) - 1))
     lx, ly = basis_2d.domain.sides
     lam1 = -0.5 * ((PI / lx) ** 2 + (PI / ly) ** 2)
@@ -73,12 +73,6 @@ def test_stationary_profile_is_probability(basis_1d):
     assert prof.pair(1) == pytest.approx(1.0 / GROUND_L1, abs=1e-12)
     vals = prof.density(basis_1d.interior_grid(per_axis=201))
     assert np.all(vals > 0)
-
-
-def test_from_callable_roundtrip(basis_1d):
-    prof = DensityMeasure.stationary_profile(basis_1d)
-    again = DensityMeasure.from_callable(basis_1d, prof.density)
-    np.testing.assert_allclose(again.coeffs, prof.coeffs, atol=1e-12)
 
 
 def test_cdf_1d(basis_1d):
