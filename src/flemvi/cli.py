@@ -67,6 +67,15 @@ def _int(value, what):
     return value
 
 
+def _float(value, what):
+    """A finite JSON number; booleans and strings are rejected, not coerced,
+    and the magnitude test rejects nan, infinities and ints beyond float range."""
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
+             and abs(value) <= sys.float_info.max,
+             f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _check_keys(obj, allowed, where):
     _require(isinstance(obj, dict), f"{where} must be an object")
     unknown = set(obj) - set(allowed)
@@ -99,18 +108,18 @@ class RunConfig:
         if dom["kind"] == "interval":
             b = dom["bounds"]
             _require(isinstance(b, list) and len(b) == 2, "interval bounds must be [a, b]")
-            _require(float(b[0]) < float(b[1]), "interval bounds must be increasing")
-            self.domain = interval(float(b[0]), float(b[1]))
+            lo, hi = (_float(v, "domain bounds") for v in b)
+            _require(lo < hi, "interval bounds must be increasing")
+            self.domain = interval(lo, hi)
         elif dom["kind"] == "rectangle":
             b = dom["bounds"]
             _require(
                 isinstance(b, list) and len(b) == 2
                 and all(isinstance(s, list) and len(s) == 2 for s in b),
                 "rectangle bounds must be [[a1, b1], [a2, b2]]")
-            _require(float(b[0][0]) < float(b[0][1]) and float(b[1][0]) < float(b[1][1]),
-                     "rectangle bounds must be increasing per axis")
-            self.domain = rectangle(float(b[0][0]), float(b[0][1]),
-                                    float(b[1][0]), float(b[1][1]))
+            (a1, b1), (a2, b2) = ([_float(v, "domain bounds") for v in s] for s in b)
+            _require(a1 < b1 and a2 < b2, "rectangle bounds must be increasing per axis")
+            self.domain = rectangle(a1, b1, a2, b2)
         else:
             raise ConfigError(f"unknown domain kind '{dom['kind']}'")
 
@@ -122,7 +131,7 @@ class RunConfig:
         self.component_specs = []
         for i, comp in enumerate(comps):
             _check_keys(comp, ("weight", "modes", "comparison_c"), f"components[{i}]")
-            weight = float(comp.get("weight", 1.0))
+            weight = _float(comp.get("weight", 1.0), f"components[{i}].weight")
             _require(weight > 0, f"components[{i}].weight must be positive")
             modes = comp.get("modes", {})
             _require(isinstance(modes, dict), f"components[{i}].modes must be an object")
@@ -130,9 +139,10 @@ class RunConfig:
             for key, val in modes.items():
                 _require(str(key).isdigit() and int(key) >= 2,
                          f"components[{i}].modes keys must be mode indices >= 2")
-                higher[int(key)] = float(val)
+                higher[int(key)] = _float(val, f"components[{i}].modes values")
             c = comp.get("comparison_c")
-            self.component_specs.append((weight, higher, None if c is None else float(c)))
+            c = None if c is None else _float(c, f"components[{i}].comparison_c")
+            self.component_specs.append((weight, higher, c))
 
         kinds = [kind.value for kind in KernelKind]
         _require(raw["kernel"] in kinds, f"kernel must be one of {kinds}, got '{raw['kernel']}'")
@@ -147,9 +157,9 @@ class RunConfig:
 
         self.replicas = _int(raw["replicas"], "replicas")
         _require(self.replicas >= 2, "replicas must be >= 2")
-        self.dt = float(raw["dt"])
+        self.dt = _float(raw["dt"], "dt")
         _require(self.dt > 0, "dt must be positive")
-        self.horizon = float(raw["horizon"])
+        self.horizon = _float(raw["horizon"], "horizon")
         steps = self.horizon / self.dt
         _require(math.isfinite(steps) and round(steps) >= 1
                  and math.isclose(steps, round(steps), rel_tol=1e-9),
@@ -177,7 +187,8 @@ class RunConfig:
                 _require(isinstance(powers, list) and len(powers) == len(modes),
                          f"observables[{i}] powers must match the mode count")
                 clean_terms.append(
-                    (float(coef), tuple(_int(p, f"observables[{i}] powers") for p in powers)))
+                    (_float(coef, f"observables[{i}] coefficients"),
+                     tuple(_int(p, f"observables[{i}] powers") for p in powers)))
             name = spec.get("name", f"obs{i}")
             modes = tuple(_int(m, f"observables[{i}].modes entries") for m in modes)
             self.observable_specs.append((name, modes, clean_terms))

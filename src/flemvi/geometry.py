@@ -42,13 +42,6 @@ class Domain:
     def sides(self) -> tuple[float, ...]:
         return tuple(b - a for a, b in zip(self.lo, self.hi))
 
-    @property
-    def volume(self) -> float:
-        v = 1.0
-        for s in self.sides:
-            v *= s
-        return v
-
     # -- point queries ------------------------------------------------------
 
     def _as_point(self, x) -> np.ndarray:

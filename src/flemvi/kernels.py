@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .measures import EmpiricalMeasure
-from .spectral import DensityMeasure, SpectralBasis, initial_decay_rate
+from .spectral import DensityMeasure, SpectralBasis, initial_decay_rate, kahan_sum
 
 __all__ = [
     "AdmissibleDensity",
@@ -36,6 +36,7 @@ __all__ = [
     "sample_initial_configuration",
     "reweighted_mixture",
     "sample_relocation",
+    "mixture_terms",
     "sample_curvature_weighted",
 ]
 
@@ -58,12 +59,6 @@ class AdmissibleDensity:
     @property
     def basis(self) -> SpectralBasis:
         return self.mu.basis
-
-    def density_values(self, pts):
-        return self.mu.density(pts)
-
-    def neg_half_laplacian_values(self, pts):
-        return -self.mu.half_laplacian(pts)
 
     def sample(self, rng, size=1):
         """i.i.d. draws by rejection against the ground-mode envelope."""
@@ -271,18 +266,39 @@ class RelocationKernel:
         return cls(KernelKind.MIXTURE_REWEIGHTED, basis=law.basis, law=law)
 
 
-def _mixture_log_weights(law: InitialLaw, others):
+def _atom_terms(law: InitialLaw, pts):
+    """log d_m(z) and (-1/2 Laplacian d_m)(z) / d_m(z) per component m and
+    point z, shape (2, components, N), from one eigenfunction matrix."""
+    H = law.basis.eigenfunction_matrix(pts)
+    terms = np.empty((2, len(law.components), H.shape[1]))
+    for m, (_, ad) in enumerate(law.components):
+        # the expressions of DensityMeasure.density and .half_laplacian
+        dens = kahan_sum(ad.mu.coeffs[:, None] * H)
+        neglap = -kahan_sum((ad.mu.coeffs * law.basis.lambdas)[:, None] * H)
+        terms[0, m] = np.log(dens)
+        terms[1, m] = neglap / dens
+    return terms
+
+
+def mixture_terms(kernel: RelocationKernel, pts):
+    """The per-atom terms of ``kernel``'s component weights at pts (see
+    ``sample_relocation``), or None when its draw does not use them."""
+    if kernel.kind is KernelKind.MIXTURE_REWEIGHTED and len(kernel.law.components) > 1:
+        return _atom_terms(kernel.law, pts)
+    return None
+
+
+def _mixture_log_weights(law: InitialLaw, others, terms=None):
     """Per-component logs of w_m * L_m * prod_j d_m(z_j) (mixture numerator)
     and of w_m * K_m * prod_j d_m(z_j) (mass denominator)."""
-    others = np.atleast_2d(np.asarray(others, dtype=float))
-    n = len(others) + 1
+    if terms is None:
+        terms = _atom_terms(law, np.atleast_2d(np.asarray(others, dtype=float)))
+    n = terms.shape[2] + 1
     log_num = np.empty(len(law.components))
     log_den = np.empty(len(law.components))
     for m, (w, ad) in enumerate(law.components):
-        dens = ad.density_values(others)
-        neglap = ad.neg_half_laplacian_values(others)
-        log_prod = math.fsum(np.log(dens))
-        likelihood = math.fsum(neglap / dens) / n
+        log_prod = math.fsum(terms[0, m])
+        likelihood = math.fsum(terms[1, m]) / n
         log_num[m] = math.log(w) + math.log(likelihood) + log_prod
         log_den[m] = math.log(w) + math.log(ad.curvature_mass) + log_prod
     return log_num, log_den
@@ -301,16 +317,17 @@ def reweighted_mixture(law: InitialLaw, others):
     return DensityMeasure(law.basis, coeffs, 1.0), rho
 
 
-def _mixture_component_probs(law: InitialLaw, others):
+def _mixture_component_probs(law: InitialLaw, others, terms=None):
     if len(law.components) == 1:
         return np.ones(1)
-    log_num, _ = _mixture_log_weights(law, others)
+    log_num, _ = _mixture_log_weights(law, others, terms)
     alpha = np.exp(log_num - logsumexp(log_num))
     return alpha / math.fsum(alpha)
 
 
-def sample_relocation(kernel: RelocationKernel, others, rng):
-    """Draw the reappearance point given the other particles' positions."""
+def sample_relocation(kernel: RelocationKernel, others, rng, terms=None):
+    """Draw the reappearance point given the other particles' positions;
+    ``terms``, if given, must equal ``mixture_terms(kernel, others)``."""
     if kernel.kind is KernelKind.UNIFORM_SURVIVOR:
         others = np.atleast_2d(np.asarray(others, dtype=float))
         if len(others) == 0:
@@ -319,7 +336,7 @@ def sample_relocation(kernel: RelocationKernel, others, rng):
     if kernel.kind is KernelKind.GROUND_MODE:
         return sample_ground_mode(kernel.basis, rng, 1)[0]
     if kernel.kind is KernelKind.MIXTURE_REWEIGHTED:
-        alpha = _mixture_component_probs(kernel.law, others)
+        alpha = _mixture_component_probs(kernel.law, others, terms)
         m = int(rng.choice(len(alpha), p=alpha))
         return kernel.law.components[m][1].sample(rng, 1)[0]
     raise ValueError(f"unknown kernel kind {kernel.kind!r}")

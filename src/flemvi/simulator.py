@@ -29,7 +29,8 @@ import numpy as np
 
 from . import __version__
 from .geometry import Domain
-from .kernels import InitialLaw, RelocationKernel, sample_initial_configuration, sample_relocation
+from .kernels import (InitialLaw, RelocationKernel, mixture_terms, sample_initial_configuration,
+                      sample_relocation)
 from .measures import CylinderFunction, EmpiricalMeasure, cylinder_value
 
 __all__ = [
@@ -146,7 +147,8 @@ def _step_inplace(domain, positions, time, dt, kernel, rng):
     Relocation happens at the step's end: hit particles are processed in
     ascending index, each drawing its target from the other n-1 particles'
     current positions (post-step for non-hit, already-relocated for earlier
-    hits, pre-step for pending later hits).
+    hits, pre-step for pending later hits).  The kernel's per-atom terms are
+    evaluated once for all n rows and refreshed at each relocated row.
     """
     n, d = positions.shape
     incr = rng.normal(0.0, math.sqrt(dt), size=(n, d))
@@ -161,9 +163,14 @@ def _step_inplace(domain, positions, time, dt, kernel, rng):
         return new_time, events
 
     work = np.where(hit_mask[:, None], positions, prop)
+    terms = mixture_terms(kernel, work)
     for i in np.flatnonzero(hit_mask):
         others = np.delete(work, i, axis=0)
-        target = sample_relocation(kernel, others, rng)
+        if terms is None:
+            target = sample_relocation(kernel, others, rng)
+        else:
+            target = sample_relocation(kernel, others, rng, np.delete(terms, i, axis=2))
+            terms[..., i] = mixture_terms(kernel, target[None, :])[..., 0]
         work[i] = target
         y = hit_points[i]
         events.append(

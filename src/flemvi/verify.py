@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate as _integrate
-from scipy import stats as _stats
+from scipy.special import ndtr, ndtri
 
 from .kernels import (
     KernelKind,
@@ -111,8 +111,9 @@ def bonferroni_k(n_tests, base_k=DEFAULT_K_SIGMA):
     split evenly across ``n_tests`` simultaneous tests."""
     if n_tests < 1:
         raise ValueError("need at least one test")
-    alpha = 2.0 * _stats.norm.sf(base_k)
-    return float(_stats.norm.isf(alpha / (2.0 * n_tests)))
+    # the standard normal's sf and isf, without importing scipy.stats
+    alpha = 2.0 * ndtr(-base_k)
+    return float(-ndtri(alpha / (2.0 * n_tests)))
 
 
 def statistical_report(name, lhs, stderr, rhs, samples, runtime,

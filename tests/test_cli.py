@@ -103,6 +103,10 @@ def test_missing_required_key(cfg_file, tmp_path, missing):
         {"seed": True},
         {"dt": 0.3, "horizon": 0.1},
         {"horizon": 0.101},
+        {"dt": "0.01"},
+        {"horizon": True},
+        {"domain": {"kind": "interval", "bounds": ["0.0", PI]}},
+        {"observables": [{"name": "m", "modes": [1], "terms": [[True, [1]]]}]},
     ],
 )
 def test_invalid_values_rejected(cfg_file, overrides):

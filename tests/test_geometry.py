@@ -15,7 +15,6 @@ def test_interval_basic():
     assert dom.dimension == 1
     assert dom.kind == "interval"
     assert dom.sides == (PI,)
-    assert dom.volume == pytest.approx(PI)
     assert dom.contains([1.0])
     assert not dom.contains([0.0])  # boundary is not interior
     assert not dom.contains([-0.1])
@@ -30,7 +29,6 @@ def test_rectangle_basic():
     assert dom.dimension == 2
     assert dom.kind == "rectangle"
     assert dom.sides == (2.0, 1.0)
-    assert dom.volume == pytest.approx(2.0)
     assert dom.contains([1.0, 0.5])
     assert not dom.contains([1.0, 1.0])
     assert dom.dist_to_boundary([0.3, 0.5]) == pytest.approx(0.3)

@@ -4,12 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from flemvi import __version__
+from flemvi import __version__, simulator
 from flemvi.geometry import interval
-from flemvi.kernels import RelocationKernel, sample_initial_configuration
+from flemvi.kernels import (RelocationKernel, mixture_terms, sample_initial_configuration,
+                            sample_relocation)
 from flemvi.measures import CylinderFunction
 from flemvi.simulator import (
+    JumpEvent,
     ParticleConfig,
+    _detect_hits,
+    advance_steps,
     config_hash,
     first_exit_batch,
     mean_and_stderr,
@@ -73,6 +77,52 @@ def test_jump_events_well_formed(stationary_law):
         assert DOM.on_boundary(np.array(ev.jump_off), tol=1e-9)
         assert DOM.contains(np.array(ev.target))
         assert ev.distance >= 0.0
+
+
+def _reference_step(domain, positions, time, dt, kernel, rng):
+    """One step that evaluates every relocation's weights from scratch."""
+    n, d = positions.shape
+    prop = positions + rng.normal(0.0, math.sqrt(dt), size=(n, d))
+    u_bridge = rng.random((n, d, 2))
+    hit_mask, _theta, hit_points = _detect_hits(domain, positions, prop, dt, u_bridge)
+    work = np.where(hit_mask[:, None], positions, prop)
+    events = []
+    for i in np.flatnonzero(hit_mask):
+        target = sample_relocation(kernel, np.delete(work, i, axis=0), rng)
+        work[i] = target
+        y = hit_points[i]
+        events.append(JumpEvent(time + dt, int(i), tuple(float(v) for v in y),
+                                tuple(float(v) for v in target),
+                                float(np.linalg.norm(target - y))))
+    positions[:] = work
+    return time + dt, events
+
+
+def test_per_step_mixture_terms_match_from_scratch(perturbed_law, monkeypatch):
+    kernel = _kernel(perturbed_law)
+    start = sample_initial_configuration(perturbed_law, 200, _rng(21)).positions
+    n_steps, dt = 30, 0.01  # 26 relocations, 6 steps with two or more
+
+    ref_pos, ref_events, time, rng = start.copy(), [], 0.0, _rng(5)
+    for _ in range(n_steps):
+        time, events = _reference_step(DOM, ref_pos, time, dt, kernel, rng)
+        ref_events += events
+
+    # every relocation's terms equal a fresh evaluation on its other particles
+    used = []
+
+    def checked(kernel_, others, rng_, terms=None):
+        assert np.array_equal(terms, mixture_terms(kernel_, others))
+        used.append(terms is not None)
+        return sample_relocation(kernel_, others, rng_, terms)
+
+    monkeypatch.setattr(simulator, "sample_relocation", checked)
+    pos, events = start.copy(), []
+    advance_steps(DOM, pos, n_steps, dt, kernel, _rng(5),
+                  on_step=lambda _k, _t, new: events.extend(new))
+    assert len(used) > 10 and all(used)
+    assert np.array_equal(pos, ref_pos)
+    assert events == ref_events
 
 
 def test_run_recording_grid(stationary_law):

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from flemvi.geometry import interval, rectangle
 from flemvi.spectral import (
     DensityMeasure,
+    SpectralBasis,
     curvature_mass_routes,
     diffusion_part,
     flow,
@@ -174,6 +176,16 @@ def test_kahan_sum_matches_fsum():
     np.testing.assert_allclose(out, expect, rtol=1e-15, atol=1e-300)
 
 
-def test_basis_validate(basis_1d, basis_2d):
-    basis_1d.validate()
-    basis_2d.validate()
+@pytest.mark.parametrize("domain,K", [
+    (interval(0.0, PI), 16),
+    (rectangle(0.0, PI, 0.0, 1.5), 16),
+    (rectangle(-0.5, 1.0, 0.2, 3.0), 10),  # not a perfect square
+])
+@pytest.mark.parametrize("N", [1, 7, 799])
+def test_eigenfunction_matrix_equals_per_mode_stack(domain, K, N):
+    # the per-axis tables must reproduce each mode's own evaluation exactly
+    basis = SpectralBasis(domain, truncation_K=K)
+    lo, hi = np.array(domain.lo), np.array(domain.hi)
+    pts = lo + (hi - lo) * np.random.default_rng(N).random((N, domain.dimension))
+    expect = np.vstack([basis.eigenfunction(k, pts) for k in range(1, K + 1)])
+    assert np.array_equal(basis.eigenfunction_matrix(pts), expect)

@@ -30,6 +30,11 @@ from flemvi.verify import (
 # -- report helpers -------------------------------------------------------------
 
 def test_bonferroni_k():
+    from scipy import stats
+
+    alpha = 2.0 * stats.norm.sf(3.0)
+    for n in range(1, 65):
+        assert bonferroni_k(n) == float(stats.norm.isf(alpha / (2.0 * n)))
     assert bonferroni_k(1) == pytest.approx(3.0, abs=1e-12)
     ks = [bonferroni_k(n) for n in (1, 2, 4, 8)]
     assert all(ks[i] < ks[i + 1] for i in range(3))
