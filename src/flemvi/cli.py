@@ -372,8 +372,8 @@ def _build_parser():
         p.add_argument("--seed", type=int, default=None,
                        help="master seed override (env FLEMVI_SEED)")
         p.add_argument("--jobs", type=int, default=None,
-                       help="parallel replica workers (env FLEMVI_JOBS; "
-                            "default: available cores)")
+                       help="worker threads for per-replica work (env "
+                            "FLEMVI_JOBS; default 1)")
         p.add_argument("--out", default=None,
                        help="output directory override (env FLEMVI_OUT)")
 
@@ -405,7 +405,7 @@ def _resolve(args):
     jobs = args.jobs
     if jobs is None:
         env_jobs = _env("JOBS")
-        jobs = int(env_jobs) if env_jobs is not None else (os.cpu_count() or 1)
+        jobs = int(env_jobs) if env_jobs is not None else 1
     if jobs < 1:
         raise ConfigError("jobs must be >= 1")
     out_dir = args.out or _env("OUT") or config.output_dir

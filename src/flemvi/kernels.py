@@ -119,21 +119,31 @@ def _rejection_sample(rng, size, basis, target, envelope_factor):
     return out
 
 
+def _grid_values(d: DensityMeasure, grid_per_axis=512):
+    """The validation grid and, on it, the ground mode, the density and its
+    negative half-Laplacian."""
+    basis = d.basis
+    grid = basis.interior_grid(grid_per_axis)
+    return grid, basis.eigenfunction(1, grid), d.density(grid), -d.half_laplacian(grid)
+
+
 def validate_admissible(d: DensityMeasure, c, grid_per_axis=512) -> AdmissibleDensity:
     """Check the two-sided ground-mode comparisons on a uniform interior grid
     and return the validated density; raises with the violation count."""
+    return _check_admissible(d, c, grid_per_axis)
+
+
+def _check_admissible(d, c, grid_per_axis=512, values=None):
+    """validate_admissible, reusing the grid evaluation ``values`` of
+    ``_grid_values`` when given."""
     c = float(c)
     if not c > 1.0:
         raise ValueError("comparison constant must exceed 1")
     mass = d.mass()
     if abs(mass - 1.0) > 1e-8:
         raise ValueError(f"density mass {mass!r} is not 1 within 1e-8")
-    basis = d.basis
-    grid = basis.interior_grid(grid_per_axis)
-    h1 = basis.eigenfunction(1, grid)
-    dens = d.density(grid)
-    neglap = -d.half_laplacian(grid)
-    neg_lam1 = -basis.lambdas[0]
+    grid, h1, dens, neglap = values or _grid_values(d, grid_per_axis)
+    neg_lam1 = -d.basis.lambdas[0]
     slack = 1e-12
     bad = (
         (dens < h1 / c - slack)
@@ -159,7 +169,8 @@ def admissible_from_perturbation(basis, higher_coeffs, c=None, c_cap=10.0):
     ``higher_coeffs`` is either a mapping {mode index >= 2: amplitude} or a
     sequence giving amplitudes for modes 2, 3, ...  With c=None the smallest
     valid constant is found on the validation grid (with a tiny safety
-    margin) and rejected if it exceeds ``c_cap``.
+    margin) and rejected if it exceeds ``c_cap``; the validation reuses
+    that grid evaluation.
     """
     raw = np.zeros(basis.K)
     raw[0] = 1.0
@@ -177,10 +188,7 @@ def admissible_from_perturbation(basis, higher_coeffs, c=None, c_cap=10.0):
         raise ValueError("perturbation destroys the positivity of the total mass")
     d = DensityMeasure(basis, raw / Z, 1.0)
     if c is None:
-        grid = basis.interior_grid()
-        h1 = basis.eigenfunction(1, grid)
-        dens = d.density(grid)
-        neglap = -d.half_laplacian(grid)
+        _grid, h1, dens, neglap = values = _grid_values(d)
         neg_lam1 = -basis.lambdas[0]
         if dens.min() <= 0.0 or neglap.min() <= 0.0:
             raise ValueError("density or its curvature loses positivity")
@@ -195,6 +203,7 @@ def admissible_from_perturbation(basis, higher_coeffs, c=None, c_cap=10.0):
             raise ValueError(
                 f"smallest admissible constant {c:.4f} exceeds the cap {c_cap:g}"
             )
+        return _check_admissible(d, c, values=values)
     return validate_admissible(d, c)
 
 

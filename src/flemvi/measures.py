@@ -25,6 +25,8 @@ __all__ = [
     "boundary_glued_metric",
     "pair",
     "cylinder_value",
+    "pair_many",
+    "cylinder_value_many",
     "bl_distance",
     "default_dictionary",
     "discrete_generator",
@@ -216,6 +218,23 @@ def cylinder_value(f: CylinderFunction, mu, basis: SpectralBasis = None) -> floa
     """Evaluate a cylinder observable on either kind of measure."""
     args = np.array([pair(k, mu, basis) for k in f.mode_indices])
     return float(f.phi(args))
+
+
+def pair_many(modes, positions, basis: SpectralBasis) -> np.ndarray:
+    """``pair`` of each eigenfunction in ``modes`` with each configuration of
+    a stack (B, n, d) of interior atoms, shape (B, len(modes)), bit for bit:
+    one eigenfunction call per mode, one ``math.fsum`` per configuration."""
+    B, n, d = positions.shape
+    if not np.all(basis.domain.contains_many(positions)):
+        raise ValueError("non-boundary atom outside the open domain")
+    vals = [basis.eigenfunction(k, positions.reshape(B * n, d)).reshape(B, n) for k in modes]
+    return np.array([[math.fsum(v[b]) / n for v in vals] for b in range(B)]).reshape(B, -1)
+
+
+def cylinder_value_many(f: CylinderFunction, positions, basis: SpectralBasis) -> np.ndarray:
+    """``cylinder_value`` on each configuration of a stack (B, n, d) of
+    interior atoms, shape (B,)."""
+    return np.array([float(f.phi(a)) for a in pair_many(f.mode_indices, positions, basis)])
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,10 @@ estimators for the process semigroup and resolvent.
 Determinism contract: every replica owns a counter-based RNG stream spawned
 from the master seed by replica index, and every cross-replica reduction is
 an ordered compensated sum — so results are bit-identical for any worker
-count.  Within a step the RNG consumption is fixed (one Gaussian block, one
-bridge-uniform block) regardless of outcomes, so paths are reproducible.
+count.  Within a step each replica's RNG consumption is fixed (one Gaussian
+block, one bridge-uniform block) regardless of outcomes, so paths are
+reproducible, and the same whether a replica steps alone or stacked with
+others.
 
 Exit detection: a step is declared a boundary hit if the straight segment
 leaves the open box, or, for an interior segment, if a per-face Brownian
@@ -31,7 +33,7 @@ from . import __version__
 from .geometry import Domain
 from .kernels import (InitialLaw, RelocationKernel, mixture_terms, sample_initial_configuration,
                       sample_relocation)
-from .measures import CylinderFunction, EmpiricalMeasure, cylinder_value
+from .measures import CylinderFunction, EmpiricalMeasure, cylinder_value, cylinder_value_many
 
 __all__ = [
     "JumpEvent",
@@ -78,13 +80,6 @@ class ParticleConfig:
         if self.rng is None:
             self.rng = np.random.default_rng()
 
-    @property
-    def n(self) -> int:
-        return len(self.positions)
-
-    def empirical(self) -> EmpiricalMeasure:
-        return EmpiricalMeasure(self.domain, self.positions.copy())
-
     def copy(self):
         cfg = ParticleConfig(
             self.domain, self.positions.copy(), self.time, list(self.jump_log), self.rng
@@ -93,56 +88,78 @@ class ParticleConfig:
 
 
 def _detect_hits(domain, pos, prop, dt, u_bridge):
-    """Classify each particle's step.
+    """Classify each particle's step, for positions of any leading shape
+    (..., n, d) with bridge uniforms of shape (..., n, d, 2).
 
     Returns (hit_mask, theta, hit_points): theta is the within-step hit
-    fraction, hit_points the boundary location; both are meaningful only
-    where hit_mask is set.
+    fraction, hit_points the boundary location; both are NaN where
+    hit_mask is unset.  Faces are ordered lo0, hi0, lo1, hi1.  A segment
+    that leaves the box hits the first face it meets, by the IEEE
+    operations of ``Domain.project_to_boundary``, with theta re-read on its
+    first moving axis.  An interior segment hits the first most probable
+    fired bridge face, at the segment point a/(a+b) moved onto that face.
     """
-    n, d = pos.shape
-    lo = np.asarray(domain.lo)
-    hi = np.asarray(domain.hi)
-    inside = domain.contains_many(prop)
+    lead, d = pos.shape[:-1], pos.shape[-1]
 
-    # bridge gaps to each face; the test only applies where both ends are
-    # interior, which the `inside` split guarantees for the rows used
-    gap_lo_p, gap_lo_q = pos - lo, prop - lo
-    gap_hi_p, gap_hi_q = hi - pos, hi - prop
-    with np.errstate(over="ignore"):
-        p_lo = np.exp(-2.0 * gap_lo_p * np.maximum(gap_lo_q, 0.0) / dt)
-        p_hi = np.exp(-2.0 * gap_hi_p * np.maximum(gap_hi_q, 0.0) / dt)
-    fire_lo = u_bridge[:, :, 0] < p_lo
-    fire_hi = u_bridge[:, :, 1] < p_hi
-    bridge_hit = inside & (fire_lo.any(axis=1) | fire_hi.any(axis=1))
+    def gaps(x):  # x - lo and hi - x per face, shape (..., 2d)
+        g = np.empty(lead + (d, 2))
+        np.subtract(x, domain.lo, out=g[..., 0])
+        np.subtract(domain.hi, x, out=g[..., 1])
+        return g.reshape(lead + (2 * d,))
 
-    hit_mask = ~inside | bridge_hit
-    theta = np.full(n, np.nan)
-    hit_points = np.full((n, d), np.nan)
-    for i in np.flatnonzero(hit_mask):
-        if not inside[i]:
-            y = domain.project_to_boundary(pos[i], prop[i])
-            seg = prop[i] - pos[i]
-            ax = int(np.argmax(np.abs(seg) > 0)) if np.any(seg) else 0
-            th = (y[ax] - pos[i][ax]) / seg[ax] if seg[ax] != 0.0 else 0.0
-        else:
-            # among fired faces pick the most probable crossing
-            best_p, best = -1.0, None
-            for ax in range(d):
-                if fire_lo[i, ax] and p_lo[i, ax] > best_p:
-                    best_p, best = p_lo[i, ax], (ax, lo[ax], gap_lo_p[i, ax], gap_lo_q[i, ax])
-                if fire_hi[i, ax] and p_hi[i, ax] > best_p:
-                    best_p, best = p_hi[i, ax], (ax, hi[ax], gap_hi_p[i, ax], gap_hi_q[i, ax])
-            ax, face, a, b = best
-            th = a / (a + b) if a + b > 0 else 0.0
-            y = pos[i] + th * (prop[i] - pos[i])
-            y[ax] = face
-        theta[i] = min(max(th, 0.0), 1.0)
-        hit_points[i] = y
+    gap_p, gap_q = gaps(pos), gaps(prop)
+    out = gap_q <= 0.0
+    # the bridge test only counts where both ends are interior, which the
+    # exit split guarantees; below -746 the exponential is 0 and is skipped,
+    # the exponent failing u < p as 0 would
+    p_cross = np.maximum(gap_q, 0.0)
+    p_cross *= -2.0 * gap_p
+    p_cross /= dt
+    np.exp(p_cross, out=p_cross, where=p_cross > -746.0)
+    fire = u_bridge.reshape(p_cross.shape) < p_cross
+    hit = out | fire
+    hit_mask = hit[..., 0].copy()
+    for j in range(1, 2 * d):  # ors beat numpy's reduction over a short axis
+        hit_mask |= hit[..., j]
+
+    theta = np.full(lead, np.nan)
+    hit_points = np.full(pos.shape, np.nan)
+    rows = np.flatnonzero(hit_mask)
+    if len(rows) == 0:
+        return hit_mask, theta, hit_points
+    at = np.arange(len(rows))
+    p = pos.reshape(-1, d)[rows]
+    seg = prop.reshape(-1, d)[rows] - p
+    exits = out.reshape(-1, 2 * d)[rows].any(axis=-1)
+    a, b = gap_p.reshape(-1, 2 * d)[rows], gap_q.reshape(-1, 2 * d)[rows]
+    # where the segment meets each face ahead: (lo-p)/seg = a/-seg, (hi-p)/seg = a/seg
+    ahead = (seg[..., None] * _TOWARDS).reshape(a.shape)
+    t = np.divide(a, ahead, out=np.full(a.shape, np.inf), where=ahead > 0.0)
+    key = np.where(exits[:, None], -t, np.where(fire.reshape(-1, 2 * d)[rows],
+                                                p_cross.reshape(-1, 2 * d)[rows], -1.0))
+    face = key.argmax(axis=-1)
+    a, b, t = a[at, face], b[at, face], t[at, face]
+    th = np.where(exits, np.minimum(np.maximum(t, 0.0), 1.0),
+                  np.divide(a, a + b, out=np.zeros_like(a), where=a + b > 0.0))
+    y = p + th[:, None] * seg
+    y[at, face // 2] = np.array([domain.lo, domain.hi]).T.reshape(-1)[face]
+    # an exit's theta is re-read on its first moving axis
+    ax = (seg != 0.0).argmax(axis=-1)
+    move = seg[at, ax]
+    moved = np.divide(y[at, ax] - p[at, ax], move, out=np.zeros_like(move), where=move != 0.0)
+    theta.reshape(-1)[rows] = np.minimum(np.maximum(np.where(exits, moved, th), 0.0), 1.0)
+    hit_points.reshape(-1, d)[rows] = y
     return hit_mask, theta, hit_points
 
 
-def _step_inplace(domain, positions, time, dt, kernel, rng):
-    """Advance one step, mutating ``positions``; returns the jump events.
+_TOWARDS = np.array([-1.0, 1.0])  # sign of a step towards the lo, hi face
+
+
+def _step_inplace(domain, positions, time, dt, kernel, rngs):
+    """Advance a stack of independent configurations (B, n, d) one step,
+    mutating ``positions``; returns the new time and each replica's jump
+    events.  Replica b draws its Gaussian block, its bridge-uniform block
+    and then its relocations from ``rngs[b]``.
 
     Relocation happens at the step's end: hit particles are processed in
     ascending index, each drawing its target from the other n-1 particles'
@@ -150,47 +167,47 @@ def _step_inplace(domain, positions, time, dt, kernel, rng):
     hits, pre-step for pending later hits).  The kernel's per-atom terms are
     evaluated once for all n rows and refreshed at each relocated row.
     """
-    n, d = positions.shape
-    incr = rng.normal(0.0, math.sqrt(dt), size=(n, d))
-    prop = positions + incr
-    u_bridge = rng.random((n, d, 2))
+    B, n, d = positions.shape
+    prop = np.empty((B, n, d))
+    u_bridge = np.empty((B, n, d, 2))
+    for b, rng in enumerate(rngs):
+        rng.standard_normal(out=prop[b])
+        rng.random(out=u_bridge[b])
+    # normal(0, s) draws 0.0 + s*z; the 0.0 can only flip the sign of a zero
+    # increment, which leaves the sum below unchanged
+    prop *= math.sqrt(dt)
+    prop += positions
     hit_mask, _theta, hit_points = _detect_hits(domain, positions, prop, dt, u_bridge)
+    # hit rows keep their pre-step positions until relocated
+    np.copyto(positions, prop, where=~hit_mask[..., None])
 
-    events = []
     new_time = time + dt
-    if not hit_mask.any():
-        positions[:] = prop
-        return new_time, events
-
-    work = np.where(hit_mask[:, None], positions, prop)
-    terms = mixture_terms(kernel, work)
-    for i in np.flatnonzero(hit_mask):
-        others = np.delete(work, i, axis=0)
-        if terms is None:
-            target = sample_relocation(kernel, others, rng)
-        else:
-            target = sample_relocation(kernel, others, rng, np.delete(terms, i, axis=2))
-            terms[..., i] = mixture_terms(kernel, target[None, :])[..., 0]
-        work[i] = target
-        y = hit_points[i]
-        events.append(
-            JumpEvent(
-                time=new_time,
-                index=int(i),
-                jump_off=tuple(float(v) for v in y),
-                target=tuple(float(v) for v in target),
-                distance=float(np.linalg.norm(target - y)),
-            )
-        )
-    positions[:] = work
+    events = [[] for _ in range(B)]
+    for b in np.flatnonzero(hit_mask.any(axis=1)):
+        work, rng = positions[b], rngs[b]
+        terms = mixture_terms(kernel, work)
+        for i in np.flatnonzero(hit_mask[b]):
+            others = np.delete(work, i, axis=0)
+            if terms is None:
+                target = sample_relocation(kernel, others, rng)
+            else:
+                target = sample_relocation(kernel, others, rng, np.delete(terms, i, axis=2))
+                terms[..., i] = mixture_terms(kernel, target[None, :])[..., 0]
+            work[i] = target
+            y = hit_points[b, i]
+            events[b].append(JumpEvent(new_time, int(i), tuple(float(v) for v in y),
+                                       tuple(float(v) for v in target),
+                                       float(np.linalg.norm(target - y))))
     return new_time, events
 
 
-def advance_steps(domain, positions, n_steps, dt, kernel, rng, time=0.0, on_step=None):
-    """In-place multi-step advance; returns the new time.  ``on_step(k,
-    time, events)``, if given, observes the state after step k (0-based)."""
+def advance_steps(domain, positions, n_steps, dt, kernel, rngs, time=0.0, on_step=None):
+    """In-place multi-step advance of a (B, n, d) stack with one stream per
+    replica; returns the new time.  ``on_step(k, time, events)``, if given,
+    observes the state after step k (0-based); ``events[b]`` are replica
+    b's jumps in that step."""
     for k in range(n_steps):
-        time, events = _step_inplace(domain, positions, time, dt, kernel, rng)
+        time, events = _step_inplace(domain, positions, time, dt, kernel, rngs)
         if on_step is not None:
             on_step(k, time, events)
     return time
@@ -203,10 +220,10 @@ def step(cfg: ParticleConfig, dt, kernel: RelocationKernel) -> ParticleConfig:
         raise ValueError("dt must be positive")
     out = cfg.copy()
     new_time, events = _step_inplace(
-        out.domain, out.positions, out.time, dt, kernel, out.rng
+        out.domain, out.positions[None], out.time, dt, kernel, [out.rng]
     )
     out.time = new_time
-    out.jump_log = out.jump_log + events
+    out.jump_log = out.jump_log + events[0]
     return out
 
 
@@ -241,13 +258,13 @@ def run(cfg0: ParticleConfig, T, dt, kernel: RelocationKernel, observables,
     counts = [len(events)]
 
     def record(k, time, new_events):
-        events.extend(new_events)
+        events.extend(new_events[0])
         if (k + 1) % record_stride == 0 or k == n_steps - 1:
             times.append(time)
             rows.append(observe())
             counts.append(len(events))
 
-    cfg.time = advance_steps(cfg.domain, cfg.positions, n_steps, dt, kernel, cfg.rng,
+    cfg.time = advance_steps(cfg.domain, cfg.positions[None], n_steps, dt, kernel, [cfg.rng],
                              cfg.time, on_step=record)
     cfg.jump_log = events
     return TrajectoryResult(
@@ -275,8 +292,6 @@ def first_exit_batch(domain: Domain, starts, dt, rng, max_steps=10**7):
     if pos.ndim != 3:
         raise ValueError("starts must have shape (B, n, d)")
     B, n, d = pos.shape
-    lo = np.asarray(domain.lo)
-    hi = np.asarray(domain.hi)
     sqrt_dt = math.sqrt(dt)
     finals = np.empty_like(pos)
     hit_index = np.full(B, -1, dtype=int)
@@ -286,32 +301,23 @@ def first_exit_batch(domain: Domain, starts, dt, rng, max_steps=10**7):
         if len(alive) == 0:
             return finals, hit_index, taus
         A = len(alive)
-        incr = rng.normal(0.0, sqrt_dt, size=(A, n, d))
-        prop = pos + incr
+        prop = pos + rng.normal(0.0, sqrt_dt, size=(A, n, d))
         u_bridge = rng.random((A, n, d, 2))
-        inside = np.all((prop > lo) & (prop < hi), axis=-1)  # (A, n)
-        with np.errstate(over="ignore"):
-            p_lo = np.exp(-2.0 * (pos - lo) * np.maximum(prop - lo, 0.0) / dt)
-            p_hi = np.exp(-2.0 * (hi - pos) * np.maximum(hi - prop, 0.0) / dt)
-        fire = (u_bridge[..., 0] < p_lo) | (u_bridge[..., 1] < p_hi)
-        hit = ~inside | (inside & fire.any(axis=-1))  # (A, n)
-        cfg_hit = hit.any(axis=1)
-        if cfg_hit.any():
-            for a in np.flatnonzero(cfg_hit):
-                mask, theta, pts = _detect_hits(domain, pos[a], prop[a], dt, u_bridge[a])
-                hits = np.flatnonzero(mask)
-                winner = int(hits[np.argmin(theta[hits])])
-                b = alive[a]
-                taus[b] = k * dt + float(theta[winner]) * dt
-                fin = np.where(mask[:, None], pos[a], prop[a])
-                fin[winner] = pts[winner]
-                finals[b] = fin
-                hit_index[b] = winner
-            keep = ~cfg_hit
-            pos = prop[keep]
-            alive = alive[keep]
-        else:
-            pos = prop
+        hit, theta, points = _detect_hits(domain, pos, prop, dt, u_bridge)
+        rows = np.unique(np.flatnonzero(hit) // n)  # finished configurations
+        if len(rows):
+            # each finished configuration's first hitter in the step wins
+            winner = np.argmin(np.where(hit[rows], theta[rows], np.inf), axis=1)
+            b = alive[rows]
+            taus[b] = k * dt + theta[rows, winner] * dt
+            fin = np.where(hit[rows][..., None], pos[rows], prop[rows])
+            fin[np.arange(len(rows)), winner] = points[rows, winner]
+            finals[b] = fin
+            hit_index[b] = winner
+            keep = np.ones(A, dtype=bool)
+            keep[rows] = False
+            prop, alive = prop[keep], alive[keep]
+        pos = prop
     raise RuntimeError(f"{len(alive)} configurations never exited in {max_steps} steps")
 
 
@@ -343,65 +349,59 @@ def mean_and_stderr(values):
     return mean, math.sqrt(var / m)
 
 
-def _sample_and_advance(law: InitialLaw, n, t, dt, kernel: RelocationKernel, rng):
-    """Draw an n-particle start from the initial law and advance a copy of
-    it by round(t/dt) steps; returns (start, state at t)."""
-    domain = law.basis.domain
-    start = sample_initial_configuration(law, n, rng)
-    pos = start.positions.copy()
-    advance_steps(domain, pos, int(round(t / dt)), dt, kernel, rng)
-    return start, EmpiricalMeasure(domain, pos)
+def _replica_starts(law: InitialLaw, n, M, seed, jobs):
+    """Per replica, its stream and an n-particle start drawn from the initial
+    law with it, through ``run_replicas`` on ``jobs`` threads; returns the
+    starts as one (M, n, d) stack and the streams."""
+    def worker(rng, _m):
+        return rng, sample_initial_configuration(law, n, rng).positions
+
+    rngs, starts = zip(*run_replicas(M, seed, worker, jobs))
+    return np.stack(starts), rngs
 
 
 def semigroup_estimate(law: InitialLaw, g: CylinderFunction, psi: CylinderFunction,
                        t, n, M, dt, kernel: RelocationKernel, seed, jobs=1):
     """Monte Carlo for the pairing of the time-t semigroup applied to g with
     psi under the n-particle initial law: mean over replicas of
-    g(state at t) * psi(state at 0)."""
+    g(state at t) * psi(state at 0).  The replicas advance as one stack."""
     if M < 2:
         raise ValueError("need at least two replicas for a standard error")
     basis = law.basis
-
-    def worker(rng, _m):
-        start, state = _sample_and_advance(law, n, t, dt, kernel, rng)
-        return cylinder_value(g, state, basis) * cylinder_value(psi, start, basis)
-
-    vals = run_replicas(M, seed, worker, jobs)
-    return mean_and_stderr(vals)
+    pos, rngs = _replica_starts(law, n, M, seed, jobs)
+    weight = cylinder_value_many(psi, pos, basis)
+    advance_steps(basis.domain, pos, int(round(t / dt)), dt, kernel, rngs)
+    return mean_and_stderr(cylinder_value_many(g, pos, basis) * weight)
 
 
 def resolvent_estimate(law: InitialLaw, g: CylinderFunction, beta, n, M, dt,
                        kernel: RelocationKernel, seed, jobs=1):
     """Monte Carlo for the beta-resolvent of g under the n-particle process,
     by exact exponential-weight quadrature of the observed trajectory up to
-    T_cut = 12/beta.  Returns (estimate, stderr, tail_bound), the tail bound
-    using the largest |g| value seen."""
+    T_cut = 12/beta, the replicas advancing as one stack.  Returns
+    (estimate, stderr, tail_bound), the tail bound using the largest |g|
+    value seen."""
     if beta <= 0:
         raise ValueError("beta must be positive")
     if M < 2:
         raise ValueError("need at least two replicas for a standard error")
     basis = law.basis
-    domain = basis.domain
     t_cut = 12.0 / beta
     n_steps = int(math.ceil(t_cut / dt))
     # integral of e^{-beta t} over each step, plus the tail frozen at T_cut
     edges = np.exp(-beta * dt * np.arange(n_steps + 1))
     weights = np.append((edges[:-1] - edges[1:]) / beta, edges[-1] / beta)
 
-    def worker(rng, _m):
-        pos = sample_initial_configuration(law, n, rng).positions.copy()
-        vals = []
+    pos, rngs = _replica_starts(law, n, M, seed, jobs)
+    vals = np.empty((n_steps + 1, M))
+    vals[0] = cylinder_value_many(g, pos, basis)
 
-        def observe(*_step):
-            vals.append(cylinder_value(g, EmpiricalMeasure(domain, pos), basis))
+    def observe(k, _time, _events):
+        vals[k + 1] = cylinder_value_many(g, pos, basis)
 
-        observe()
-        advance_steps(domain, pos, n_steps, dt, kernel, rng, on_step=observe)
-        return math.fsum(np.asarray(vals) * weights), max(abs(v) for v in vals)
-
-    vals, sups = zip(*run_replicas(M, seed, worker, jobs))
-    est, err = mean_and_stderr(vals)
-    return est, err, max(sups) * math.exp(-beta * t_cut) / beta
+    advance_steps(basis.domain, pos, n_steps, dt, kernel, rngs, on_step=observe)
+    est, err = mean_and_stderr([math.fsum(v * weights) for v in vals.T])
+    return est, err, float(np.abs(vals).max()) * math.exp(-beta * t_cut) / beta
 
 
 # -- artifacts ----------------------------------------------------------------

@@ -39,9 +39,11 @@ from .measures import (
     discrete_generator,
     boundary_glued_metric,
     pair,
+    pair_many,
 )
 from .simulator import (
-    _sample_and_advance,
+    _replica_starts,
+    advance_steps,
     first_exit_batch,
     mean_and_stderr,
     resolvent_estimate,
@@ -655,11 +657,9 @@ def convergence_experiment(law, t, n_list, M, dt, kernel, seed, jobs=1,
     }
 
     def estimate(n, sub):
-        def worker(rng, _m):
-            _start, state = _sample_and_advance(law, n, t, dt, kernel, rng)
-            return [pair(kk, state, basis) for kk in modes]
-
-        vals = np.asarray(run_replicas(M, sub, worker, jobs))
+        pos, rngs = _replica_starts(law, n, M, sub, jobs)
+        advance_steps(basis.domain, pos, int(round(t / dt)), dt, kernel, rngs)
+        vals = pair_many(modes, pos, basis)
         return [mean_and_stderr(vals[:, j]) for j in range(len(modes))]
 
     per_n, runtimes = _run_ladder(n_list, seed, estimate)

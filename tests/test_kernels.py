@@ -58,6 +58,33 @@ def test_admissible_2d(basis_2d):
     assert ad.curvature_mass > 0
 
 
+@pytest.mark.parametrize("modes", [{}, {2: 0.05, 3: -0.02}])
+def test_auto_constant_evaluates_the_grid_once(basis_2d, monkeypatch, modes):
+    grid_size = len(basis_2d.interior_grid())
+    calls = []
+
+    def counted(cls, name):
+        original = getattr(cls, name)
+
+        def wrapper(self, k_or_pts, *args):
+            pts = args[0] if args else k_or_pts
+            if len(pts) == grid_size:
+                calls.append(name)
+            return original(self, k_or_pts, *args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(DensityMeasure, "density")
+    counted(DensityMeasure, "half_laplacian")
+    counted(type(basis_2d), "eigenfunction")
+    ad = admissible_from_perturbation(basis_2d, modes)
+    assert sorted(calls) == ["density", "eigenfunction", "half_laplacian"]
+    monkeypatch.undo()
+    ref = validate_admissible(ad.mu, ad.c)
+    assert ref.mu is ad.mu
+    assert (ref.c, ref.curvature_mass) == (ad.c, ad.curvature_mass)
+
+
 # -- sampling from densities -----------------------------------------------------
 
 def test_density_sampling_matches_cdf(basis_1d, rng):

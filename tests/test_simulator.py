@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from flemvi import __version__, simulator
-from flemvi.geometry import interval
+from flemvi.geometry import interval, rectangle
 from flemvi.kernels import (RelocationKernel, mixture_terms, sample_initial_configuration,
                             sample_relocation)
-from flemvi.measures import CylinderFunction
+from flemvi.measures import CylinderFunction, EmpiricalMeasure, cylinder_value, pair
+from flemvi.verify import convergence_experiment
 from flemvi.simulator import (
     JumpEvent,
     ParticleConfig,
@@ -29,6 +30,7 @@ from flemvi.simulator import (
 
 PI = math.pi
 DOM = interval(0.0, PI)
+RECT = rectangle(0.0, PI, 0.0, 1.5)
 
 
 def _rng(seed):
@@ -80,11 +82,12 @@ def test_jump_events_well_formed(stationary_law):
 
 
 def _reference_step(domain, positions, time, dt, kernel, rng):
-    """One step that evaluates every relocation's weights from scratch."""
+    """One step of one configuration with the scalar hit resolver that
+    evaluates every relocation's weights from scratch."""
     n, d = positions.shape
     prop = positions + rng.normal(0.0, math.sqrt(dt), size=(n, d))
     u_bridge = rng.random((n, d, 2))
-    hit_mask, _theta, hit_points = _detect_hits(domain, positions, prop, dt, u_bridge)
+    hit_mask, _theta, hit_points = _scalar_detect_hits(domain, positions, prop, dt, u_bridge)
     work = np.where(hit_mask[:, None], positions, prop)
     events = []
     for i in np.flatnonzero(hit_mask):
@@ -118,8 +121,8 @@ def test_per_step_mixture_terms_match_from_scratch(perturbed_law, monkeypatch):
 
     monkeypatch.setattr(simulator, "sample_relocation", checked)
     pos, events = start.copy(), []
-    advance_steps(DOM, pos, n_steps, dt, kernel, _rng(5),
-                  on_step=lambda _k, _t, new: events.extend(new))
+    advance_steps(DOM, pos[None], n_steps, dt, kernel, [_rng(5)],
+                  on_step=lambda _k, _t, new: events.extend(new[0]))
     assert len(used) > 10 and all(used)
     assert np.array_equal(pos, ref_pos)
     assert events == ref_events
@@ -143,6 +146,127 @@ def test_run_rejects_bad_horizon(stationary_law):
         run(cfg, 0.0, 0.01, _kernel(stationary_law), [])
     with pytest.raises(ValueError):
         run(cfg, 1.0, -0.01, _kernel(stationary_law), [])
+
+
+# -- hit resolution ------------------------------------------------------------
+
+def _scalar_detect_hits(domain, pos, prop, dt, u_bridge):
+    """The per-row hit resolver that ``_detect_hits`` replaced, kept as its
+    reference: one (n, d) configuration at a time."""
+    n, d = pos.shape
+    lo = np.asarray(domain.lo)
+    hi = np.asarray(domain.hi)
+    inside = domain.contains_many(prop)
+
+    # bridge gaps to each face; the test only applies where both ends are
+    # interior, which the `inside` split guarantees for the rows used
+    gap_lo_p, gap_lo_q = pos - lo, prop - lo
+    gap_hi_p, gap_hi_q = hi - pos, hi - prop
+    with np.errstate(over="ignore"):
+        p_lo = np.exp(-2.0 * gap_lo_p * np.maximum(gap_lo_q, 0.0) / dt)
+        p_hi = np.exp(-2.0 * gap_hi_p * np.maximum(gap_hi_q, 0.0) / dt)
+    fire_lo = u_bridge[:, :, 0] < p_lo
+    fire_hi = u_bridge[:, :, 1] < p_hi
+    bridge_hit = inside & (fire_lo.any(axis=1) | fire_hi.any(axis=1))
+
+    hit_mask = ~inside | bridge_hit
+    theta = np.full(n, np.nan)
+    hit_points = np.full((n, d), np.nan)
+    for i in np.flatnonzero(hit_mask):
+        if not inside[i]:
+            y = domain.project_to_boundary(pos[i], prop[i])
+            seg = prop[i] - pos[i]
+            ax = int(np.argmax(np.abs(seg) > 0)) if np.any(seg) else 0
+            th = (y[ax] - pos[i][ax]) / seg[ax] if seg[ax] != 0.0 else 0.0
+        else:
+            # among fired faces pick the most probable crossing
+            best_p, best = -1.0, None
+            for ax in range(d):
+                if fire_lo[i, ax] and p_lo[i, ax] > best_p:
+                    best_p, best = p_lo[i, ax], (ax, lo[ax], gap_lo_p[i, ax], gap_lo_q[i, ax])
+                if fire_hi[i, ax] and p_hi[i, ax] > best_p:
+                    best_p, best = p_hi[i, ax], (ax, hi[ax], gap_hi_p[i, ax], gap_hi_q[i, ax])
+            ax, face, a, b = best
+            th = a / (a + b) if a + b > 0 else 0.0
+            y = pos[i] + th * (prop[i] - pos[i])
+            y[ax] = face
+        theta[i] = min(max(th, 0.0), 1.0)
+        hit_points[i] = y
+    return hit_mask, theta, hit_points
+
+
+def _assert_resolver_matches(domain, pos, prop, dt, u_bridge):
+    """``_detect_hits`` on a (B, n, d) block equals the scalar resolver on
+    each configuration, NaN where no hit, bit for bit."""
+    hit, theta, points = _detect_hits(domain, pos, prop, dt, u_bridge)
+    assert hit.shape == pos.shape[:-1] and points.shape == pos.shape
+    for b in range(len(pos)):
+        ref = _scalar_detect_hits(domain, pos[b], prop[b], dt, u_bridge[b])
+        assert np.array_equal(hit[b], ref[0])
+        assert np.array_equal(theta[b], ref[1], equal_nan=True)
+        assert np.array_equal(points[b], ref[2], equal_nan=True)
+    return hit
+
+
+@pytest.mark.parametrize("domain", [DOM, RECT], ids=["1d", "2d"])
+@pytest.mark.parametrize("dt", [1e-3, 0.02])
+def test_detect_hits_matches_scalar_resolver(domain, dt):
+    rng = _rng(41)
+    lo, hi = np.array(domain.lo), np.array(domain.hi)
+    B, n, d = 40, 25, domain.dimension
+    # starts crowd the boundary so that exits and bridge fires are both common
+    pos = lo + (hi - lo) * rng.beta(0.3, 0.3, size=(B, n, d))
+    pos = np.clip(pos, lo + 1e-9, hi - 1e-9)
+    prop = pos + rng.normal(0.0, 3.0 * math.sqrt(dt), size=(B, n, d))
+    u_bridge = rng.random((B, n, d, 2))
+    hit = _assert_resolver_matches(domain, pos, prop, dt, u_bridge)
+    exits = ~domain.contains_many(prop)
+    assert exits.sum() > 50 and (hit & ~exits).sum() > 50
+    # leading shapes other than (B, n, d) resolve the same rows
+    flat = _detect_hits(domain, pos.reshape(-1, d), prop.reshape(-1, d), dt,
+                        u_bridge.reshape(-1, d, 2))
+    assert np.array_equal(flat[0], hit.reshape(-1))
+
+
+def test_detect_hits_crafted_cases():
+    dom = rectangle(0.0, 1.0, 0.0, 2.0)
+    never, always = np.ones(2 * 2), np.zeros(2 * 2)  # bridge uniforms
+    cases = [
+        # corner exits: through the corner, nearer one face, then the other
+        ((0.1, 0.1), (-0.1, -0.1), never),
+        ((0.1, 0.2), (-0.2, -0.1), never),
+        ((0.95, 1.9), (1.2, 2.05), never),
+        # equal t on two axes away from the corner point
+        ((0.2, 0.4), (-0.2, -0.4), never),
+        # zero displacement on one axis
+        ((0.5, 0.1), (0.5, -0.2), never),
+        ((0.05, 1.0), (-0.1, 1.0), never),
+        # an interior step where every bridge face fires: the larger
+        # crossing probability wins, lo before hi on ties
+        ((0.02, 1.0), (0.03, 1.0), always),
+        ((0.5, 1.0), (0.5, 1.0), always),
+        ((0.97, 0.03), (0.98, 0.02), always),
+        # no hit
+        ((0.5, 1.0), (0.51, 1.01), never),
+    ]
+    pos = np.array([[c[0]] for c in cases])
+    prop = np.array([[c[1]] for c in cases])
+    u_bridge = np.array([[c[2].reshape(2, 2)] for c in cases])
+    hit = _assert_resolver_matches(dom, pos, prop, 0.01, u_bridge)
+    assert hit[:, 0].tolist() == [True] * 9 + [False]
+    _, theta, points = _detect_hits(dom, pos, prop, 0.01, u_bridge)
+    np.testing.assert_array_equal(points[0, 0], [0.0, 0.0])  # first axis on a tie
+    np.testing.assert_array_equal(points[7, 0], [0.0, 1.0])  # lo0 before hi0
+    assert theta[4, 0] == pytest.approx(1.0 / 3.0)
+
+    # both faces of the narrow axis fire; the nearer one is more probable
+    narrow = rectangle(0.0, 1.0, 0.0, 0.04)
+    pos = np.array([[[0.5, 0.015]], [[0.5, 0.03]]])
+    prop = np.array([[[0.5, 0.02]], [[0.5, 0.025]]])
+    u_bridge = np.tile(np.array([[1.0, 1.0], [0.0, 0.0]]), (2, 1, 1, 1))
+    _assert_resolver_matches(narrow, pos, prop, 0.01, u_bridge)
+    _, _, points = _detect_hits(narrow, pos, prop, 0.01, u_bridge)
+    assert points[0, 0, 1] == 0.0 and points[1, 0, 1] == 0.04
 
 
 # -- replica engine ---------------------------------------------------------------
@@ -199,6 +323,85 @@ def test_first_exit_batch_multi_particle():
         assert DOM.contains(finals[b, other])
 
 
+def _reference_first_exit_batch(domain, starts, dt, rng, max_steps=10**7):
+    """``first_exit_batch`` as it was before the stacked resolver: the bridge
+    test inline, then the scalar resolver once per finished configuration."""
+    pos = np.asarray(starts, dtype=float).copy()
+    B, n, d = pos.shape
+    lo = np.asarray(domain.lo)
+    hi = np.asarray(domain.hi)
+    sqrt_dt = math.sqrt(dt)
+    finals = np.empty_like(pos)
+    hit_index = np.full(B, -1, dtype=int)
+    taus = np.full(B, np.nan)
+    alive = np.arange(B)
+    for k in range(max_steps):
+        if len(alive) == 0:
+            return finals, hit_index, taus
+        A = len(alive)
+        incr = rng.normal(0.0, sqrt_dt, size=(A, n, d))
+        prop = pos + incr
+        u_bridge = rng.random((A, n, d, 2))
+        inside = np.all((prop > lo) & (prop < hi), axis=-1)  # (A, n)
+        with np.errstate(over="ignore"):
+            p_lo = np.exp(-2.0 * (pos - lo) * np.maximum(prop - lo, 0.0) / dt)
+            p_hi = np.exp(-2.0 * (hi - pos) * np.maximum(hi - prop, 0.0) / dt)
+        fire = (u_bridge[..., 0] < p_lo) | (u_bridge[..., 1] < p_hi)
+        hit = ~inside | (inside & fire.any(axis=-1))  # (A, n)
+        cfg_hit = hit.any(axis=1)
+        if cfg_hit.any():
+            for a in np.flatnonzero(cfg_hit):
+                mask, theta, pts = _scalar_detect_hits(domain, pos[a], prop[a], dt, u_bridge[a])
+                hits = np.flatnonzero(mask)
+                winner = int(hits[np.argmin(theta[hits])])
+                b = alive[a]
+                taus[b] = k * dt + float(theta[winner]) * dt
+                fin = np.where(mask[:, None], pos[a], prop[a])
+                fin[winner] = pts[winner]
+                finals[b] = fin
+                hit_index[b] = winner
+            keep = ~cfg_hit
+            pos = prop[keep]
+            alive = alive[keep]
+        else:
+            pos = prop
+    raise RuntimeError(f"{len(alive)} configurations never exited in {max_steps} steps")
+
+
+@pytest.mark.parametrize("domain,n", [(DOM, 1), (DOM, 5), (RECT, 1), (RECT, 6)],
+                         ids=["1d-n1", "1d-n5", "2d-n1", "2d-n6"])
+def test_first_exit_batch_matches_per_configuration_loop(domain, n):
+    lo, hi = np.array(domain.lo), np.array(domain.hi)
+    starts = lo + (hi - lo) * _rng(43).uniform(0.02, 0.98, size=(300, n, domain.dimension))
+    for dt in (1e-3, 1e-2):
+        got = first_exit_batch(domain, starts, dt, _rng(47))
+        ref = _reference_first_exit_batch(domain, starts, dt, _rng(47))
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
+
+
+def test_first_exit_2d_corner_dt_halving():
+    """The exit law from near a rectangle corner, where two faces compete
+    and the bridge correction matters most, moves by less than the 3-sigma
+    band of its own sampling error when dt halves."""
+    B, start = 20000, np.array([[0.1, 0.1]])
+    runs = []
+    for dt in (2e-3, 1e-3):
+        finals, hit_index, taus = first_exit_batch(
+            RECT, np.tile(start, (B, 1, 1)), dt, _rng(20260805))
+        y = finals[:, 0]
+        faces = np.stack([y[:, 0] == RECT.lo[0], y[:, 0] == RECT.hi[0],
+                          y[:, 1] == RECT.lo[1], y[:, 1] == RECT.hi[1]], axis=1)
+        assert np.all(hit_index == 0) and np.all(faces.any(axis=1))
+        freq = faces.mean(axis=0)
+        runs.append((freq, np.sqrt(freq * (1.0 - freq) / B),
+                     float(taus.mean()), float(taus.std(ddof=1)) / math.sqrt(B)))
+    (fa, sa, ta, ua), (fb, sb, tb, ub) = runs
+    assert min(fa[0], fa[2], fb[0], fb[2]) > 0.4  # the two near faces share the exits
+    assert np.all(np.abs(fa - fb) <= 3.0 * np.maximum(np.hypot(sa, sb), 1e-9))
+    assert abs(ta - tb) <= 3.0 * max(math.hypot(ua, ub), 1e-9)
+
+
 # -- estimators ----------------------------------------------------------------------
 
 def test_resolvent_of_constant_is_exact(stationary_law):
@@ -221,6 +424,113 @@ def test_semigroup_estimate_runs(stationary_law):
     assert se > 0
     # crude sanity: stays near the stationary pairing
     assert abs(est - 0.6266570686577502) < 6 * se + 0.05
+
+
+# -- stacked replicas against one replica at a time -------------------------------
+
+G2 = CylinderFunction.polynomial((1, 2), [(1.0, (1, 0)), (0.5, (1, 1))], name="g2")
+STACK_KERNELS = {
+    "ground_mode": lambda law: RelocationKernel.ground_mode(law.basis),
+    "mixture_reweighted": RelocationKernel.mixture_reweighted,
+}
+
+
+def _one_replica_worker(law, n, n_steps, dt, kernel, jumps):
+    """A run_replicas worker that draws a start, advances it alone with
+    ``advance_steps(pos[None], [rng])`` and counts its jumps; returns the
+    start, the final positions, and G2 at the start and after each step."""
+    domain, basis = law.basis.domain, law.basis
+
+    def worker(rng, _m):
+        start = sample_initial_configuration(law, n, rng)
+        pos = start.positions.copy()
+        seen = [cylinder_value(G2, EmpiricalMeasure(domain, pos), basis)]
+
+        def on_step(_k, _t, events):
+            jumps.append(len(events[0]))
+            seen.append(cylinder_value(G2, EmpiricalMeasure(domain, pos), basis))
+
+        advance_steps(domain, pos[None], n_steps, dt, kernel, [rng], on_step=on_step)
+        return start, pos, seen
+
+    return worker
+
+
+@pytest.mark.parametrize("kind", sorted(STACK_KERNELS))
+def test_semigroup_estimate_equals_one_replica_at_a_time(perturbed_law, kind):
+    kernel = STACK_KERNELS[kind](perturbed_law)
+    basis, psi = perturbed_law.basis, CylinderFunction.coordinate(2)
+    n, M, t, dt, seed = 6, 5, 0.3, 0.01, 61
+    jumps = []
+    worker = _one_replica_worker(perturbed_law, n, 30, dt, kernel, jumps)
+    vals = [seen[-1] * cylinder_value(psi, start, basis)
+            for start, _pos, seen in run_replicas(M, seed, worker)]
+    assert sum(jumps) > 5
+    got = semigroup_estimate(perturbed_law, G2, psi, t, n, M, dt, kernel, seed)
+    assert got == mean_and_stderr(vals)
+
+
+@pytest.mark.parametrize("kind", sorted(STACK_KERNELS))
+def test_resolvent_estimate_equals_one_replica_at_a_time(perturbed_law, kind):
+    kernel = STACK_KERNELS[kind](perturbed_law)
+    n, M, beta, dt, seed = 5, 4, 6.0, 0.01, 67
+    n_steps = int(math.ceil(12.0 / beta / dt))
+    edges = np.exp(-beta * dt * np.arange(n_steps + 1))
+    weights = np.append((edges[:-1] - edges[1:]) / beta, edges[-1] / beta)
+    jumps = []
+    worker = _one_replica_worker(perturbed_law, n, n_steps, dt, kernel, jumps)
+    results = run_replicas(M, seed, worker)
+    assert sum(jumps) > 5
+    est, err = mean_and_stderr([math.fsum(np.asarray(seen) * weights) for *_, seen in results])
+    sup = max(abs(v) for *_, seen in results for v in seen)
+    expected = (est, err, sup * math.exp(-beta * (12.0 / beta)) / beta)
+    assert resolvent_estimate(perturbed_law, G2, beta, n, M, dt, kernel, seed) == expected
+
+
+@pytest.mark.parametrize("kind", sorted(STACK_KERNELS))
+def test_convergence_experiment_equals_one_replica_at_a_time(perturbed_law, kind):
+    kernel = STACK_KERNELS[kind](perturbed_law)
+    basis = perturbed_law.basis
+    n_list, M, t, dt, seed, modes = [3, 7], 4, 0.6, 0.02, 71, (1, 2, 3)
+    reports = {r.name: r for r in convergence_experiment(
+        perturbed_law, t, n_list, M, dt, kernel, seed, modes=modes)}
+    jumps = []
+    for n, sub in zip(n_list, np.random.SeedSequence(seed).spawn(len(n_list))):
+        worker = _one_replica_worker(perturbed_law, n, 30, dt, kernel, jumps)
+        vals = np.array([[pair(k, EmpiricalMeasure(basis.domain, pos), basis) for k in modes]
+                         for _start, pos, _seen in run_replicas(M, sub, worker)])
+        for j, k in enumerate(modes):
+            r = reports[f"convergence[mode{k}|n={n}]"]
+            assert (r.lhs, r.stderr) == mean_and_stderr(vals[:, j])
+    assert sum(jumps) > 5
+
+
+def test_run_equals_the_reference_step(perturbed_law):
+    kernel = _kernel(perturbed_law)
+    basis = perturbed_law.basis
+    f = [CylinderFunction.coordinate(1), G2]
+    start = sample_initial_configuration(perturbed_law, 12, _rng(73)).positions
+    result = run(ParticleConfig(DOM, start, rng=_rng(79)), 1.2, 0.02, kernel, f,
+                 basis=basis, record_stride=7)
+
+    pos, time, rng, events = start.copy(), 0.0, _rng(79), []
+    rows, counts = [], []
+
+    def record():
+        rows.append([cylinder_value(g, EmpiricalMeasure(DOM, pos), basis) for g in f])
+        counts.append(len(events))
+
+    record()
+    for k in range(60):
+        time, new = _reference_step(DOM, pos, time, 0.02, kernel, rng)
+        events += new
+        if (k + 1) % 7 == 0 or k == 59:
+            record()
+    assert len(events) > 5
+    assert result.events == events and result.final.jump_log == events
+    assert np.array_equal(result.values, np.array(rows))
+    assert np.array_equal(result.jump_counts, counts)
+    assert np.array_equal(result.final.positions, pos)
 
 
 # -- hashing and artifacts --------------------------------------------------------------
