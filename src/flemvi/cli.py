@@ -137,7 +137,7 @@ class RunConfig:
             _require(isinstance(modes, dict), f"components[{i}].modes must be an object")
             higher = {}
             for key, val in modes.items():
-                _require(str(key).isdigit() and int(key) >= 2,
+                _require(isinstance(key, str) and key.isascii() and key.isdigit() and int(key) >= 2,
                          f"components[{i}].modes keys must be mode indices >= 2")
                 higher[int(key)] = _float(val, f"components[{i}].modes values")
             c = comp.get("comparison_c")
@@ -166,7 +166,9 @@ class RunConfig:
                  "horizon must be a positive whole multiple of dt")
         self.seed = _int(raw["seed"], "seed")
         _require(self.seed >= 0, "seed must be a nonnegative integer")
-        self.output_dir = str(raw["output_dir"])
+        self.output_dir = raw["output_dir"]
+        _require(isinstance(self.output_dir, str) and self.output_dir,
+                 "output_dir must be a nonempty string")
         self.record_stride = _int(raw.get("record_stride", 1), "record_stride")
         _require(self.record_stride >= 1, "record_stride must be >= 1")
 
@@ -190,6 +192,7 @@ class RunConfig:
                     (_float(coef, f"observables[{i}] coefficients"),
                      tuple(_int(p, f"observables[{i}] powers") for p in powers)))
             name = spec.get("name", f"obs{i}")
+            _require(isinstance(name, str), f"observables[{i}].name must be a string")
             modes = tuple(_int(m, f"observables[{i}].modes entries") for m in modes)
             self.observable_specs.append((name, modes, clean_terms))
         for _name, modes, _terms in self.observable_specs:

@@ -297,11 +297,10 @@ def mixture_terms(kernel: RelocationKernel, pts):
     return None
 
 
-def _mixture_log_weights(law: InitialLaw, others, terms=None):
+def _mixture_log_weights(law: InitialLaw, terms):
     """Per-component logs of w_m * L_m * prod_j d_m(z_j) (mixture numerator)
-    and of w_m * K_m * prod_j d_m(z_j) (mass denominator)."""
-    if terms is None:
-        terms = _atom_terms(law, np.atleast_2d(np.asarray(others, dtype=float)))
+    and of w_m * K_m * prod_j d_m(z_j) (mass denominator), from the other
+    atoms' ``_atom_terms``."""
     n = terms.shape[2] + 1
     log_num = np.empty(len(law.components))
     log_den = np.empty(len(law.components))
@@ -316,7 +315,8 @@ def _mixture_log_weights(law: InitialLaw, others, terms=None):
 def reweighted_mixture(law: InitialLaw, others):
     """Renormalized relocation density as a DensityMeasure, plus the
     pre-normalization mass diagnostic (tends to 1 as n grows)."""
-    log_num, log_den = _mixture_log_weights(law, others)
+    others = np.atleast_2d(np.asarray(others, dtype=float))
+    log_num, log_den = _mixture_log_weights(law, _atom_terms(law, others))
     alpha = np.exp(log_num - logsumexp(log_num))
     alpha = alpha / math.fsum(alpha)
     rho = float(math.exp(logsumexp(log_num) - logsumexp(log_den)))
@@ -326,28 +326,33 @@ def reweighted_mixture(law: InitialLaw, others):
     return DensityMeasure(law.basis, coeffs, 1.0), rho
 
 
-def _mixture_component_probs(law: InitialLaw, others, terms=None):
-    if len(law.components) == 1:
-        return np.ones(1)
-    log_num, _ = _mixture_log_weights(law, others, terms)
-    alpha = np.exp(log_num - logsumexp(log_num))
-    return alpha / math.fsum(alpha)
-
-
-def sample_relocation(kernel: RelocationKernel, others, rng, terms=None):
-    """Draw the reappearance point given the other particles' positions;
-    ``terms``, if given, must equal ``mixture_terms(kernel, others)``."""
+def sample_relocation(kernel: RelocationKernel, positions, i, rng, terms=None):
+    """Draw the reappearance point of atom i given the configuration
+    ``positions`` (n, d); the draw reads only the other n-1 atoms.
+    ``terms``, if given, must equal ``mixture_terms(kernel, positions)``
+    at those atoms (its column i is never read)."""
     if kernel.kind is KernelKind.UNIFORM_SURVIVOR:
-        others = np.atleast_2d(np.asarray(others, dtype=float))
-        if len(others) == 0:
+        n = len(positions)
+        if n < 2:
             raise ValueError("no surviving particle to copy from")
-        return others[int(rng.integers(len(others)))].copy()
+        j = int(rng.integers(n - 1))
+        return positions[j + (j >= i)].copy()
     if kernel.kind is KernelKind.GROUND_MODE:
         return sample_ground_mode(kernel.basis, rng, 1)[0]
     if kernel.kind is KernelKind.MIXTURE_REWEIGHTED:
-        alpha = _mixture_component_probs(kernel.law, others, terms)
+        law = kernel.law
+        if len(law.components) == 1:
+            alpha = np.ones(1)
+        else:
+            if terms is None:  # never evaluated at atom i, which may sit on the boundary
+                terms = _atom_terms(law, np.delete(positions, i, axis=0))
+            else:
+                terms = np.delete(terms, i, axis=2)
+            log_num, _ = _mixture_log_weights(law, terms)
+            alpha = np.exp(log_num - logsumexp(log_num))
+            alpha = alpha / math.fsum(alpha)
         m = int(rng.choice(len(alpha), p=alpha))
-        return kernel.law.components[m][1].sample(rng, 1)[0]
+        return law.components[m][1].sample(rng, 1)[0]
     raise ValueError(f"unknown kernel kind {kernel.kind!r}")
 
 

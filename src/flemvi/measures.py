@@ -199,42 +199,47 @@ class CylinderFunction:
 def pair(k, mu, basis: SpectralBasis = None) -> float:
     """Pairing of eigenfunction k with a measure.
 
-    DensityMeasure: the stored coefficient.  EmpiricalMeasure: average of
-    eigenfunction k over the atoms, boundary atoms contributing zero
-    (needs ``basis``).
+    DensityMeasure: the stored coefficient.  EmpiricalMeasure: one row of
+    ``pair_many`` (needs ``basis``).
     """
     if isinstance(mu, DensityMeasure):
         return mu.pair(k)
-    if basis is None:
-        raise ValueError("pairing with an empirical measure needs a basis")
-    interior = mu.interior_positions
-    if len(interior) == 0:
-        return 0.0
-    vals = basis.eigenfunction(k, interior)
-    return float(math.fsum(vals) / mu.n)
+    return float(pair_many((k,), mu.positions[None], basis, mu.boundary_mask[None])[0, 0])
 
 
 def cylinder_value(f: CylinderFunction, mu, basis: SpectralBasis = None) -> float:
     """Evaluate a cylinder observable on either kind of measure."""
-    args = np.array([pair(k, mu, basis) for k in f.mode_indices])
-    return float(f.phi(args))
+    if isinstance(mu, DensityMeasure):
+        return float(f.phi(np.array([mu.pair(k) for k in f.mode_indices])))
+    return float(cylinder_value_many(f, mu.positions[None], basis, mu.boundary_mask[None])[0])
 
 
-def pair_many(modes, positions, basis: SpectralBasis) -> np.ndarray:
-    """``pair`` of each eigenfunction in ``modes`` with each configuration of
-    a stack (B, n, d) of interior atoms, shape (B, len(modes)), bit for bit:
-    one eigenfunction call per mode, one ``math.fsum`` per configuration."""
+def pair_many(modes, positions, basis: SpectralBasis, boundary_mask=None) -> np.ndarray:
+    """Pairing of each eigenfunction in ``modes`` with the empirical measure
+    of each configuration of a stack (B, n, d), shape (B, len(modes)).
+
+    ``boundary_mask`` (B, n) marks atoms on the collapsed boundary: they pair
+    to zero but count in n, and only the other atoms must lie in the open
+    domain.  One eigenfunction call per mode and one ``math.fsum`` per
+    configuration; the masked zeros leave the exact sum unchanged.
+    """
+    if basis is None:
+        raise ValueError("pairing with an empirical measure needs a basis")
     B, n, d = positions.shape
-    if not np.all(basis.domain.contains_many(positions)):
+    interior = np.ones((B, n), bool) if boundary_mask is None else ~np.asarray(boundary_mask, bool)
+    if not np.all(basis.domain.contains_many(positions)[interior]):
         raise ValueError("non-boundary atom outside the open domain")
-    vals = [basis.eigenfunction(k, positions.reshape(B * n, d)).reshape(B, n) for k in modes]
+    flat = positions.reshape(B * n, d)
+    vals = [np.where(interior, basis.eigenfunction(k, flat).reshape(B, n), 0.0) for k in modes]
     return np.array([[math.fsum(v[b]) / n for v in vals] for b in range(B)]).reshape(B, -1)
 
 
-def cylinder_value_many(f: CylinderFunction, positions, basis: SpectralBasis) -> np.ndarray:
-    """``cylinder_value`` on each configuration of a stack (B, n, d) of
-    interior atoms, shape (B,)."""
-    return np.array([float(f.phi(a)) for a in pair_many(f.mode_indices, positions, basis)])
+def cylinder_value_many(f: CylinderFunction, positions, basis: SpectralBasis,
+                        boundary_mask=None) -> np.ndarray:
+    """``cylinder_value`` on each configuration of a stack (B, n, d), with
+    boundary atoms marked as in ``pair_many``, shape (B,)."""
+    pairs = pair_many(f.mode_indices, positions, basis, boundary_mask)
+    return np.array([float(f.phi(a)) for a in pairs])
 
 
 @dataclass(frozen=True)

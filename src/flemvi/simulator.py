@@ -33,13 +33,12 @@ from . import __version__
 from .geometry import Domain
 from .kernels import (InitialLaw, RelocationKernel, mixture_terms, sample_initial_configuration,
                       sample_relocation)
-from .measures import CylinderFunction, EmpiricalMeasure, cylinder_value, cylinder_value_many
+from .measures import CylinderFunction, cylinder_value_many
 
 __all__ = [
     "JumpEvent",
     "ParticleConfig",
     "TrajectoryResult",
-    "step",
     "run",
     "first_exit_batch",
     "run_replicas",
@@ -157,9 +156,10 @@ _TOWARDS = np.array([-1.0, 1.0])  # sign of a step towards the lo, hi face
 
 def _step_inplace(domain, positions, time, dt, kernel, rngs):
     """Advance a stack of independent configurations (B, n, d) one step,
-    mutating ``positions``; returns the new time and each replica's jump
-    events.  Replica b draws its Gaussian block, its bridge-uniform block
-    and then its relocations from ``rngs[b]``.
+    mutating ``positions``; returns the new time and each replica's jumps
+    as (index, hit point, target) triples.  Replica b draws its Gaussian
+    block, its bridge-uniform block and then its relocations from
+    ``rngs[b]``.
 
     Relocation happens at the step's end: hit particles are processed in
     ascending index, each drawing its target from the other n-1 particles'
@@ -182,49 +182,29 @@ def _step_inplace(domain, positions, time, dt, kernel, rngs):
     np.copyto(positions, prop, where=~hit_mask[..., None])
 
     new_time = time + dt
-    events = [[] for _ in range(B)]
+    jumps = [[] for _ in range(B)]
     for b in np.flatnonzero(hit_mask.any(axis=1)):
         work, rng = positions[b], rngs[b]
         terms = mixture_terms(kernel, work)
         for i in np.flatnonzero(hit_mask[b]):
-            others = np.delete(work, i, axis=0)
-            if terms is None:
-                target = sample_relocation(kernel, others, rng)
-            else:
-                target = sample_relocation(kernel, others, rng, np.delete(terms, i, axis=2))
+            target = sample_relocation(kernel, work, i, rng, terms)
+            if terms is not None:
                 terms[..., i] = mixture_terms(kernel, target[None, :])[..., 0]
             work[i] = target
-            y = hit_points[b, i]
-            events[b].append(JumpEvent(new_time, int(i), tuple(float(v) for v in y),
-                                       tuple(float(v) for v in target),
-                                       float(np.linalg.norm(target - y))))
-    return new_time, events
+            jumps[b].append((i, hit_points[b, i], target))
+    return new_time, jumps
 
 
 def advance_steps(domain, positions, n_steps, dt, kernel, rngs, time=0.0, on_step=None):
     """In-place multi-step advance of a (B, n, d) stack with one stream per
-    replica; returns the new time.  ``on_step(k, time, events)``, if given,
-    observes the state after step k (0-based); ``events[b]`` are replica
-    b's jumps in that step."""
+    replica; returns the new time.  ``on_step(k, time, jumps)``, if given,
+    observes the state after step k (0-based); ``jumps[b]`` are replica
+    b's (index, hit point, target) triples of that step."""
     for k in range(n_steps):
-        time, events = _step_inplace(domain, positions, time, dt, kernel, rngs)
+        time, jumps = _step_inplace(domain, positions, time, dt, kernel, rngs)
         if on_step is not None:
-            on_step(k, time, events)
+            on_step(k, time, jumps)
     return time
-
-
-def step(cfg: ParticleConfig, dt, kernel: RelocationKernel) -> ParticleConfig:
-    """One time step of size dt; returns the advanced configuration (the RNG
-    stream is shared with the input, which should be discarded)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    out = cfg.copy()
-    new_time, events = _step_inplace(
-        out.domain, out.positions[None], out.time, dt, kernel, [out.rng]
-    )
-    out.time = new_time
-    out.jump_log = out.jump_log + events[0]
-    return out
 
 
 @dataclass
@@ -250,15 +230,17 @@ def run(cfg0: ParticleConfig, T, dt, kernel: RelocationKernel, observables,
     events = list(cfg.jump_log)
 
     def observe():
-        emp = EmpiricalMeasure(cfg.domain, cfg.positions.copy())
-        return [cylinder_value(f, emp, basis) for f in observables]
+        return [cylinder_value_many(f, cfg.positions[None], basis)[0] for f in observables]
 
     times = [cfg.time]
     rows = [observe()]
     counts = [len(events)]
 
-    def record(k, time, new_events):
-        events.extend(new_events[0])
+    def record(k, time, jumps):
+        events.extend(JumpEvent(time, int(i), tuple(float(v) for v in y),
+                                tuple(float(v) for v in target),
+                                float(np.linalg.norm(target - y)))
+                      for i, y, target in jumps[0])
         if (k + 1) % record_stride == 0 or k == n_steps - 1:
             times.append(time)
             rows.append(observe())

@@ -36,9 +36,9 @@ from .measures import (
     EmpiricalMeasure,
     _grad_sup_bound,
     cylinder_value,
+    cylinder_value_many,
     discrete_generator,
     boundary_glued_metric,
-    pair,
     pair_many,
 )
 from .simulator import (
@@ -412,14 +412,17 @@ def identity_suite(basis, law=None, seed=20260814, fd_pairs=20):
 def _exit_side_batch(law, n, B, dt, rng):
     """B start configurations from the curvature-weighted law, each with its
     total mass, diffused without relocation to the first boundary hit.
-    Returns (starts, masses, finals, hit_index) as in first_exit_batch."""
+    Returns (starts, masses, finals, hit_index) as in first_exit_batch, and
+    the (B, n) mask of the boundary atoms of ``finals``."""
     starts = np.empty((B, n, law.basis.domain.dimension))
     masses = np.empty(B)
     for i in range(B):
         emp, masses[i] = sample_curvature_weighted(law, n, rng)
         starts[i] = emp.positions
     finals, hit_index, _taus = first_exit_batch(law.basis.domain, starts, dt, rng)
-    return starts, masses, finals, hit_index
+    mask = np.zeros((B, n), dtype=bool)
+    mask[np.arange(B), hit_index] = True
+    return starts, masses, finals, hit_index, mask
 
 
 def exit_moment_check(law, f, n, M, dt, seed, jobs=1, k=DEFAULT_K_SIGMA):
@@ -435,20 +438,11 @@ def exit_moment_check(law, f, n, M, dt, seed, jobs=1, k=DEFAULT_K_SIGMA):
     O(1/n), so the RHS is reached only as n grows.
     """
     t0 = time.perf_counter()
-    basis = law.basis
-    domain = basis.domain
     sizes = _batch_sizes(M, _BATCH)
 
     def worker(rng, b):
-        B = sizes[b]
-        _starts, masses, finals, hit_index = _exit_side_batch(law, n, B, dt, rng)
-        vals = np.empty(B)
-        for i in range(B):
-            mask = np.zeros(n, dtype=bool)
-            mask[hit_index[i]] = True
-            y = EmpiricalMeasure(domain, finals[i], mask)
-            vals[i] = masses[i] / n * cylinder_value(f, y, basis)
-        return vals
+        _starts, masses, finals, _hit, mask = _exit_side_batch(law, n, sizes[b], dt, rng)
+        return masses / n * cylinder_value_many(f, finals, law.basis, mask)
 
     vals = np.concatenate(run_replicas(len(sizes), seed, worker, jobs))
     lhs, stderr = mean_and_stderr(vals)
@@ -496,26 +490,23 @@ def jump_increment_checks(law, f, n, M, dt, kernel, seed, jobs=1,
 
     def worker(rng, b):
         B = sizes[b]
-        starts, masses, finals, hit_index = _exit_side_batch(law, n, B, dt, rng)
+        starts, masses, finals, hit_index, mask = _exit_side_batch(law, n, B, dt, rng)
+        # observing draws nothing, so all relocations can come first
+        relocated = finals.copy()
+        for i in range(B):
+            relocated[i, hit_index[i]] = sample_relocation(kernel, finals[i], hit_index[i], rng)
+        px, py, pz = (pair_many(f.mode_indices, pos, basis, m)
+                      for pos, m in ((starts, None), (finals, mask), (relocated, None)))
         out = np.empty((B, 2))
         for i in range(B):
             hit = hit_index[i]
-            fx = cylinder_value(f, EmpiricalMeasure(domain, starts[i]), basis)
-            mask = np.zeros(n, dtype=bool)
-            mask[hit] = True
-            fy = cylinder_value(f, EmpiricalMeasure(domain, finals[i], mask), basis)
-            others = np.delete(finals[i], hit, axis=0)
-            target = sample_relocation(kernel, others, rng)
-            z_pos = finals[i].copy()
-            z_pos[hit] = target
-            fz = cylinder_value(f, EmpiricalMeasure(domain, z_pos), basis)
-            if not np.array_equal(np.delete(z_pos, hit, axis=0), others):
+            if not np.array_equal(np.delete(relocated[i], hit, axis=0),
+                                  np.delete(finals[i], hit, axis=0)):
                 raise AssertionError("relocation touched a surviving atom")
-            r = boundary_glued_metric(domain, finals[i][hit], target)
-            grad_y = np.abs(f.grad(_pairings(f, finals[i], mask, basis)))
-            grad_z = np.abs(f.grad(_pairings(f, z_pos, None, basis)))
-            bound = 2.0 * float(np.maximum(grad_y, grad_z).sum()) \
-                * _jump_bound(f, basis, r) + 1e-12
+            fx, fy, fz = float(f.phi(px[i])), float(f.phi(py[i])), float(f.phi(pz[i]))
+            r = boundary_glued_metric(domain, finals[i, hit], relocated[i, hit])
+            grad = np.maximum(np.abs(f.grad(py[i])), np.abs(f.grad(pz[i])))
+            bound = 2.0 * float(grad.sum()) * _jump_bound(f, basis, r) + 1e-12
             if n * abs(fz - fy) > bound:
                 raise AssertionError(
                     f"jump moved the observable by {n * abs(fz - fy):.3e}, "
@@ -542,11 +533,6 @@ def jump_increment_checks(law, f, n, M, dt, kernel, seed, jobs=1,
     ]
 
 
-def _pairings(f, positions, boundary_mask, basis):
-    emp = EmpiricalMeasure(basis.domain, positions, boundary_mask)
-    return np.array([pair(kk, emp, basis) for kk in f.mode_indices])
-
-
 # ---------------------------------------------------------------------------
 # soft boundary-vanishing diagnostic
 # ---------------------------------------------------------------------------
@@ -566,15 +552,12 @@ def boundary_cutoff_diagnostic(law, n_list, M, dt, seed, jobs=1, cap=10.0):
 
     def estimate(n, sub):
         def worker(rng, b):
-            B = sizes[b]
-            _starts, masses, finals, hit_index = _exit_side_batch(law, n, B, dt, rng)
-            vals = np.empty(B)
-            for i in range(B):
-                dists = domain.dist_to_boundary_many(finals[i])
-                dists[hit_index[i]] = 0.0
-                s = np.minimum(np.where(dists > 0.0, 1.0 / np.maximum(dists, 1e-300), cap), cap).mean()
-                vals[i] = masses[i] / n * math.exp(-s * s)
-            return vals
+            _starts, masses, finals, _hit, mask = _exit_side_batch(law, n, sizes[b], dt, rng)
+            dists = np.where(mask, 0.0, domain.dist_to_boundary_many(finals))
+            s = np.minimum(np.where(dists > 0.0, 1.0 / np.maximum(dists, 1e-300), cap), cap)
+            # libm's exp per value: numpy's is not checked to match it bit for bit
+            bumps = np.array([math.exp(-v * v) for v in s.mean(axis=1)])
+            return masses / n * bumps
 
         return mean_and_stderr(np.concatenate(run_replicas(len(sizes), sub, worker, jobs)))
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from flemvi.cli import SUITES, ConfigError, RunConfig, load_config, main
 
@@ -107,11 +109,93 @@ def test_missing_required_key(cfg_file, tmp_path, missing):
         {"horizon": True},
         {"domain": {"kind": "interval", "bounds": ["0.0", PI]}},
         {"observables": [{"name": "m", "modes": [1], "terms": [[True, [1]]]}]},
+        {"output_dir": None},
+        {"output_dir": 5},
+        {"output_dir": ""},
+        {"observables": [{"name": [1], "modes": [1], "terms": [[1.0, [1]]]}]},
+        {"components": [{"weight": 1.0, "modes": {"\u0663": 0.05}}]},
+        {"components": [{"weight": 1.0, "modes": {"\u00b2": 0.05}}]},
     ],
 )
 def test_invalid_values_rejected(cfg_file, overrides):
     with pytest.raises((ConfigError, ValueError)):
         load_config(cfg_file(overrides))
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"output_dir": None}, "output_dir must be a nonempty string"),
+    ({"output_dir": 5}, "output_dir must be a nonempty string"),
+    ({"observables": [{"name": [1], "modes": [1], "terms": [[1.0, [1]]]}]},
+     "name must be a string"),
+    # an Arabic-Indic three and a superscript two pass str.isdigit
+    ({"components": [{"weight": 1.0, "modes": {"\u0663": 0.05}}]}, "mode indices >= 2"),
+    ({"components": [{"weight": 1.0, "modes": {"\u00b2": 0.05}}]}, "mode indices >= 2"),
+])
+def test_formerly_coerced_values_exit_2(cfg_file, tmp_path, capsys, overrides, message):
+    assert main(["simulate", "--config", cfg_file(overrides), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
+# -- config fuzz: a mutated valid config is rejected with a message or runs ---------
+
+_FUZZ_PATHS = [
+    ("domain",), ("domain", "kind"), ("domain", "bounds"), ("domain", "bounds", 1),
+    ("truncation",), ("components",), ("components", 0), ("components", 0, "weight"),
+    ("components", 0, "modes"), ("components", 0, "comparison_c"), ("kernel",),
+    ("n_list",), ("n_list", 0), ("replicas",), ("dt",), ("horizon",), ("observables",),
+    ("observables", 0), ("observables", 0, "name"), ("observables", 0, "modes"),
+    ("observables", 0, "modes", 0), ("observables", 0, "terms"),
+    ("observables", 0, "terms", 0, 0), ("observables", 0, "terms", 0, 1), ("seed",),
+    ("output_dir",), ("record_stride",),
+]
+# small magnitudes keep every accepted config cheap to simulate
+_FUZZ_VALUES = st.one_of(
+    st.none(), st.booleans(), st.sampled_from([-1, 0, 1, 2, 3]),
+    st.sampled_from([-0.5, 0.0, 1e-3, 0.05, 0.5, 2.5, math.nan, math.inf, -math.inf]),
+    st.text(max_size=3), st.sampled_from(["interval", "rectangle", "ground_mode", "2"]),
+    st.lists(st.sampled_from([-1, 0, 1, 2, 3, 0.5, "x", [1]]), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.sampled_from([0.05, -1, "a"]), max_size=2),
+)
+_FUZZ_MUTATION = st.tuples(st.sampled_from(["set", "delete", "add"]),
+                           st.sampled_from(_FUZZ_PATHS), _FUZZ_VALUES)
+
+
+def _mutate(raw, op, path, value):
+    """Replace or delete the entry at ``path``, or add an unknown key to the
+    object there; a no-op where earlier mutations removed the path."""
+    node = raw
+    try:
+        for key in path[:-1]:
+            node = node[key]
+        if op == "set":
+            node[path[-1]] = value
+        elif op == "delete":
+            del node[path[-1]]
+        elif isinstance(node[path[-1]], dict):
+            node[path[-1]]["unknown"] = value
+    except (KeyError, IndexError, TypeError):
+        pass
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutations=st.lists(_FUZZ_MUTATION, min_size=1, max_size=3))
+def test_config_fuzz(tmp_path, capsys, mutations):
+    raw = base_config(tmp_path / "out")
+    for mutation in mutations:
+        _mutate(raw, *mutation)
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(raw))
+    try:
+        config = load_config(str(path))
+        basis = config.build_basis()
+        config.build_kernel(basis, config.build_law(basis))
+    except ValueError:  # ConfigError included
+        pass
+    code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "fuzz_out")])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert code == 0 or err.startswith("error: ")
 
 
 def test_config_not_json(tmp_path):

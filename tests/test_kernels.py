@@ -176,23 +176,24 @@ def test_single_component_relocation_is_the_component(stationary_law, rng):
 
 
 def test_sample_relocation_interior(perturbed_law, basis_1d, rng):
-    others = rng.uniform(0.3, 2.8, size=(9, 1))
+    # atom 4 sits on the boundary; the draw must never read it
+    positions = np.insert(rng.uniform(0.3, 2.8, size=(9, 1)), 4, [0.0], axis=0)
     for kernel in (
         RelocationKernel.uniform_survivor(),
         RelocationKernel.ground_mode(basis_1d),
         RelocationKernel.mixture_reweighted(perturbed_law),
     ):
         for _ in range(25):
-            y = sample_relocation(kernel, others, rng)
+            y = sample_relocation(kernel, positions, 4, rng)
             assert basis_1d.domain.contains(y)
 
 
 def test_uniform_survivor_copies_a_survivor(rng):
     kernel = RelocationKernel.uniform_survivor()
-    others = np.array([[0.5], [1.5], [2.5]])
+    positions = np.array([[0.5], [0.0], [1.5], [2.5]])
     for _ in range(20):
-        y = sample_relocation(kernel, others, rng)
-        assert any(np.allclose(y, o) for o in others)
+        y = sample_relocation(kernel, positions, 1, rng)
+        assert any(np.allclose(y, o) for o in positions[[0, 2, 3]])
 
 
 # -- curvature-weighted configuration law -------------------------------------------

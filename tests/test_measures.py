@@ -12,9 +12,11 @@ from flemvi.measures import (
     bl_distance,
     boundary_glued_metric,
     cylinder_value,
+    cylinder_value_many,
     default_dictionary,
     discrete_generator,
     pair,
+    pair_many,
 )
 from flemvi.spectral import DensityMeasure
 
@@ -80,6 +82,59 @@ def test_density_measure_pairing(basis_1d):
 def test_boundary_atom_requires_flag():
     with pytest.raises(ValueError):
         EmpiricalMeasure(DOM, [[0.0]])
+
+
+def _reference_pair(k, mu, basis):
+    """The scalar empirical pairing ``pair_many`` replaced: eigenfunction k
+    summed over the interior atoms only, divided by the atom total n."""
+    interior = mu.interior_positions
+    if len(interior) == 0:
+        return 0.0
+    return float(math.fsum(basis.eigenfunction(k, interior)) / mu.n)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_pair_many_with_mask_matches_the_scalar_reference(basis_1d, basis_2d, dim):
+    basis = basis_1d if dim == 1 else basis_2d
+    dom = basis.domain
+    lo, hi = np.asarray(dom.lo), np.asarray(dom.hi)
+    rng = np.random.default_rng(40 + dim)
+    B, n = 30, 6
+    pos = lo + (hi - lo) * rng.uniform(0.01, 0.99, size=(B, n, dim))
+    mask = rng.random((B, n)) < 0.3
+    mask[0] = True  # every atom on the boundary
+    mask[1] = False
+    # masked atoms exactly on a face, and outside the box
+    pos[2, 0], mask[2, 0] = lo, True
+    pos[3, 4], mask[3, 4] = hi, True
+    pos[4, 1], mask[4, 1] = hi + 0.5, True
+    pos[5, 3], mask[5, 3] = lo - 2.0, True
+    modes = tuple(range(1, basis.K + 1))
+    want = np.array([[_reference_pair(k, EmpiricalMeasure(dom, pos[b], mask[b]), basis)
+                      for k in modes] for b in range(B)])
+    got = pair_many(modes, pos, basis, mask)
+    assert np.array_equal(got, want)
+    assert np.all(got[0] == 0.0)
+    # the scalar forms are one row of the stacked ones
+    f = CylinderFunction.polynomial((2, 1), [(1.0, (2, 0)), (-0.5, (1, 1))])
+    values = cylinder_value_many(f, pos, basis, mask)
+    assert np.array_equal(values, [f.phi(want[b, [1, 0]]) for b in range(B)])
+    for b in (0, 2, 4, 7):
+        emp = EmpiricalMeasure(dom, pos[b], mask[b])
+        assert pair(3, emp, basis) == want[b, 2]
+        assert cylinder_value(f, emp, basis) == values[b]
+
+
+def test_pair_many_rejects_an_unmasked_atom_outside(basis_1d):
+    pos = np.array([[[0.5], [4.0]], [[1.0], [0.0]]])
+    for mask in (None, np.array([[True, False], [False, True]]),
+                 np.array([[False, True], [False, False]])):
+        with pytest.raises(ValueError, match="outside the open domain"):
+            pair_many((1,), pos, basis_1d, mask)
+    got = pair_many((1,), pos, basis_1d, np.array([[False, True], [False, True]]))
+    assert got.shape == (2, 1)
+    with pytest.raises(ValueError, match="needs a basis"):
+        pair_many((1,), pos[:1, :1], None)
 
 
 # -- cylinder functions --------------------------------------------------------

@@ -22,7 +22,6 @@ from flemvi.simulator import (
     run,
     run_replicas,
     semigroup_estimate,
-    step,
     write_jump_log_csv,
     write_manifest,
     write_trajectory_csv,
@@ -45,23 +44,23 @@ def _kernel(law):
 
 def test_step_determinism(stationary_law):
     kernel = _kernel(stationary_law)
-    a = ParticleConfig(DOM, [[1.0], [2.0]], rng=_rng(3))
-    b = ParticleConfig(DOM, [[1.0], [2.0]], rng=_rng(3))
-    for _ in range(50):
-        a = step(a, 0.01, kernel)
-        b = step(b, 0.01, kernel)
-    np.testing.assert_array_equal(a.positions, b.positions)
-    assert a.time == b.time
-    assert len(a.jump_log) == len(b.jump_log)
+    a, b = (run(ParticleConfig(DOM, [[1.0], [2.0]], rng=_rng(3)), 0.5, 0.01, kernel, [])
+            for _ in range(2))
+    np.testing.assert_array_equal(a.final.positions, b.final.positions)
+    assert a.final.time == b.final.time
+    assert len(a.final.jump_log) == len(b.final.jump_log)
 
 
 def test_step_keeps_particles_interior(stationary_law):
     kernel = _kernel(stationary_law)
     cfg = ParticleConfig(DOM, [[0.05], [3.1]], rng=_rng(7))
-    for _ in range(200):
-        cfg = step(cfg, 0.005, kernel)
-        assert np.all(DOM.contains_many(cfg.positions))
-    assert len(cfg.jump_log) > 0  # starting near the boundary must cause jumps
+    # recording at every step pairs each state, which raises on an atom
+    # outside the open interval
+    result = run(cfg, 1.0, 0.005, kernel, [CylinderFunction.constant(1.0)],
+                 basis=stationary_law.basis)
+    assert len(result.times) == 201
+    assert np.all(DOM.contains_many(result.final.positions))
+    assert len(result.events) > 0  # starting near the boundary must cause jumps
 
 
 def test_jump_events_well_formed(stationary_law):
@@ -91,7 +90,7 @@ def _reference_step(domain, positions, time, dt, kernel, rng):
     work = np.where(hit_mask[:, None], positions, prop)
     events = []
     for i in np.flatnonzero(hit_mask):
-        target = sample_relocation(kernel, np.delete(work, i, axis=0), rng)
+        target = sample_relocation(kernel, work, i, rng)
         work[i] = target
         y = hit_points[i]
         events.append(JumpEvent(time + dt, int(i), tuple(float(v) for v in y),
@@ -114,18 +113,20 @@ def test_per_step_mixture_terms_match_from_scratch(perturbed_law, monkeypatch):
     # every relocation's terms equal a fresh evaluation on its other particles
     used = []
 
-    def checked(kernel_, others, rng_, terms=None):
-        assert np.array_equal(terms, mixture_terms(kernel_, others))
+    def checked(kernel_, positions, i, rng_, terms=None):
+        others = np.delete(positions, i, axis=0)
+        assert np.array_equal(np.delete(terms, i, axis=2), mixture_terms(kernel_, others))
         used.append(terms is not None)
-        return sample_relocation(kernel_, others, rng_, terms)
+        return sample_relocation(kernel_, positions, i, rng_, terms)
 
     monkeypatch.setattr(simulator, "sample_relocation", checked)
-    pos, events = start.copy(), []
+    pos, jumps = start.copy(), []
     advance_steps(DOM, pos[None], n_steps, dt, kernel, [_rng(5)],
-                  on_step=lambda _k, _t, new: events.extend(new[0]))
+                  on_step=lambda _k, _t, new: jumps.extend(new[0]))
     assert len(used) > 10 and all(used)
     assert np.array_equal(pos, ref_pos)
-    assert events == ref_events
+    assert [(int(i), tuple(y), tuple(z)) for i, y, z in jumps] == \
+        [(ev.index, ev.jump_off, ev.target) for ev in ref_events]
 
 
 def test_run_recording_grid(stationary_law):

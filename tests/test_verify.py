@@ -4,10 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from flemvi.kernels import RelocationKernel
-from flemvi.measures import CylinderFunction
+from flemvi.kernels import InitialLaw, RelocationKernel, admissible_from_perturbation, sample_relocation
+from flemvi.measures import CylinderFunction, EmpiricalMeasure, boundary_glued_metric, cylinder_value
+from flemvi.simulator import mean_and_stderr, run_replicas
+from flemvi.spectral import diffusion_part, replenishment_part
 from flemvi.verify import (
+    _BATCH,
     TestReport,
+    _batch_sizes,
+    _exit_side_batch,
+    _jump_bound,
+    _run_ladder,
     bonferroni_k,
     boundary_cutoff_diagnostic,
     convergence_experiment,
@@ -175,6 +182,124 @@ def test_boundary_cutoff_diagnostic_never_asserts(stationary_law):
     reports = boundary_cutoff_diagnostic(stationary_law, [3, 5], 8, 0.002, seed=3)
     assert all(r.passed for r in reports)
     assert all(math.isnan(r.rhs) for r in reports)
+
+
+# -- the stacked exit-side estimators against per-configuration references ---------
+
+def _ref_pairings(f, positions, mask, basis):
+    """Scalar pairings of one configuration, boundary atoms summing as zero
+    (the formula of the scalar ``pair`` before it became a ``pair_many`` row)."""
+    emp = EmpiricalMeasure(basis.domain, positions, mask)
+    interior = emp.interior_positions
+    return np.array([math.fsum(basis.eigenfunction(k, interior)) / emp.n if len(interior)
+                     else 0.0 for k in f.mode_indices])
+
+
+def _ref_value(f, positions, mask, basis):
+    return float(f.phi(_ref_pairings(f, positions, mask, basis)))
+
+
+def _one_hot(n, i):
+    mask = np.zeros(n, dtype=bool)
+    mask[i] = True
+    return mask
+
+
+def _ref_exit_moment_check(law, f, n, M, dt, seed, k=3.0):
+    sizes = _batch_sizes(M, _BATCH)
+
+    def worker(rng, b):
+        _starts, masses, finals, hit_index, _mask = _exit_side_batch(law, n, sizes[b], dt, rng)
+        return [masses[i] / n * _ref_value(f, finals[i], _one_hot(n, hit_index[i]), law.basis)
+                for i in range(sizes[b])]
+
+    lhs, stderr = mean_and_stderr(np.concatenate(run_replicas(len(sizes), seed, worker)))
+    rhs = math.fsum(w * cylinder_value(f, ad.mu) * ad.curvature_mass for w, ad in law.components)
+    return [statistical_report(f"exit_moment[{f.name}|n={n}]", lhs, stderr, rhs, M, 0.0, k=k)]
+
+
+def _ref_jump_increment_checks(law, f, n, M, dt, kernel, seed, k=3.0):
+    basis, domain = law.basis, law.basis.domain
+    sizes = _batch_sizes(M, _BATCH)
+
+    def worker(rng, b):
+        starts, masses, finals, hit_index, _mask = _exit_side_batch(law, n, sizes[b], dt, rng)
+        out = np.empty((sizes[b], 2))
+        for i in range(sizes[b]):
+            hit, mask = hit_index[i], _one_hot(n, hit_index[i])
+            fx = _ref_value(f, starts[i], None, basis)
+            fy = _ref_value(f, finals[i], mask, basis)
+            target = sample_relocation(kernel, finals[i], hit, rng)
+            z_pos = finals[i].copy()
+            z_pos[hit] = target
+            fz = _ref_value(f, z_pos, None, basis)
+            r = boundary_glued_metric(domain, finals[i][hit], target)
+            grad_y = np.abs(f.grad(_ref_pairings(f, finals[i], mask, basis)))
+            grad_z = np.abs(f.grad(_ref_pairings(f, z_pos, None, basis)))
+            bound = 2.0 * float(np.maximum(grad_y, grad_z).sum()) \
+                * _jump_bound(f, basis, r) + 1e-12
+            assert n * abs(fz - fy) <= bound
+            out[i] = masses[i] * (fz - fy), masses[i] * (fy - fx)
+        return out
+
+    vals = np.concatenate(run_replicas(len(sizes), seed, worker))
+    rhs_repl = math.fsum(w * replenishment_part(f, ad.mu) for w, ad in law.components)
+    rhs_diff = math.fsum(w * diffusion_part(f, ad.mu) for w, ad in law.components)
+    parts = (("replenishment", vals[:, 0], rhs_repl, None),
+             ("diffusion", vals[:, 1], rhs_diff, None),
+             ("increment_sum", vals[:, 0] + vals[:, 1], rhs_repl + rhs_diff, abs(rhs_diff)))
+    return [statistical_report(f"jump_{part}[{f.name}|n={n}]", *mean_and_stderr(v), rhs, M,
+                               0.0, k=k, scale_hint=hint) for part, v, rhs, hint in parts]
+
+
+def _ref_boundary_cutoff_diagnostic(law, n_list, M, dt, seed, cap=10.0):
+    domain = law.basis.domain
+    sizes = _batch_sizes(M, _BATCH)
+
+    def estimate(n, sub):
+        def worker(rng, b):
+            _starts, masses, finals, hit_index, _mask = _exit_side_batch(
+                law, n, sizes[b], dt, rng)
+            vals = np.empty(sizes[b])
+            for i in range(sizes[b]):
+                dists = domain.dist_to_boundary_many(finals[i])
+                dists[hit_index[i]] = 0.0
+                s = np.minimum(np.where(dists > 0.0, 1.0 / np.maximum(dists, 1e-300), cap),
+                               cap).mean()
+                vals[i] = masses[i] / n * math.exp(-s * s)
+            return vals
+
+        return mean_and_stderr(np.concatenate(run_replicas(len(sizes), sub, worker)))
+
+    stats, _runtimes = _run_ladder(n_list, seed, estimate)
+    return [diagnostic_report(f"boundary_cutoff[n={n}]", lhs, stderr, 0.0, M,
+                              note="hard-cutoff analogue is identically 0 at every n")
+            for n, (lhs, stderr) in zip(n_list, stats)]
+
+
+@pytest.fixture(scope="module")
+def rectangle_law(basis_2d):
+    return InitialLaw(((0.7, admissible_from_perturbation(basis_2d, {})),
+                       (0.3, admissible_from_perturbation(basis_2d, {2: 0.05}))))
+
+
+@pytest.mark.parametrize("where", ["interval", "rectangle"])
+def test_stacked_exit_side_estimators_equal_per_configuration_loops(
+        perturbed_law, rectangle_law, where):
+    law = perturbed_law if where == "interval" else rectangle_law
+    kernel = RelocationKernel.mixture_reweighted(law)
+    f = CylinderFunction.polynomial((1, 2), [(1.0, (2, 0)), (0.5, (1, 1)), (-0.3, (0, 1))])
+    n, M, dt = 5, _BATCH + 13, 0.004  # a full batch and a partial one
+    pairs = [
+        ([exit_moment_check(law, f, n, M, dt, 7, jobs=2)],
+         _ref_exit_moment_check(law, f, n, M, dt, 7)),
+        (jump_increment_checks(law, f, n, M, dt, kernel, 8),
+         _ref_jump_increment_checks(law, f, n, M, dt, kernel, 8)),
+        (boundary_cutoff_diagnostic(law, [1, 4], M, dt, 9),
+         _ref_boundary_cutoff_diagnostic(law, [1, 4], M, dt, 9)),
+    ]
+    for got, want in pairs:
+        assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
 
 
 def test_convergence_experiment_validates_inputs(stationary_law):
