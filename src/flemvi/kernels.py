@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .measures import EmpiricalMeasure
-from .spectral import DensityMeasure, SpectralBasis, initial_decay_rate, kahan_sum
+from .spectral import DensityMeasure, SpectralBasis, _last_mode, _series, initial_decay_rate
 
 __all__ = [
     "AdmissibleDensity",
@@ -277,13 +277,13 @@ class RelocationKernel:
 
 def _atom_terms(law: InitialLaw, pts):
     """log d_m(z) and (-1/2 Laplacian d_m)(z) / d_m(z) per component m and
-    point z, shape (2, components, N), from one eigenfunction matrix."""
-    H = law.basis.eigenfunction_matrix(pts)
+    point z, shape (2, components, N), from one eigenfunction table."""
+    H = law.basis.eigenfunction_matrix(pts, max(_last_mode(ad.mu.coeffs) for _, ad in law.components))
     terms = np.empty((2, len(law.components), H.shape[1]))
     for m, (_, ad) in enumerate(law.components):
-        # the expressions of DensityMeasure.density and .half_laplacian
-        dens = kahan_sum(ad.mu.coeffs[:, None] * H)
-        neglap = -kahan_sum((ad.mu.coeffs * law.basis.lambdas)[:, None] * H)
+        # the series of DensityMeasure.density and .half_laplacian
+        dens = _series(ad.mu.coeffs, H)
+        neglap = -_series(ad.mu.coeffs * law.basis.lambdas, H)
         terms[0, m] = np.log(dens)
         terms[1, m] = neglap / dens
     return terms

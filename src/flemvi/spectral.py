@@ -40,18 +40,37 @@ _QUAD_PANELS = 8
 _QUAD_NODES_PER_PANEL = 32  # 8 x 32 = 256 nodes per axis
 
 
-def kahan_sum(terms, axis=0):
-    """Kahan-compensated sum of ``terms`` along ``axis`` (default: first)."""
-    terms = np.asarray(terms, dtype=float)
-    terms = np.moveaxis(terms, axis, 0)
+def kahan_sum(terms, axis=0, zero_terms=0):
+    """Kahan-compensated sum of ``terms`` along ``axis`` (default: first), then
+    up to ``zero_terms`` zero terms while they change it (see ``_series``)."""
+    terms = np.moveaxis(np.asarray(terms, dtype=float), axis, 0)
     total = np.zeros(terms.shape[1:])
     comp = np.zeros_like(total)
-    for term in terms:
+    for k, term in enumerate(list(terms) + [0.0] * zero_terms):
         y = term - comp
         t = total + y
-        comp = (t - total) - y
-        total = t
+        c = (t - total) - y
+        if k >= len(terms) and np.array_equal(t, total) and np.array_equal(c, comp):
+            break
+        total, comp = t, c
     return total if total.ndim else float(total)
+
+
+def _last_mode(coeffs):
+    """1-based index of the last nonzero coefficient (1 if there is none)."""
+    return int(max(np.flatnonzero(coeffs), default=0)) + 1
+
+
+def _series(coeffs, H):
+    """``kahan_sum(coeffs[:, None] * H_K)`` bit for bit for full-K ``coeffs``, from a
+    table ``H`` of at least k_top = ``_last_mode(coeffs)`` rows: k_top terms, then up
+    to K - k_top zero-term steps.  Exact: a zero term of either sign makes the same
+    step as ``y = -comp``, as ``total`` is never -0.0 and ``comp`` is -0.0 only by
+    cancellation, which gives +0.0.  That step is a fixed map per element, so once it
+    leaves ``(total, comp)`` unchanged all later ones do; a NaN element never stops
+    early and runs at most K - k_top steps.  Plain truncation changes some values."""
+    k_top = _last_mode(coeffs)
+    return kahan_sum(coeffs[:k_top, None] * H[:k_top], zero_terms=len(coeffs) - k_top)
 
 
 def _axis_rule(a, b):
@@ -106,7 +125,6 @@ class SpectralBasis:
             g1, g2 = np.meshgrid(x1, x2, indexing="ij")
             self.quad_points = np.column_stack([g1.ravel(), g2.ravel()])
             self.quad_weights = np.outer(w1, w2).ravel()
-        self._eigen_quad = None
 
     # -- closed forms --------------------------------------------------------
 
@@ -183,28 +201,23 @@ class SpectralBasis:
         table *= math.sqrt(2.0 / L)
         return table
 
-    def eigenfunction_matrix(self, pts):
-        """All eigenfunctions at the given points, shape (K, N); equals
-        stacking ``eigenfunction(k, pts)`` for k = 1..K bit for bit."""
+    def eigenfunction_matrix(self, pts, k_top=None):
+        """Eigenfunctions 1..k_top (default K) at points, shape (k_top, N);
+        equals stacking ``eigenfunction(k, pts)`` for those k bit for bit."""
+        k_top = self.K if k_top is None else k_top
+        self._check_mode(k_top)
         pts = self._as_points(pts)
-        rows = np.array(self.mode_indices) - 1  # (K, d) table rows per mode
+        rows = np.array(self.mode_indices[:k_top]) - 1  # (k_top, d) table rows
         tables = [self._axis_table(ax, int(rows[:, ax].max()) + 1, pts[:, ax])
                   for ax in range(self.domain.dimension)]
         if len(tables) == 1:
-            return tables[0][rows[:, 0]]
-        out = np.empty((self.K, len(pts)))
+            return tables[0]  # 1-D modes are j = 1..k_top in order
+        out = np.empty((k_top, len(pts)))
         for k, (r1, r2) in enumerate(rows):
             np.multiply(tables[0][r1], tables[1][r2], out=out[k])
         return out
 
     # -- quadrature ----------------------------------------------------------
-
-    @property
-    def h_quad(self):
-        """Eigenfunction values on the quadrature grid, cached (K, N_quad)."""
-        if self._eigen_quad is None:
-            self._eigen_quad = self.eigenfunction_matrix(self.quad_points)
-        return self._eigen_quad
 
     def integrate(self, fn_or_values):
         """Quadrature over the domain of a callable or of values on quad_points."""
@@ -213,12 +226,6 @@ class SpectralBasis:
         else:
             vals = np.asarray(fn_or_values, dtype=float)
         return float(math.fsum(vals * self.quad_weights))
-
-    def gram_error(self):
-        """Worst quadrature deviation from eigenfunction orthonormality."""
-        H = self.h_quad
-        G = (H * self.quad_weights) @ H.T
-        return float(np.max(np.abs(G - np.eye(self.K))))
 
     def interior_grid(self, per_axis=512):
         """Uniform interior validation grid (tensor product in 2D)."""
@@ -267,12 +274,12 @@ class DensityMeasure:
 
     def density(self, pts):
         """Density values at points, shape (N,)."""
-        return kahan_sum(self.coeffs[:, None] * self.basis.eigenfunction_matrix(pts))
+        return _series(self.coeffs, self.basis.eigenfunction_matrix(pts, _last_mode(self.coeffs)))
 
     def half_laplacian(self, pts):
         """(1/2)-Laplacian of the density via the eigen-relation, shape (N,)."""
-        weighted = (self.coeffs * self.basis.lambdas)[:, None]
-        return kahan_sum(weighted * self.basis.eigenfunction_matrix(pts))
+        H = self.basis.eigenfunction_matrix(pts, _last_mode(self.coeffs))
+        return _series(self.coeffs * self.basis.lambdas, H)
 
     def mass(self):
         return float(math.fsum(self.coeffs * self.basis.unit_integrals))

@@ -18,7 +18,7 @@ from flemvi.spectral import (
     survival_split,
 )
 from flemvi.measures import CylinderFunction
-from flemvi.kernels import admissible_from_perturbation
+from flemvi.kernels import InitialLaw, _atom_terms, admissible_from_perturbation
 
 PI = math.pi
 
@@ -44,12 +44,19 @@ def test_eigenvalues_rectangle(basis_2d):
     assert lams[0] == pytest.approx(lam1, rel=1e-14)
 
 
+def _gram_error(basis):
+    """Worst quadrature deviation from eigenfunction orthonormality."""
+    H = basis.eigenfunction_matrix(basis.quad_points)
+    G = (H * basis.quad_weights) @ H.T
+    return float(np.max(np.abs(G - np.eye(basis.K))))
+
+
 def test_orthonormality(basis_1d):
-    assert basis_1d.gram_error() < 1e-12
+    assert _gram_error(basis_1d) < 1e-12
 
 
 def test_orthonormality_2d(basis_2d):
-    assert basis_2d.gram_error() < 1e-12
+    assert _gram_error(basis_2d) < 1e-12
 
 
 def test_unit_integrals_match_quadrature(basis_1d):
@@ -176,16 +183,120 @@ def test_kahan_sum_matches_fsum():
     np.testing.assert_allclose(out, expect, rtol=1e-15, atol=1e-300)
 
 
-@pytest.mark.parametrize("domain,K", [
+def _random_points(domain, N, rng):
+    lo, hi = np.array(domain.lo), np.array(domain.hi)
+    return lo + (hi - lo) * rng.random((N, domain.dimension))
+
+
+def _per_mode_stack(basis, pts):
+    return np.vstack([basis.eigenfunction(k, pts) for k in range(1, basis.K + 1)])
+
+
+_MATRIX_DOMAINS = pytest.mark.parametrize("domain,K", [
     (interval(0.0, PI), 16),
     (rectangle(0.0, PI, 0.0, 1.5), 16),
     (rectangle(-0.5, 1.0, 0.2, 3.0), 10),  # not a perfect square
 ])
-@pytest.mark.parametrize("N", [1, 7, 799])
+_MATRIX_SIZES = pytest.mark.parametrize("N", [1, 7, 799])
+
+
+@_MATRIX_DOMAINS
+@_MATRIX_SIZES
 def test_eigenfunction_matrix_equals_per_mode_stack(domain, K, N):
     # the per-axis tables must reproduce each mode's own evaluation exactly
     basis = SpectralBasis(domain, truncation_K=K)
-    lo, hi = np.array(domain.lo), np.array(domain.hi)
-    pts = lo + (hi - lo) * np.random.default_rng(N).random((N, domain.dimension))
-    expect = np.vstack([basis.eigenfunction(k, pts) for k in range(1, K + 1)])
-    assert np.array_equal(basis.eigenfunction_matrix(pts), expect)
+    pts = _random_points(domain, N, np.random.default_rng(N))
+    assert np.array_equal(basis.eigenfunction_matrix(pts), _per_mode_stack(basis, pts))
+
+
+@_MATRIX_DOMAINS
+@_MATRIX_SIZES
+def test_eigenfunction_matrix_prefix_equals_per_mode_stack(domain, K, N):
+    basis = SpectralBasis(domain, truncation_K=K)
+    pts = _random_points(domain, N, np.random.default_rng(N))
+    expect = _per_mode_stack(basis, pts)
+    for k in (1, K // 2, K):
+        assert np.array_equal(basis.eigenfunction_matrix(pts, k), expect[:k])
+    for k in (0, K + 1):
+        with pytest.raises(ValueError):
+            basis.eigenfunction_matrix(pts, k)
+
+
+# -- the prefix series against the full-K formula -------------------------------
+
+def _reference_kahan_sum(terms):
+    """Kahan sum over the first axis, exactly as the full-K series ran it."""
+    total = np.zeros(terms.shape[1:])
+    comp = np.zeros_like(total)
+    for term in terms:
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total
+
+
+def _reference_density(mu, H):
+    return _reference_kahan_sum(mu.coeffs[:, None] * H)
+
+
+def _reference_half_laplacian(mu, H):
+    return _reference_kahan_sum((mu.coeffs * mu.basis.lambdas)[:, None] * H)
+
+
+def _reference_atom_terms(law, H):
+    terms = np.empty((2, len(law.components), H.shape[1]))
+    for m, (_, ad) in enumerate(law.components):
+        dens = _reference_density(ad.mu, H)
+        terms[0, m] = np.log(dens)
+        terms[1, m] = -_reference_half_laplacian(ad.mu, H) / dens
+    return terms
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _random_sparse_coeffs(K, rng):
+    """Coefficients up to a random last mode, with zeros between nonzero ones."""
+    k_top = int(rng.integers(1, K + 1))
+    coeffs = np.where(rng.random(K) < 0.5, rng.standard_normal(K), 0.0)
+    coeffs[k_top - 1] = rng.standard_normal()
+    coeffs[k_top:] = 0.0
+    return coeffs
+
+
+@pytest.mark.parametrize("domain", [interval(0.0, PI), rectangle(0.0, PI, 0.0, 1.5)])
+def test_prefix_series_equals_full_k_series(domain):
+    rng = np.random.default_rng(2024)
+    basis = SpectralBasis(domain, truncation_K=16)
+    pts = _random_points(domain, 400, rng)
+    H = _per_mode_stack(basis, pts)
+    truncation_differs = 0
+    for _ in range(40):
+        mu = DensityMeasure(basis, _random_sparse_coeffs(basis.K, rng))
+        assert _same_bits(mu.density(pts), _reference_density(mu, H))
+        assert _same_bits(mu.half_laplacian(pts), _reference_half_laplacian(mu, H))
+        k_top = int(np.flatnonzero(mu.coeffs)[-1]) + 1
+        plain = _reference_kahan_sum(mu.coeffs[:k_top, None] * H[:k_top])
+        truncation_differs += int(np.sum(plain != _reference_density(mu, H)))
+    # plain truncation at the last nonzero mode moves some of these values, so
+    # the prefix series above would fail without its trailing zero-term steps
+    assert truncation_differs > 0
+    zero = DensityMeasure.zero(basis)
+    assert _same_bits(zero.density(pts), _reference_density(zero, H))
+    assert _same_bits(zero.half_laplacian(pts), _reference_half_laplacian(zero, H))
+    nan_point = np.full((1, domain.dimension), np.nan)
+    assert np.isnan(mu.density(nan_point)).all()
+
+
+@pytest.mark.parametrize("domain,modes", [
+    (interval(0.0, PI), [{}, {3: 0.02}, {2: 0.02, 5: -0.001}]),
+    (rectangle(0.0, PI, 0.0, 1.5), [{4: 0.02}, {}, {2: 0.03}]),
+])
+def test_atom_terms_equal_full_k_series(domain, modes):
+    # components with different last modes share one table, each its own prefix
+    basis = SpectralBasis(domain, truncation_K=16)
+    law = InitialLaw(tuple((1.0, admissible_from_perturbation(basis, m)) for m in modes))
+    pts = _random_points(domain, 300, np.random.default_rng(7))
+    assert _same_bits(_atom_terms(law, pts), _reference_atom_terms(law, _per_mode_stack(basis, pts)))
