@@ -235,7 +235,7 @@ def load_config(path):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(config, seed, jobs, out_dir):
+def cmd_simulate(config, seed, out_dir):
     """One trajectory at n = n_list[0]; writes trajectory CSV, jump-log CSV,
     and a manifest JSON."""
     basis = config.build_basis()
@@ -248,7 +248,7 @@ def cmd_simulate(config, seed, jobs, out_dir):
             "survivor-copy relocation is undefined with fewer than two particles")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     start = sample_initial_configuration(law, n, rng)
-    cfg0 = ParticleConfig(config.domain, start.positions, 0.0, [], rng)
+    cfg0 = ParticleConfig(config.domain, start.positions, rng=rng)
     result = run(cfg0, config.horizon, config.dt, kernel, observables,
                  basis=basis, record_stride=config.record_stride)
     meta = {"config_sha256": config.sha256, "seed": seed}
@@ -356,8 +356,8 @@ def cmd_flow(config, t_list, seed, out_dir):
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _env(name, default=None):
-    return os.environ.get(f"FLEMVI_{name}", default)
+def _env(name):
+    return os.environ.get(f"FLEMVI_{name}")
 
 
 def _build_parser():
@@ -420,7 +420,7 @@ def main(argv=None):
     try:
         config, seed, jobs, out_dir = _resolve(args)
         if args.command == "simulate":
-            return cmd_simulate(config, seed, jobs, out_dir)
+            return cmd_simulate(config, seed, out_dir)
         if args.command == "verify":
             return cmd_verify(config, args.suite, seed, jobs, out_dir)
         if args.command == "flow":

@@ -35,10 +35,6 @@ class Domain:
         return len(self.lo)
 
     @property
-    def kind(self) -> str:
-        return "interval" if self.dimension == 1 else "rectangle"
-
-    @property
     def sides(self) -> tuple[float, ...]:
         return tuple(b - a for a, b in zip(self.lo, self.hi))
 

@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _MAX_PROPOSALS = 10**6
+_C_CAP = 10.0  # largest comparison constant admissible_from_perturbation finds
 
 
 @dataclass(frozen=True)
@@ -119,30 +120,31 @@ def _rejection_sample(rng, size, basis, target, envelope_factor):
     return out
 
 
-def _grid_values(d: DensityMeasure, grid_per_axis=512):
+def _grid_values(d: DensityMeasure):
     """The validation grid and, on it, the ground mode, the density and its
-    negative half-Laplacian."""
+    negative half-Laplacian, all from one eigenfunction table."""
     basis = d.basis
-    grid = basis.interior_grid(grid_per_axis)
-    return grid, basis.eigenfunction(1, grid), d.density(grid), -d.half_laplacian(grid)
+    grid = basis.interior_grid()
+    H = basis.eigenfunction_matrix(grid, _last_mode(d.coeffs))
+    # the series of DensityMeasure.density and .half_laplacian
+    return grid, H[0], _series(d.coeffs, H), -_series(d.coeffs * basis.lambdas, H)
 
 
-def validate_admissible(d: DensityMeasure, c, grid_per_axis=512) -> AdmissibleDensity:
+def validate_admissible(d: DensityMeasure, c) -> AdmissibleDensity:
     """Check the two-sided ground-mode comparisons on a uniform interior grid
     and return the validated density; raises with the violation count."""
-    return _check_admissible(d, c, grid_per_axis)
+    return _check_admissible(d, c, _grid_values(d))
 
 
-def _check_admissible(d, c, grid_per_axis=512, values=None):
-    """validate_admissible, reusing the grid evaluation ``values`` of
-    ``_grid_values`` when given."""
+def _check_admissible(d, c, values):
+    """validate_admissible on the grid evaluation ``values`` of ``_grid_values``."""
     c = float(c)
     if not c > 1.0:
         raise ValueError("comparison constant must exceed 1")
     mass = d.mass()
     if abs(mass - 1.0) > 1e-8:
         raise ValueError(f"density mass {mass!r} is not 1 within 1e-8")
-    grid, h1, dens, neglap = values or _grid_values(d, grid_per_axis)
+    grid, h1, dens, neglap = values
     neg_lam1 = -d.basis.lambdas[0]
     slack = 1e-12
     bad = (
@@ -163,14 +165,14 @@ def _check_admissible(d, c, grid_per_axis=512, values=None):
     return AdmissibleDensity(d, c, K)
 
 
-def admissible_from_perturbation(basis, higher_coeffs, c=None, c_cap=10.0):
+def admissible_from_perturbation(basis, higher_coeffs, c=None):
     """Density proportional to the ground mode plus higher-mode terms.
 
     ``higher_coeffs`` is either a mapping {mode index >= 2: amplitude} or a
     sequence giving amplitudes for modes 2, 3, ...  With c=None the smallest
     valid constant is found on the validation grid (with a tiny safety
-    margin) and rejected if it exceeds ``c_cap``; the validation reuses
-    that grid evaluation.
+    margin) and rejected if it exceeds ``_C_CAP``.  The grid is evaluated
+    once either way.
     """
     raw = np.zeros(basis.K)
     raw[0] = 1.0
@@ -187,8 +189,9 @@ def admissible_from_perturbation(basis, higher_coeffs, c=None, c_cap=10.0):
     if Z <= 0:
         raise ValueError("perturbation destroys the positivity of the total mass")
     d = DensityMeasure(basis, raw / Z, 1.0)
+    values = _grid_values(d)
     if c is None:
-        _grid, h1, dens, neglap = values = _grid_values(d)
+        _grid, h1, dens, neglap = values
         neg_lam1 = -basis.lambdas[0]
         if dens.min() <= 0.0 or neglap.min() <= 0.0:
             raise ValueError("density or its curvature loses positivity")
@@ -199,12 +202,11 @@ def admissible_from_perturbation(basis, higher_coeffs, c=None, c_cap=10.0):
             float(((neg_lam1 * h1) / neglap).max()),
         )
         c = c_min * (1.0 + 1e-9)
-        if c > c_cap:
+        if c > _C_CAP:
             raise ValueError(
-                f"smallest admissible constant {c:.4f} exceeds the cap {c_cap:g}"
+                f"smallest admissible constant {c:.4f} exceeds the cap {_C_CAP:g}"
             )
-        return _check_admissible(d, c, values=values)
-    return validate_admissible(d, c)
+    return _check_admissible(d, c, values)
 
 
 @dataclass(frozen=True)

@@ -70,20 +70,16 @@ class ParticleConfig:
     positions: np.ndarray
     time: float = 0.0
     jump_log: list = field(default_factory=list)
-    rng: np.random.Generator = None
+    rng: np.random.Generator = field(kw_only=True)
 
     def __post_init__(self):
         self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float)).copy()
         if not np.all(self.domain.contains_many(self.positions)):
             raise ValueError("all particles must start interior")
-        if self.rng is None:
-            self.rng = np.random.default_rng()
 
     def copy(self):
-        cfg = ParticleConfig(
-            self.domain, self.positions.copy(), self.time, list(self.jump_log), self.rng
-        )
-        return cfg
+        return ParticleConfig(self.domain, self.positions.copy(), self.time,
+                              list(self.jump_log), rng=self.rng)
 
 
 def _detect_hits(domain, pos, prop, dt, u_bridge):
@@ -218,7 +214,7 @@ class TrajectoryResult:
 
 
 def run(cfg0: ParticleConfig, T, dt, kernel: RelocationKernel, observables,
-        basis=None, record_stride=1) -> TrajectoryResult:
+        basis, record_stride=1) -> TrajectoryResult:
     """Run to horizon T, recording cylinder observables of the empirical
     measure every ``record_stride`` steps (and at time 0)."""
     if T <= 0:
@@ -259,7 +255,10 @@ def run(cfg0: ParticleConfig, T, dt, kernel: RelocationKernel, observables,
     )
 
 
-def first_exit_batch(domain: Domain, starts, dt, rng, max_steps=10**7):
+_MAX_EXIT_STEPS = 10**7  # first_exit_batch gives up on configurations this slow
+
+
+def first_exit_batch(domain: Domain, starts, dt, rng):
     """Vectorized first-exit for a stack of independent configurations.
 
     ``starts`` has shape (B, n, d).  Each configuration diffuses without
@@ -279,7 +278,7 @@ def first_exit_batch(domain: Domain, starts, dt, rng, max_steps=10**7):
     hit_index = np.full(B, -1, dtype=int)
     taus = np.full(B, np.nan)
     alive = np.arange(B)
-    for k in range(max_steps):
+    for k in range(_MAX_EXIT_STEPS):
         if len(alive) == 0:
             return finals, hit_index, taus
         A = len(alive)
@@ -300,15 +299,19 @@ def first_exit_batch(domain: Domain, starts, dt, rng, max_steps=10**7):
             keep[rows] = False
             prop, alive = prop[keep], alive[keep]
         pos = prop
-    raise RuntimeError(f"{len(alive)} configurations never exited in {max_steps} steps")
+    raise RuntimeError(f"{len(alive)} configurations never exited in {_MAX_EXIT_STEPS} steps")
+
+
+def _as_seedseq(seed):
+    """``seed`` as a SeedSequence; one passed in is returned as it is."""
+    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
 
 def run_replicas(M, seed, worker, jobs=1):
     """Evaluate ``worker(rng, replica_index)`` for M replicas on independent
     counter-based streams; results come back in replica order regardless of
     the worker count."""
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = ss.spawn(M)
+    children = _as_seedseq(seed).spawn(M)
 
     def task(m):
         rng = np.random.Generator(np.random.Philox(children[m]))

@@ -40,10 +40,10 @@ _QUAD_PANELS = 8
 _QUAD_NODES_PER_PANEL = 32  # 8 x 32 = 256 nodes per axis
 
 
-def kahan_sum(terms, axis=0, zero_terms=0):
-    """Kahan-compensated sum of ``terms`` along ``axis`` (default: first), then
-    up to ``zero_terms`` zero terms while they change it (see ``_series``)."""
-    terms = np.moveaxis(np.asarray(terms, dtype=float), axis, 0)
+def kahan_sum(terms, zero_terms=0):
+    """Kahan-compensated sum of ``terms`` along their first axis, then up to
+    ``zero_terms`` zero terms while they change it (see ``_series``)."""
+    terms = np.asarray(terms, dtype=float)
     total = np.zeros(terms.shape[1:])
     comp = np.zeros_like(total)
     for k, term in enumerate(list(terms) + [0.0] * zero_terms):
@@ -84,6 +84,12 @@ def _axis_rule(a, b):
     return nodes, weights
 
 
+def _tensor_points(axes):
+    """Tensor product of per-axis coordinate arrays as (N, d) points, the last
+    axis varying fastest."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
 class SpectralBasis:
     """Truncated Dirichlet eigenbasis of (1/2)-Laplacian on a box.
 
@@ -115,16 +121,9 @@ class SpectralBasis:
             [self._unit_integral(m) for m in self.mode_indices]
         )
 
-        axis_rules = [_axis_rule(a, b) for a, b in zip(domain.lo, domain.hi)]
-        if domain.dimension == 1:
-            nodes, weights = axis_rules[0]
-            self.quad_points = nodes[:, None]
-            self.quad_weights = weights
-        else:
-            (x1, w1), (x2, w2) = axis_rules
-            g1, g2 = np.meshgrid(x1, x2, indexing="ij")
-            self.quad_points = np.column_stack([g1.ravel(), g2.ravel()])
-            self.quad_weights = np.outer(w1, w2).ravel()
+        nodes, weights = zip(*(_axis_rule(a, b) for a, b in zip(domain.lo, domain.hi)))
+        self.quad_points = _tensor_points(nodes)
+        self.quad_weights = _tensor_points(weights).prod(axis=1)
 
     # -- closed forms --------------------------------------------------------
 
@@ -229,14 +228,8 @@ class SpectralBasis:
 
     def interior_grid(self, per_axis=512):
         """Uniform interior validation grid (tensor product in 2D)."""
-        axes = [
-            np.linspace(a, b, per_axis + 2)[1:-1]
-            for a, b in zip(self.domain.lo, self.domain.hi)
-        ]
-        if self.domain.dimension == 1:
-            return axes[0][:, None]
-        g1, g2 = np.meshgrid(axes[0], axes[1], indexing="ij")
-        return np.column_stack([g1.ravel(), g2.ravel()])
+        return _tensor_points([np.linspace(a, b, per_axis + 2)[1:-1]
+                               for a, b in zip(self.domain.lo, self.domain.hi)])
 
 
 @dataclass
@@ -410,15 +403,13 @@ def flow_generator(f, mu):
     return float(math.fsum(g * args * (lams - zp)))
 
 
-def curvature_mass_routes(mu, half_laplacian=None):
+def curvature_mass_routes(mu):
     """Two routes to the integral of the density's half-Laplacian.
 
     lhs: eigenvalue-weighted spectral sum against the unit integrals.
-    rhs: quadrature of the
-    half-Laplacian (callable override for analytically known densities).
+    rhs: quadrature of the half-Laplacian.
     Both equal initial_decay_rate for a unit-mass measure.
     """
     lhs = math.fsum(mu.basis.lambdas * mu.coeffs * mu.basis.unit_integrals)
-    fn = half_laplacian if half_laplacian is not None else mu.half_laplacian
-    rhs = mu.basis.integrate(fn)
+    rhs = mu.basis.integrate(mu.half_laplacian)
     return float(lhs), float(rhs)

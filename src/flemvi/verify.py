@@ -42,6 +42,7 @@ from .measures import (
     pair_many,
 )
 from .simulator import (
+    _as_seedseq,
     _replica_starts,
     advance_steps,
     first_exit_batch,
@@ -52,6 +53,7 @@ from .simulator import (
 )
 from .spectral import (
     DensityMeasure,
+    _tensor_points,
     curvature_mass_routes,
     flow,
     flow_generator,
@@ -65,6 +67,8 @@ from .spectral import (
 ZERO_VARIANCE_FLOOR = 1e-9
 DEFAULT_K_SIGMA = 3.0
 _BATCH = 128  # samples per replica stream in batched estimators
+_FD_PAIRS = 20  # curved (observable, density) pairs behind the flow-generator order check
+_CUTOFF_CAP = 10.0  # boundary_cutoff_diagnostic's cap on 1/boundary-distance
 
 
 @dataclass
@@ -108,18 +112,18 @@ class TestReport:
         }
 
 
-def bonferroni_k(n_tests, base_k=DEFAULT_K_SIGMA):
-    """Widened sigma multiple giving the base rule's two-sided error budget
+def bonferroni_k(n_tests):
+    """Widened sigma multiple giving the default rule's two-sided error budget
     split evenly across ``n_tests`` simultaneous tests."""
     if n_tests < 1:
         raise ValueError("need at least one test")
     # the standard normal's sf and isf, without importing scipy.stats
-    alpha = 2.0 * ndtr(-base_k)
+    alpha = 2.0 * ndtr(-DEFAULT_K_SIGMA)
     return float(-ndtri(alpha / (2.0 * n_tests)))
 
 
 def statistical_report(name, lhs, stderr, rhs, samples, runtime,
-                       k=DEFAULT_K_SIGMA, scale_hint=None, note=""):
+                       k=DEFAULT_K_SIGMA, scale_hint=None):
     """k-sigma two-sided comparison with a zero-variance floor.
 
     The row is flagged underpowered when the tolerance band swamps the
@@ -131,8 +135,6 @@ def statistical_report(name, lhs, stderr, rhs, samples, runtime,
     if scale_hint is not None:
         scale = max(scale, abs(scale_hint))
     underpowered = (scale > 0.0 and k * stderr > scale) or samples < 100
-    if underpowered:
-        note = (note + "; " if note else "") + "UNDERPOWERED"
     return TestReport(
         name=name,
         lhs=float(lhs),
@@ -144,7 +146,7 @@ def statistical_report(name, lhs, stderr, rhs, samples, runtime,
         runtime=float(runtime),
         samples=int(samples),
         underpowered=bool(underpowered),
-        note=note,
+        note="UNDERPOWERED" if underpowered else "",
     )
 
 
@@ -160,6 +162,7 @@ def deterministic_report(name, lhs, rhs, tolerance, runtime, samples=0, note="")
         passed=bool(abs(lhs - rhs) <= tolerance),
         runtime=float(runtime),
         samples=int(samples),
+        note=note,
     )
 
 
@@ -212,17 +215,6 @@ def suite_passed(reports):
     return all(r.passed for r in reports)
 
 
-def _as_seedseq(seed):
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
-
-
-def _batch_sizes(M, batch):
-    full, rem = divmod(int(M), int(batch))
-    return [batch] * full + ([rem] if rem else [])
-
-
 # ---------------------------------------------------------------------------
 # deterministic identity suite
 # ---------------------------------------------------------------------------
@@ -251,24 +243,13 @@ def _fd_neg_half_laplacian(mu, pts):
     return -0.5 * acc
 
 
-def _margin_grid(domain, per_axis=81, margin=0.05):
-    axes = [
-        np.linspace(a + margin * (b - a), b - margin * (b - a), per_axis)
-        for a, b in zip(domain.lo, domain.hi)
-    ]
-    if domain.dimension == 1:
-        return axes[0].reshape(-1, 1)
-    g1, g2 = np.meshgrid(axes[0], axes[1], indexing="ij")
-    return np.column_stack([g1.ravel(), g2.ravel()])
-
-
 def _random_mixture(rng, coeff_rows):
     basis = coeff_rows[0][0]
     w = rng.dirichlet(np.ones(len(coeff_rows)))
     return DensityMeasure(basis, w @ np.array([c for _, c in coeff_rows]), 1.0)
 
 
-def identity_suite(basis, law=None, seed=20260814, fd_pairs=20):
+def identity_suite(basis, law=None, seed=20260814):
     """Exact-identity checks of the spectral layer; all absolute tolerances.
 
     Covers: density-series reconstruction against finite differences, the
@@ -287,7 +268,10 @@ def identity_suite(basis, law=None, seed=20260814, fd_pairs=20):
 
     # 1) series reconstruction: spectral -(1/2)Laplacian vs finite differences
     t0 = time.perf_counter()
-    grid = _margin_grid(basis.domain, per_axis=81 if basis.domain.dimension == 1 else 41)
+    # a uniform grid 5 % in from every face, where the stencil stays inside
+    per_axis = 81 if basis.domain.dimension == 1 else 41
+    grid = _tensor_points([np.linspace(a + 0.05 * (b - a), b - 0.05 * (b - a), per_axis)
+                           for a, b in zip(basis.domain.lo, basis.domain.hi)])
     sup_err = 0.0
     for mu in densities:
         series = mu.half_laplacian(grid) * (-1.0)
@@ -337,7 +321,7 @@ def identity_suite(basis, law=None, seed=20260814, fd_pairs=20):
     worst_ratio_dev = 0.0
     built = 0
     attempts = 0
-    while built < fd_pairs and attempts < 50 * fd_pairs:
+    while built < _FD_PAIRS and attempts < 50 * _FD_PAIRS:
         attempts += 1
         mu = _random_mixture(rng, coeff_rows)
         a1, a2, a30, a21 = rng.uniform(0.5, 1.5, size=4) * rng.choice([-1.0, 1.0], size=4)
@@ -359,11 +343,11 @@ def identity_suite(basis, law=None, seed=20260814, fd_pairs=20):
             continue  # below float resolution; the ratio would be noise
         worst_ratio_dev = max(worst_ratio_dev, abs(errs[0] / errs[1] - 100.0))
         built += 1
-    if built < fd_pairs:
+    if built < _FD_PAIRS:
         raise RuntimeError("could not build enough curved test pairs")
     reports.append(deterministic_report(
         "generator:flow_derivative_fd_ratio", worst_ratio_dev, 0.0, 20.0,
-        time.perf_counter() - t0, samples=fd_pairs,
+        time.perf_counter() - t0, samples=_FD_PAIRS,
         note="max |err(1e-3)/err(1e-4) - 100| over pairs"))
 
     # 6) discrete generator vs brute-force lifted Laplacian at tiny n
@@ -409,20 +393,31 @@ def identity_suite(basis, law=None, seed=20260814, fd_pairs=20):
 # boundary-flux moment (exit-side pairing of the curvature-weighted law)
 # ---------------------------------------------------------------------------
 
-def _exit_side_batch(law, n, B, dt, rng):
-    """B start configurations from the curvature-weighted law, each with its
-    total mass, diffused without relocation to the first boundary hit.
-    Returns (starts, masses, finals, hit_index) as in first_exit_batch, and
-    the (B, n) mask of the boundary atoms of ``finals``."""
-    starts = np.empty((B, n, law.basis.domain.dimension))
-    masses = np.empty(B)
-    for i in range(B):
-        emp, masses[i] = sample_curvature_weighted(law, n, rng)
-        starts[i] = emp.positions
-    finals, hit_index, _taus = first_exit_batch(law.basis.domain, starts, dt, rng)
-    mask = np.zeros((B, n), dtype=bool)
-    mask[np.arange(B), hit_index] = True
-    return starts, masses, finals, hit_index, mask
+def _exit_side(law, n, M, dt, seed, jobs, observe):
+    """Values of M exit-side samples: batches of up to _BATCH configurations,
+    one ``run_replicas`` stream each, concatenated in order.  A batch draws its
+    starts and their total masses from the curvature-weighted law and diffuses
+    them without relocation to the first boundary hit (``first_exit_batch``);
+    ``observe(rng, starts, masses, finals, hit_index, mask)`` returns its values
+    (or rows), drawing any further numbers from ``rng``; ``mask`` marks the
+    boundary atoms of ``finals``."""
+    full, rem = divmod(M, _BATCH)
+    sizes = [_BATCH] * full + ([rem] if rem else [])
+    domain = law.basis.domain
+
+    def worker(rng, b):
+        B = sizes[b]
+        starts = np.empty((B, n, domain.dimension))
+        masses = np.empty(B)
+        for i in range(B):
+            emp, masses[i] = sample_curvature_weighted(law, n, rng)
+            starts[i] = emp.positions
+        finals, hit_index, _taus = first_exit_batch(domain, starts, dt, rng)
+        mask = np.zeros((B, n), dtype=bool)
+        mask[np.arange(B), hit_index] = True
+        return observe(rng, starts, masses, finals, hit_index, mask)
+
+    return np.concatenate(run_replicas(len(sizes), seed, worker, jobs))
 
 
 def exit_moment_check(law, f, n, M, dt, seed, jobs=1, k=DEFAULT_K_SIGMA):
@@ -438,14 +433,11 @@ def exit_moment_check(law, f, n, M, dt, seed, jobs=1, k=DEFAULT_K_SIGMA):
     O(1/n), so the RHS is reached only as n grows.
     """
     t0 = time.perf_counter()
-    sizes = _batch_sizes(M, _BATCH)
 
-    def worker(rng, b):
-        _starts, masses, finals, _hit, mask = _exit_side_batch(law, n, sizes[b], dt, rng)
+    def observe(_rng, _starts, masses, finals, _hit, mask):
         return masses / n * cylinder_value_many(f, finals, law.basis, mask)
 
-    vals = np.concatenate(run_replicas(len(sizes), seed, worker, jobs))
-    lhs, stderr = mean_and_stderr(vals)
+    lhs, stderr = mean_and_stderr(_exit_side(law, n, M, dt, seed, jobs, observe))
     rhs = math.fsum(
         w * cylinder_value(f, ad.mu) * ad.curvature_mass for w, ad in law.components)
     return statistical_report(
@@ -486,11 +478,9 @@ def jump_increment_checks(law, f, n, M, dt, kernel, seed, jobs=1,
     t0 = time.perf_counter()
     basis = law.basis
     domain = basis.domain
-    sizes = _batch_sizes(M, _BATCH)
 
-    def worker(rng, b):
-        B = sizes[b]
-        starts, masses, finals, hit_index, mask = _exit_side_batch(law, n, B, dt, rng)
+    def observe(rng, starts, masses, finals, hit_index, mask):
+        B = len(starts)
         # observing draws nothing, so all relocations can come first
         relocated = finals.copy()
         for i in range(B):
@@ -515,7 +505,7 @@ def jump_increment_checks(law, f, n, M, dt, kernel, seed, jobs=1,
             out[i, 1] = masses[i] * (fy - fx)
         return out
 
-    vals = np.concatenate(run_replicas(len(sizes), seed, worker, jobs))
+    vals = _exit_side(law, n, M, dt, seed, jobs, observe)
     b_lhs, b_se = mean_and_stderr(vals[:, 0])
     c_lhs, c_se = mean_and_stderr(vals[:, 1])
     s_lhs, s_se = mean_and_stderr(vals[:, 0] + vals[:, 1])
@@ -537,10 +527,10 @@ def jump_increment_checks(law, f, n, M, dt, kernel, seed, jobs=1,
 # soft boundary-vanishing diagnostic
 # ---------------------------------------------------------------------------
 
-def boundary_cutoff_diagnostic(law, n_list, M, dt, seed, jobs=1, cap=10.0):
+def boundary_cutoff_diagnostic(law, n_list, M, dt, seed, jobs=1):
     """Exit-side moment of a soft boundary-vanishing observable, per n.
 
-    The observable is bump((k, mu)) with k = min(1/boundary-distance, cap)
+    The observable is bump((k, mu)) with k = min(1/boundary-distance, _CUTOFF_CAP)
     and bump(s) = exp(-s^2); it decays when atoms crowd the boundary.  A hard
     cutoff (zero whenever an atom sits on the boundary) makes the exit-side
     moment identically zero — every exit configuration carries a boundary
@@ -548,18 +538,16 @@ def boundary_cutoff_diagnostic(law, n_list, M, dt, seed, jobs=1, cap=10.0):
     reported per n with no assertion attached.
     """
     domain = law.basis.domain
-    sizes = _batch_sizes(M, _BATCH)
 
     def estimate(n, sub):
-        def worker(rng, b):
-            _starts, masses, finals, _hit, mask = _exit_side_batch(law, n, sizes[b], dt, rng)
+        def observe(_rng, _starts, masses, finals, _hit, mask):
             dists = np.where(mask, 0.0, domain.dist_to_boundary_many(finals))
-            s = np.minimum(np.where(dists > 0.0, 1.0 / np.maximum(dists, 1e-300), cap), cap)
+            s = np.minimum(1.0 / np.maximum(dists, 1e-300), _CUTOFF_CAP)  # cap at distance 0
             # libm's exp per value: numpy's is not checked to match it bit for bit
             bumps = np.array([math.exp(-v * v) for v in s.mean(axis=1)])
             return masses / n * bumps
 
-        return mean_and_stderr(np.concatenate(run_replicas(len(sizes), sub, worker, jobs)))
+        return mean_and_stderr(_exit_side(law, n, M, dt, sub, jobs, observe))
 
     stats, runtimes = _run_ladder(n_list, seed, estimate)
     return [

@@ -13,7 +13,6 @@ PI = math.pi
 def test_interval_basic():
     dom = interval(0.0, PI)
     assert dom.dimension == 1
-    assert dom.kind == "interval"
     assert dom.sides == (PI,)
     assert dom.contains([1.0])
     assert not dom.contains([0.0])  # boundary is not interior
@@ -27,7 +26,6 @@ def test_interval_basic():
 def test_rectangle_basic():
     dom = rectangle(0.0, 2.0, 0.0, 1.0)
     assert dom.dimension == 2
-    assert dom.kind == "rectangle"
     assert dom.sides == (2.0, 1.0)
     assert dom.contains([1.0, 0.5])
     assert not dom.contains([1.0, 1.0])

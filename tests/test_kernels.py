@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from flemvi import kernels
 from flemvi.kernels import (
     InitialLaw,
     KernelKind,
     RelocationKernel,
     admissible_from_perturbation,
+    _rejection_sample,
     reweighted_mixture,
     sample_curvature_weighted,
     sample_ground_mode,
@@ -52,6 +54,13 @@ def test_admissible_rejects_nonpositive_density(basis_1d):
         admissible_from_perturbation(basis_1d, {2: 2.0})
 
 
+def test_auto_constant_above_the_cap_is_rejected(basis_1d):
+    # a 12 % mode-2 tilt needs c of about 40
+    with pytest.raises(ValueError, match="exceeds the cap 10"):
+        admissible_from_perturbation(basis_1d, {2: 0.12})
+    assert admissible_from_perturbation(basis_1d, {2: 0.12}, c=40.0).c == 40.0
+
+
 def test_admissible_2d(basis_2d):
     ad = admissible_from_perturbation(basis_2d, {2: 0.05})
     assert ad.c > 1.0
@@ -66,23 +75,28 @@ def test_auto_constant_evaluates_the_grid_once(basis_2d, monkeypatch, modes):
     def counted(cls, name):
         original = getattr(cls, name)
 
-        def wrapper(self, k_or_pts, *args):
-            pts = args[0] if args else k_or_pts
+        def wrapper(self, *args):
+            pts = args[1] if name == "eigenfunction" else args[0]
             if len(pts) == grid_size:
                 calls.append(name)
-            return original(self, k_or_pts, *args)
+            return original(self, *args)
 
         monkeypatch.setattr(cls, name, wrapper)
 
     counted(DensityMeasure, "density")
     counted(DensityMeasure, "half_laplacian")
     counted(type(basis_2d), "eigenfunction")
+    counted(type(basis_2d), "eigenfunction_matrix")
+    # one table on the grid, whether the constant is found or given
     ad = admissible_from_perturbation(basis_2d, modes)
-    assert sorted(calls) == ["density", "eigenfunction", "half_laplacian"]
+    assert calls == ["eigenfunction_matrix"]
+    pinned = admissible_from_perturbation(basis_2d, modes, c=ad.c)
+    assert calls == ["eigenfunction_matrix"] * 2
     monkeypatch.undo()
     ref = validate_admissible(ad.mu, ad.c)
     assert ref.mu is ad.mu
     assert (ref.c, ref.curvature_mass) == (ad.c, ad.curvature_mass)
+    assert (pinned.c, pinned.curvature_mass) == (ad.c, ad.curvature_mass)
 
 
 # -- sampling from densities -----------------------------------------------------
@@ -96,6 +110,13 @@ def test_density_sampling_matches_cdf(basis_1d, rng):
         exact = float(ad.mu.cdf_1d(q))
         se = math.sqrt(exact * (1 - exact) / len(pts))
         assert abs(emp - exact) < 4 * se + 1e-3
+
+
+def test_rejection_sampler_gives_up_after_its_proposal_guard(basis_1d, rng, monkeypatch):
+    # a target that accepts nothing; size 1 proposes 64 points a round
+    monkeypatch.setattr(kernels, "_MAX_PROPOSALS", 1000)
+    with pytest.raises(RuntimeError, match="exhausted 1024 proposals for 1 draws"):
+        _rejection_sample(rng, 1, basis_1d, lambda pts: np.zeros(len(pts)), 1.6)
 
 
 def test_curvature_sampling_in_domain(basis_1d, rng):

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import os
+import pathlib
 import pkgutil
 import subprocess
 import sys
@@ -16,6 +18,37 @@ def test_public_names_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names undefined attributes: {missing}"
+
+
+_SEEDED_RNG_API = {"Generator", "Philox", "SeedSequence", "default_rng"}
+
+
+def _unseeded_randomness(tree):
+    """Uses of numpy's global random state and default_rng() calls without a seed."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                and isinstance(node.value.value, ast.Name)
+                and node.value.value.id in ("np", "numpy") and node.value.attr == "random"
+                and node.attr not in _SEEDED_RNG_API):
+            yield node.lineno, f"np.random.{node.attr}"
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.random":
+            for alias in node.names:
+                if alias.name not in _SEEDED_RNG_API:
+                    yield node.lineno, f"from numpy.random import {alias.name}"
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            unseeded = not node.args or (isinstance(node.args[0], ast.Constant)
+                                         and node.args[0].value is None)
+            if name == "default_rng" and unseeded and not node.keywords:
+                yield node.lineno, "default_rng() without a seed"
+
+
+def test_every_random_number_comes_from_a_seeded_stream():
+    found = [f"{path.name}:{line}: {what}"
+             for path in sorted(pathlib.Path(flemvi.__file__).parent.glob("*.py"))
+             for line, what in _unseeded_randomness(ast.parse(path.read_text()))]
+    assert not found, found
 
 
 def test_cli_import_leaves_out_scipy_stats():

@@ -44,8 +44,8 @@ def _kernel(law):
 
 def test_step_determinism(stationary_law):
     kernel = _kernel(stationary_law)
-    a, b = (run(ParticleConfig(DOM, [[1.0], [2.0]], rng=_rng(3)), 0.5, 0.01, kernel, [])
-            for _ in range(2))
+    a, b = (run(ParticleConfig(DOM, [[1.0], [2.0]], rng=_rng(3)), 0.5, 0.01, kernel, [],
+                stationary_law.basis) for _ in range(2))
     np.testing.assert_array_equal(a.final.positions, b.final.positions)
     assert a.final.time == b.final.time
     assert len(a.final.jump_log) == len(b.final.jump_log)
@@ -141,12 +141,20 @@ def test_run_recording_grid(stationary_law):
     assert np.all(np.diff(result.jump_counts) >= 0)
 
 
+def test_particle_config_requires_its_stream():
+    # an unseeded default stream would break reproducibility
+    with pytest.raises(TypeError):
+        ParticleConfig(DOM, [[1.0]])
+    cfg = ParticleConfig(DOM, [[1.0]], rng=_rng(1))
+    assert cfg.copy().rng is cfg.rng
+
+
 def test_run_rejects_bad_horizon(stationary_law):
     cfg = ParticleConfig(DOM, [[1.0]], rng=_rng(1))
     with pytest.raises(ValueError):
-        run(cfg, 0.0, 0.01, _kernel(stationary_law), [])
+        run(cfg, 0.0, 0.01, _kernel(stationary_law), [], stationary_law.basis)
     with pytest.raises(ValueError):
-        run(cfg, 1.0, -0.01, _kernel(stationary_law), [])
+        run(cfg, 1.0, -0.01, _kernel(stationary_law), [], stationary_law.basis)
 
 
 # -- hit resolution ------------------------------------------------------------
@@ -322,6 +330,13 @@ def test_first_exit_batch_multi_particle():
         assert DOM.on_boundary(finals[b, i], tol=1e-9)
         other = 1 - i
         assert DOM.contains(finals[b, other])
+
+
+def test_first_exit_batch_gives_up_after_its_step_guard(monkeypatch):
+    # from the middle of (0, pi), steps of sqrt(1e-6) cannot reach a face in 3 steps
+    monkeypatch.setattr(simulator, "_MAX_EXIT_STEPS", 3)
+    with pytest.raises(RuntimeError, match="4 configurations never exited in 3 steps"):
+        first_exit_batch(DOM, np.full((4, 1, 1), PI / 2), 1e-6, _rng(5))
 
 
 def _reference_first_exit_batch(domain, starts, dt, rng, max_steps=10**7):

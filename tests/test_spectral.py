@@ -178,7 +178,7 @@ def test_heat_kernel_symmetry_and_positivity(basis_1d_k64):
 def test_kahan_sum_matches_fsum():
     rng = np.random.default_rng(0)
     terms = rng.standard_normal((50, 3)) * 10.0 ** rng.integers(-8, 8, size=(50, 3))
-    out = kahan_sum(terms, axis=0)
+    out = kahan_sum(terms)
     expect = [math.fsum(terms[:, j]) for j in range(3)]
     np.testing.assert_allclose(out, expect, rtol=1e-15, atol=1e-300)
 

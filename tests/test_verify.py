@@ -4,15 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from flemvi.kernels import InitialLaw, RelocationKernel, admissible_from_perturbation, sample_relocation
+from flemvi.kernels import (InitialLaw, RelocationKernel, admissible_from_perturbation,
+                            sample_curvature_weighted, sample_relocation)
 from flemvi.measures import CylinderFunction, EmpiricalMeasure, boundary_glued_metric, cylinder_value
-from flemvi.simulator import mean_and_stderr, run_replicas
+from flemvi.simulator import first_exit_batch, mean_and_stderr, run_replicas
 from flemvi.spectral import diffusion_part, replenishment_part
 from flemvi.verify import (
     _BATCH,
     TestReport,
-    _batch_sizes,
-    _exit_side_batch,
     _jump_bound,
     _run_ladder,
     bonferroni_k,
@@ -143,6 +142,8 @@ def test_identity_suite_all_green(basis_1d):
     assert "identity:curvature_mass_two_routes" in names
     assert "identity:flow_semigroup_property" in names
     assert "generator:flow_derivative_fd_ratio" in names
+    fd = next(r for r in reports if r.name == "generator:flow_derivative_fd_ratio")
+    assert fd.note == "max |err(1e-3)/err(1e-4) - 100| over pairs"
     assert "generator:discrete_matches_lifted_laplacian" in names
 
 
@@ -199,6 +200,23 @@ def _ref_value(f, positions, mask, basis):
     return float(f.phi(_ref_pairings(f, positions, mask, basis)))
 
 
+def _ref_batch_sizes(M):
+    full, rem = divmod(M, _BATCH)
+    return [_BATCH] * full + ([rem] if rem else [])
+
+
+def _ref_exit_side_batch(law, n, B, dt, rng):
+    """One exit-side batch, drawn as the estimators draw it: B curvature-weighted
+    start configurations with their masses, then their first exits."""
+    starts = np.empty((B, n, law.basis.domain.dimension))
+    masses = np.empty(B)
+    for i in range(B):
+        emp, masses[i] = sample_curvature_weighted(law, n, rng)
+        starts[i] = emp.positions
+    finals, hit_index, _taus = first_exit_batch(law.basis.domain, starts, dt, rng)
+    return starts, masses, finals, hit_index
+
+
 def _one_hot(n, i):
     mask = np.zeros(n, dtype=bool)
     mask[i] = True
@@ -206,10 +224,10 @@ def _one_hot(n, i):
 
 
 def _ref_exit_moment_check(law, f, n, M, dt, seed, k=3.0):
-    sizes = _batch_sizes(M, _BATCH)
+    sizes = _ref_batch_sizes(M)
 
     def worker(rng, b):
-        _starts, masses, finals, hit_index, _mask = _exit_side_batch(law, n, sizes[b], dt, rng)
+        _starts, masses, finals, hit_index = _ref_exit_side_batch(law, n, sizes[b], dt, rng)
         return [masses[i] / n * _ref_value(f, finals[i], _one_hot(n, hit_index[i]), law.basis)
                 for i in range(sizes[b])]
 
@@ -220,10 +238,10 @@ def _ref_exit_moment_check(law, f, n, M, dt, seed, k=3.0):
 
 def _ref_jump_increment_checks(law, f, n, M, dt, kernel, seed, k=3.0):
     basis, domain = law.basis, law.basis.domain
-    sizes = _batch_sizes(M, _BATCH)
+    sizes = _ref_batch_sizes(M)
 
     def worker(rng, b):
-        starts, masses, finals, hit_index, _mask = _exit_side_batch(law, n, sizes[b], dt, rng)
+        starts, masses, finals, hit_index = _ref_exit_side_batch(law, n, sizes[b], dt, rng)
         out = np.empty((sizes[b], 2))
         for i in range(sizes[b]):
             hit, mask = hit_index[i], _one_hot(n, hit_index[i])
@@ -254,12 +272,11 @@ def _ref_jump_increment_checks(law, f, n, M, dt, kernel, seed, k=3.0):
 
 def _ref_boundary_cutoff_diagnostic(law, n_list, M, dt, seed, cap=10.0):
     domain = law.basis.domain
-    sizes = _batch_sizes(M, _BATCH)
+    sizes = _ref_batch_sizes(M)
 
     def estimate(n, sub):
         def worker(rng, b):
-            _starts, masses, finals, hit_index, _mask = _exit_side_batch(
-                law, n, sizes[b], dt, rng)
+            _starts, masses, finals, hit_index = _ref_exit_side_batch(law, n, sizes[b], dt, rng)
             vals = np.empty(sizes[b])
             for i in range(sizes[b]):
                 dists = domain.dist_to_boundary_many(finals[i])
