@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .measures import EmpiricalMeasure
 from .spectral import DensityMeasure, SpectralBasis, _last_mode, _series, initial_decay_rate
@@ -299,6 +298,21 @@ def mixture_terms(kernel: RelocationKernel, pts):
     return None
 
 
+def _logsumexp(a):
+    """log(sum(exp(a))) of a 1-D array with ``scipy.special.logsumexp``'s
+    operations and bits: the maxima are split out of the shifted sum, and a
+    non-finite result falls back to the direct form."""
+    a_max = np.max(a)
+    is_max = a == a_max
+    m = float(np.count_nonzero(is_max))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max))
+        if s != 0:
+            s /= m
+        out = np.log1p(s) + np.log(m) + a_max
+        return out if np.isfinite(out) else np.log(np.sum(np.exp(a)))
+
+
 def _mixture_log_weights(law: InitialLaw, terms):
     """Per-component logs of w_m * L_m * prod_j d_m(z_j) (mixture numerator)
     and of w_m * K_m * prod_j d_m(z_j) (mass denominator), from the other
@@ -319,9 +333,9 @@ def reweighted_mixture(law: InitialLaw, others):
     pre-normalization mass diagnostic (tends to 1 as n grows)."""
     others = np.atleast_2d(np.asarray(others, dtype=float))
     log_num, log_den = _mixture_log_weights(law, _atom_terms(law, others))
-    alpha = np.exp(log_num - logsumexp(log_num))
+    alpha = np.exp(log_num - _logsumexp(log_num))
     alpha = alpha / math.fsum(alpha)
-    rho = float(math.exp(logsumexp(log_num) - logsumexp(log_den)))
+    rho = float(math.exp(_logsumexp(log_num) - _logsumexp(log_den)))
     coeffs = np.zeros(law.basis.K)
     for a_m, (_, ad) in zip(alpha, law.components):
         coeffs += a_m * ad.mu.coeffs
@@ -351,7 +365,7 @@ def sample_relocation(kernel: RelocationKernel, positions, i, rng, terms=None):
             else:
                 terms = np.delete(terms, i, axis=2)
             log_num, _ = _mixture_log_weights(law, terms)
-            alpha = np.exp(log_num - logsumexp(log_num))
+            alpha = np.exp(log_num - _logsumexp(log_num))
             alpha = alpha / math.fsum(alpha)
         m = int(rng.choice(len(alpha), p=alpha))
         return law.components[m][1].sample(rng, 1)[0]

@@ -28,6 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # numpy loads it lazily: load it here, not inside a verify call
 
 from . import __version__
 from .geometry import Domain
@@ -78,6 +79,7 @@ class ParticleConfig:
             raise ValueError("all particles must start interior")
 
     def copy(self):
+        """Copy of the positions, clock and log; the stream is shared."""
         return ParticleConfig(self.domain, self.positions.copy(), self.time,
                               list(self.jump_log), rng=self.rng)
 
@@ -216,7 +218,9 @@ class TrajectoryResult:
 def run(cfg0: ParticleConfig, T, dt, kernel: RelocationKernel, observables,
         basis, record_stride=1) -> TrajectoryResult:
     """Run to horizon T, recording cylinder observables of the empirical
-    measure every ``record_stride`` steps (and at time 0)."""
+    measure every ``record_stride`` steps (and at time 0).  It steps a copy
+    of ``cfg0`` but draws from and advances the shared ``cfg0.rng``, so a
+    rerun needs a freshly seeded config."""
     if T <= 0:
         raise ValueError("horizon must be positive")
     if dt <= 0:
@@ -285,7 +289,7 @@ def first_exit_batch(domain: Domain, starts, dt, rng):
         prop = pos + rng.normal(0.0, sqrt_dt, size=(A, n, d))
         u_bridge = rng.random((A, n, d, 2))
         hit, theta, points = _detect_hits(domain, pos, prop, dt, u_bridge)
-        rows = np.unique(np.flatnonzero(hit) // n)  # finished configurations
+        rows = np.flatnonzero(hit.any(axis=1))  # finished configurations
         if len(rows):
             # each finished configuration's first hitter in the step wins
             winner = np.argmin(np.where(hit[rows], theta[rows], np.inf), axis=1)

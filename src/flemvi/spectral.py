@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .geometry import Domain
 
@@ -75,7 +76,7 @@ def _series(coeffs, H):
 
 def _axis_rule(a, b):
     """Composite Gauss-Legendre nodes/weights on (a, b)."""
-    x, w = np.polynomial.legendre.leggauss(_QUAD_NODES_PER_PANEL)
+    x, w = leggauss(_QUAD_NODES_PER_PANEL)
     edges = np.linspace(a, b, _QUAD_PANELS + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])

@@ -22,8 +22,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _integrate
-from scipy.special import ndtr, ndtri
 
 from .kernels import (
     KernelKind,
@@ -53,6 +51,7 @@ from .simulator import (
 )
 from .spectral import (
     DensityMeasure,
+    _axis_rule,
     _tensor_points,
     curvature_mass_routes,
     flow,
@@ -112,14 +111,34 @@ class TestReport:
         }
 
 
+_ALPHA = 0.0026997960632601866  # 2 * ndtr(-DEFAULT_K_SIGMA), the default rule's error budget
+# cephes ndtri's tail coefficients for exp(-32) < y <= exp(-2), highest power
+# first, with Q1's implicit leading 1 written out
+_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+             4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+             -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+             1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+
+
+def _ndtri_tail(y):
+    """Standard normal quantile for exp(-32) < y <= exp(-2), as cephes
+    ``ndtri`` computes it (same bits as ``scipy.special.ndtri``)."""
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    num = den = 0.0
+    for p, q in zip(_NDTRI_P1, _NDTRI_Q1):  # Horner, as cephes polevl and p1evl
+        num, den = num * z + p, den * z + q
+    return -(x - math.log(x) / x - z * num / den)
+
+
 def bonferroni_k(n_tests):
     """Widened sigma multiple giving the default rule's two-sided error budget
     split evenly across ``n_tests`` simultaneous tests."""
-    if n_tests < 1:
-        raise ValueError("need at least one test")
-    # the standard normal's sf and isf, without importing scipy.stats
-    alpha = 2.0 * ndtr(-DEFAULT_K_SIGMA)
-    return float(-ndtri(alpha / (2.0 * n_tests)))
+    if not 1 <= n_tests <= 10**10:  # the quantile's tail branch ends at 1e10 tests
+        raise ValueError("need between 1 and 1e10 simultaneous tests")
+    return -_ndtri_tail(_ALPHA / (2.0 * n_tests))
 
 
 def statistical_report(name, lhs, stderr, rhs, samples, runtime,
@@ -653,15 +672,17 @@ def _is_constant_one(g):
 def resolvent_target(law, g, beta):
     """Quadrature oracle for the resolvent of a flow observable: mixture
     average of the exponentially weighted time integral of g along each
-    component's flow."""
+    component's flow (Gauss-Legendre on [0, 40/beta], then the frozen tail);
+    exactly c/beta for a constant c."""
+    if g.n_modes == 0:
+        return float(g.phi(np.zeros(0))) / beta
     T = 40.0 / beta
+    nodes, weights = _axis_rule(0.0, T)
 
     def total(mu):
-        val, _err = _integrate.quad(
-            lambda s: math.exp(-beta * s) * cylinder_value(g, flow(mu, s)),
-            0.0, T, limit=200, epsabs=1e-13, epsrel=1e-12)
+        vals = [math.exp(-beta * s) * cylinder_value(g, flow(mu, s)) for s in nodes]
         tail = math.exp(-beta * T) / beta * cylinder_value(g, flow(mu, T))
-        return val + tail
+        return math.fsum(weights * vals) + tail
 
     return math.fsum(w * total(ad.mu) for w, ad in law.components)
 

@@ -9,6 +9,7 @@ from flemvi.kernels import (
     KernelKind,
     RelocationKernel,
     admissible_from_perturbation,
+    _logsumexp,
     _rejection_sample,
     reweighted_mixture,
     sample_curvature_weighted,
@@ -176,6 +177,28 @@ def test_kernel_kinds(basis_1d, stationary_law):
     # kind values are the config's kernel names
     assert [kind.value for kind in KernelKind] == [
         "uniform_survivor", "ground_mode", "mixture_reweighted"]
+
+
+def test_logsumexp_matches_scipy():
+    # the relocation weights must keep scipy's bits; scipy is the test oracle only
+    from scipy.special import logsumexp
+
+    gen = np.random.default_rng(20261018)
+    differ = []
+    for size in range(1, 101):  # 1000 inputs of each size, 100,000 in all
+        a = gen.normal(0.0, 1.0, (1000, size)) * np.repeat([1e-3, 1.0, 30.0, 800.0], 250)[:, None]
+        a[::3] = np.round(a[::3], 1)  # ties, often at the maximum
+        a[1::10, gen.integers(size)] = np.inf
+        a[6::10, gen.integers(size)] = -np.inf
+        a[2::50] = -np.inf
+        ref = logsumexp(a, axis=1)  # row by row, as the 1-D calls below confirm
+        for i, row in enumerate(a):
+            ours = _logsumexp(row)
+            if not (ours == ref[i] or (np.isnan(ours) and np.isnan(ref[i]))):
+                differ.append((row, ours, ref[i]))
+        for i in range(0, 1000, 97):
+            assert np.array_equal(logsumexp(a[i]), ref[i], equal_nan=True)
+    assert not differ, differ[:3]
 
 
 def test_reweighted_mixture_is_probability(perturbed_law, basis_1d, rng):

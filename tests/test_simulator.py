@@ -149,6 +149,22 @@ def test_particle_config_requires_its_stream():
     assert cfg.copy().rng is cfg.rng
 
 
+def test_run_copies_the_state_but_advances_the_shared_stream(stationary_law):
+    kernel, m1 = _kernel(stationary_law), [CylinderFunction.coordinate(1)]
+
+    def go(cfg):
+        return run(cfg, 0.1, 0.01, kernel, m1, stationary_law.basis)
+
+    cfg = ParticleConfig(DOM, [[1.0], [2.0]], rng=_rng(3))
+    first, second = go(cfg), go(cfg)
+    np.testing.assert_array_equal(cfg.positions, [[1.0], [2.0]])
+    assert cfg.time == 0.0 and cfg.jump_log == []
+    assert first.values[-1, 0] != second.values[-1, 0]
+    fresh = go(ParticleConfig(DOM, [[1.0], [2.0]], rng=_rng(3)))
+    np.testing.assert_array_equal(fresh.values, first.values)
+    np.testing.assert_array_equal(fresh.final.positions, first.final.positions)
+
+
 def test_run_rejects_bad_horizon(stationary_law):
     cfg = ParticleConfig(DOM, [[1.0]], rng=_rng(1))
     with pytest.raises(ValueError):

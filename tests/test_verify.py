@@ -8,11 +8,14 @@ from flemvi.kernels import (InitialLaw, RelocationKernel, admissible_from_pertur
                             sample_curvature_weighted, sample_relocation)
 from flemvi.measures import CylinderFunction, EmpiricalMeasure, boundary_glued_metric, cylinder_value
 from flemvi.simulator import first_exit_batch, mean_and_stderr, run_replicas
-from flemvi.spectral import diffusion_part, replenishment_part
+from flemvi.spectral import diffusion_part, flow, replenishment_part
 from flemvi.verify import (
+    _ALPHA,
     _BATCH,
+    DEFAULT_K_SIGMA,
     TestReport,
     _jump_bound,
+    _ndtri_tail,
     _run_ladder,
     bonferroni_k,
     boundary_cutoff_diagnostic,
@@ -46,6 +49,22 @@ def test_bonferroni_k():
     assert all(ks[i] < ks[i + 1] for i in range(3))
     with pytest.raises(ValueError):
         bonferroni_k(0)
+
+
+def test_normal_tail_ports_match_scipy():
+    # bonferroni_k keeps scipy's bits without importing it; scipy is the oracle
+    from scipy.special import ndtr, ndtri
+
+    assert _ALPHA == 2.0 * ndtr(-DEFAULT_K_SIGMA)
+    # the tail branch holds for exp(-32) < y <= exp(-2); below it cephes
+    # switches coefficients, which bonferroni_k's 1e10 cap never reaches
+    ys = np.exp(np.random.default_rng(7).uniform(-32.0, -2.0, 200_000))
+    ys = np.append(ys, [math.exp(-2.0), math.exp(-32.0) * (1 + 1e-15)])
+    differ = [y for y in ys if _ndtri_tail(y) != ndtri(y)]
+    assert not differ, differ[:5]
+    assert bonferroni_k(10**10) == float(-ndtri(_ALPHA / 2e10))
+    with pytest.raises(ValueError):
+        bonferroni_k(10**10 + 1)
 
 
 def test_statistical_report_pass_fail():
@@ -349,6 +368,32 @@ def test_resolvent_target_constant(stationary_law):
         assert resolvent_target(stationary_law, one, beta) == pytest.approx(
             1.0 / beta, rel=1e-9
         )
+
+
+def test_resolvent_target_matches_quad(perturbed_law, basis_2d):
+    from scipy import integrate
+
+    def quad_target(law, g, beta):  # the adaptive-quadrature oracle the rule replaced
+        T = 40.0 / beta
+
+        def total(mu):
+            val, _err = integrate.quad(
+                lambda s: math.exp(-beta * s) * cylinder_value(g, flow(mu, s)),
+                0.0, T, limit=200, epsabs=1e-13, epsrel=1e-12)
+            return val + math.exp(-beta * T) / beta * cylinder_value(g, flow(mu, T))
+
+        return math.fsum(w * total(ad.mu) for w, ad in law.components)
+
+    law_2d = InitialLaw(((0.7, admissible_from_perturbation(basis_2d, {})),
+                         (0.3, admissible_from_perturbation(basis_2d, {2: 0.05, 3: 0.03}))))
+    observables = [CylinderFunction.coordinate(1),
+                   CylinderFunction.polynomial((1, 2), [(1.0, (1, 1))])]
+    for law in (perturbed_law, law_2d):
+        for g in observables:
+            for beta in (0.5, 2.0, 5.0):
+                assert abs(resolvent_target(law, g, beta) - quad_target(law, g, beta)) <= 1e-12
+    for beta in (0.5, 2.0, 5.0):  # a constant's target is exact
+        assert resolvent_target(law_2d, CylinderFunction.constant(3.0), beta) == 3.0 / beta
 
 
 def test_resolvent_constant_rows_exact_at_every_n(stationary_law):
