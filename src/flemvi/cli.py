@@ -344,7 +344,7 @@ def cmd_flow(config, t_list, seed, out_dir):
         fh.write(",".join(cols) + "\n")
         for m, (_w, ad) in enumerate(law.components):
             for t in t_list:
-                _raw, z, v = survival_split(ad.mu, float(t))
+                z, v = survival_split(ad.mu, float(t))
                 row = [str(m), format(float(t), ".17g"), format(z, ".17g")]
                 row += [format(c, ".17g") for c in v.coeffs]
                 fh.write(",".join(row) + "\n")
@@ -431,6 +431,8 @@ def main(argv=None):
                     raise ConfigError("--times must be comma-separated numbers")
                 if not t_list:
                     raise ConfigError("--times must name at least one time")
+                if not all(math.isfinite(t) and t >= 0 for t in t_list):
+                    raise ConfigError("--times must be finite and >= 0")
             else:
                 t_list = list(np.linspace(0.0, config.horizon, 11))
             return cmd_flow(config, t_list, seed, out_dir)

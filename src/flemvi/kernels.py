@@ -187,7 +187,7 @@ def admissible_from_perturbation(basis, higher_coeffs, c=None):
     Z = math.fsum(raw * basis.unit_integrals)
     if Z <= 0:
         raise ValueError("perturbation destroys the positivity of the total mass")
-    d = DensityMeasure(basis, raw / Z, 1.0)
+    d = DensityMeasure(basis, raw / Z)
     values = _grid_values(d)
     if c is None:
         _grid, h1, dens, neglap = values
@@ -339,7 +339,7 @@ def reweighted_mixture(law: InitialLaw, others):
     coeffs = np.zeros(law.basis.K)
     for a_m, (_, ad) in zip(alpha, law.components):
         coeffs += a_m * ad.mu.coeffs
-    return DensityMeasure(law.basis, coeffs, 1.0), rho
+    return DensityMeasure(law.basis, coeffs), rho
 
 
 def sample_relocation(kernel: RelocationKernel, positions, i, rng, terms=None):

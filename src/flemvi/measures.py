@@ -1,17 +1,17 @@
 """State-space objects: empirical measures on the boundary-collapsed box,
-cylinder observables, the collapse metric, a bounded-Lipschitz distance over
-a fixed dictionary, and the n-particle (pre-limit) generator.
+cylinder observables, the collapse metric and the n-particle (pre-limit)
+generator.
 
 Boundary handling follows one convention everywhere: the whole boundary is a
-single point of the state space, every eigenfunction (and dictionary entry)
-vanishes there, and an atom parked on the boundary therefore contributes zero
-to all pairings while still counting in the atom total n.
+single point of the state space, every eigenfunction vanishes there, and an
+atom parked on the boundary therefore contributes zero to all pairings while
+still counting in the atom total n.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .geometry import Domain
 from .spectral import DensityMeasure, SpectralBasis
 
 __all__ = [
-    "BOUNDARY",
     "EmpiricalMeasure",
     "CylinderFunction",
     "boundary_glued_metric",
@@ -27,30 +26,16 @@ __all__ = [
     "cylinder_value",
     "pair_many",
     "cylinder_value_many",
-    "bl_distance",
-    "default_dictionary",
     "discrete_generator",
 ]
-
-
-class _Boundary:
-    """Sentinel for the collapsed boundary point."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "<boundary>"
-
-
-BOUNDARY = _Boundary()
 
 
 def boundary_glued_metric(domain: Domain, x, y) -> float:
     """Collapse metric: Euclidean distance capped by the sum of the two
     boundary distances; the collapsed boundary point is at distance
     dist_to_boundary from any interior point and 0 from itself."""
-    x_bdry = x is BOUNDARY or domain.on_boundary(x)
-    y_bdry = y is BOUNDARY or domain.on_boundary(y)
+    x_bdry = domain.on_boundary(x)
+    y_bdry = domain.on_boundary(y)
     if x_bdry and y_bdry:
         return 0.0
     if x_bdry:
@@ -242,38 +227,6 @@ def cylinder_value_many(f: CylinderFunction, positions, basis: SpectralBasis,
     return np.array([float(f.phi(a)) for a in pairs])
 
 
-@dataclass(frozen=True)
-class _DictEntry:
-    """Dictionary test function: ``fn`` on interior points, zero on the
-    boundary, Lipschitz-1 for the collapse metric and bounded by 1."""
-
-    name: str
-    fn: object
-
-
-def _entry_integral(entry: _DictEntry, mu, basis: SpectralBasis = None) -> float:
-    if isinstance(mu, DensityMeasure):
-        return mu.basis.integrate(
-            lambda pts: entry.fn(pts) * mu.density(pts)
-        )
-    interior = mu.interior_positions
-    if len(interior) == 0:
-        return 0.0
-    return float(math.fsum(entry.fn(interior)) / mu.n)
-
-
-def bl_distance(mu1, mu2, dictionary, basis: SpectralBasis = None) -> float:
-    """max over the dictionary of |integral against mu1 - integral against
-    mu2| — a lower bound for the bounded-Lipschitz distance."""
-    if not dictionary:
-        raise ValueError("empty test-function dictionary")
-    diffs = [
-        abs(_entry_integral(e, mu1, basis) - _entry_integral(e, mu2, basis))
-        for e in dictionary
-    ]
-    return max(diffs)
-
-
 def _grad_sup_bound(basis: SpectralBasis, k) -> float:
     """Upper bound on the sup of |gradient of eigenfunction k| (exact in 1D)."""
     multi = basis.mode_indices[k - 1]
@@ -286,52 +239,6 @@ def _grad_sup_bound(basis: SpectralBasis, k) -> float:
     return amp * math.hypot(
         multi[0] * math.pi / sides[0], multi[1] * math.pi / sides[1]
     )
-
-
-def default_dictionary(basis: SpectralBasis, n_modes=8, n_tents=8):
-    """Eigenfunctions rescaled to Lipschitz-1 plus tent functions.
-
-    A function vanishing on the boundary with Euclidean Lipschitz constant 1
-    is automatically Lipschitz-1 for the collapse metric, so rescaling by the
-    gradient sup makes the modes admissible; tents of height at most the
-    center's boundary distance (clipped at 1) are admissible the same way.
-    """
-    entries = []
-    for k in range(1, min(n_modes, basis.K) + 1):
-        scale = 1.0 / _grad_sup_bound(basis, k)
-        entries.append(
-            _DictEntry(f"mode{k}", lambda pts, k=k, s=scale: s * basis.eigenfunction(k, pts))
-        )
-
-    domain = basis.domain
-    if domain.dimension == 1:
-        fracs = (np.arange(n_tents) + 1.0) / (n_tents + 1.0)
-        centers = [np.array([domain.lo[0] + f * domain.sides[0]]) for f in fracs]
-    else:
-        rel = [
-            (i, j)
-            for i in (0.25, 0.5, 0.75)
-            for j in (0.25, 0.5, 0.75)
-            if (i, j) != (0.5, 0.5)
-        ][:n_tents]
-        centers = [
-            np.array(
-                [
-                    domain.lo[0] + i * domain.sides[0],
-                    domain.lo[1] + j * domain.sides[1],
-                ]
-            )
-            for i, j in rel
-        ]
-    for idx, m in enumerate(centers):
-        w = min(1.0, domain.dist_to_boundary(m))
-
-        def tent(pts, m=m, w=w):
-            pts = np.atleast_2d(np.asarray(pts, dtype=float))
-            return np.maximum(0.0, w - np.linalg.norm(pts - m, axis=1))
-
-        entries.append(_DictEntry(f"tent{idx}", tent))
-    return entries
 
 
 def discrete_generator(f: CylinderFunction, mu: EmpiricalMeasure, basis: SpectralBasis) -> float:

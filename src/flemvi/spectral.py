@@ -1,8 +1,8 @@
 """Dirichlet spectral toolbox on a box domain.
 
-Eigenpairs of half the Laplacian with zero boundary values, truncated
-heat-kernel series, the survival-normalized heat evolution of densities, and
-the limiting generator acting on cylinder observables.
+Eigenpairs of half the Laplacian with zero boundary values, the
+survival-normalized heat evolution of densities, and the limiting generator
+acting on cylinder observables.
 
 Everything is closed-form-plus-quadrature: sine eigenbases make every series
 coefficient exact, and integrals use a composite Gauss-Legendre rule (256
@@ -24,7 +24,6 @@ __all__ = [
     "SpectralBasis",
     "DensityMeasure",
     "kahan_sum",
-    "heat_kernel",
     "survival_split",
     "initial_decay_rate",
     "flow",
@@ -219,12 +218,9 @@ class SpectralBasis:
 
     # -- quadrature ----------------------------------------------------------
 
-    def integrate(self, fn_or_values):
-        """Quadrature over the domain of a callable or of values on quad_points."""
-        if callable(fn_or_values):
-            vals = np.asarray(fn_or_values(self.quad_points), dtype=float)
-        else:
-            vals = np.asarray(fn_or_values, dtype=float)
+    def integrate(self, fn):
+        """Quadrature over the domain of a callable evaluated on quad_points."""
+        vals = np.asarray(fn(self.quad_points), dtype=float)
         return float(math.fsum(vals * self.quad_weights))
 
     def interior_grid(self, per_axis=512):
@@ -237,14 +233,11 @@ class SpectralBasis:
 class DensityMeasure:
     """Absolutely continuous measure, stored by spectral coefficients.
 
-    ``coeffs[k-1]`` is the pairing of eigenfunction k with the density;
-    ``l1_mass`` is the total variation of the measure, which for the
-    nonnegative densities used throughout equals the plain mass.
+    ``coeffs[k-1]`` is the pairing of eigenfunction k with the density.
     """
 
     basis: SpectralBasis
     coeffs: np.ndarray
-    l1_mass: float = 1.0
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
@@ -252,19 +245,11 @@ class DensityMeasure:
             raise ValueError("coefficient vector does not match basis truncation")
 
     @classmethod
-    def zero(cls, basis):
-        return cls(basis, np.zeros(basis.K), 0.0)
-
-    @classmethod
     def stationary_profile(cls, basis):
         """Ground mode normalized to mass one — the flow's fixed point."""
         coeffs = np.zeros(basis.K)
         coeffs[0] = 1.0 / basis.unit_integrals[0]
-        return cls(basis, coeffs, 1.0)
-
-    @property
-    def is_zero(self):
-        return not np.any(self.coeffs)
+        return cls(basis, coeffs)
 
     def density(self, pts):
         """Density values at points, shape (N,)."""
@@ -300,74 +285,41 @@ class DensityMeasure:
         return float(out[0]) if scalar else out
 
 
-def heat_kernel(basis, t, x, y):
-    """Truncated absorbing-boundary transition density at time t.
-
-    x and y may be single points or arrays of points; returns an array of
-    shape (len(x), len(y)), collapsed to a float for two single points.
-    """
-    if t <= 0:
-        raise ValueError("heat kernel needs t > 0")
-    Hx = basis.eigenfunction_matrix(x)
-    Hy = basis.eigenfunction_matrix(y)
-    decay = np.exp(basis.lambdas * t)
-    terms = decay[:, None, None] * Hx[:, :, None] * Hy[:, None, :]
-    out = kahan_sum(terms)
-    return float(out[0, 0]) if out.shape == (1, 1) else out
-
-
 def survival_split(mu, t):
-    """Heat-evolve a measure for time t >= 0.
+    """Heat-evolve a measure for time t >= -1 and split off its survival mass.
 
-    Returns (u_coeffs, z, v): the decayed coefficients, the survival-mass
-    normalizer z (decayed mass over initial mass), and the normalized profile
-    v with coefficients u/z.  The zero measure maps to (0, 1.0, zero) by
-    convention.
-    """
-    if t < 0:
-        raise ValueError("survival_split is defined for t >= 0")
-    basis = mu.basis
-    if mu.is_zero:
-        return np.zeros(basis.K), 1.0, DensityMeasure.zero(basis)
-    u = np.exp(basis.lambdas * t) * mu.coeffs
-    z = math.fsum(u * basis.unit_integrals) / mu.l1_mass
-    v = DensityMeasure(basis, u / z, mu.l1_mass)
-    return u, float(z), v
-
-
-def initial_decay_rate(mu):
-    """Initial decay rate of the survival normalizer.
-
-    Spectral form: the eigenvalue-weighted sum of coefficient times unit
-    integral, over the initial mass.
-    Equals the integral of the density's half-Laplacian for unit mass.
-    """
-    if mu.is_zero:
-        return 0.0
-    s = math.fsum(mu.basis.lambdas * mu.coeffs * mu.basis.unit_integrals)
-    return float(s / mu.l1_mass)
-
-
-def flow(mu, t):
-    """Survival-normalized heat evolution after time t (t >= -1 supported).
-
-    Returns a probability measure with coefficients proportional to the
-    decayed ones.  Backward evolution divides by the decay factors and is
-    rejected once any coefficient passes the overflow guard.
+    Returns (z, v): the mass z of the decayed coefficients (the survival
+    mass, for a unit-mass mu) and the probability measure v with the decayed
+    coefficients over z.  Backward evolution divides by the decay
+    factors and is rejected once any coefficient passes the overflow guard;
+    a z that is not positive (the zero measure, say) is rejected too.
     """
     if t < -1:
         raise ValueError("backward evolution is only supported down to t = -1")
-    if mu.is_zero:
-        raise ValueError("cannot flow the zero measure")
     with np.errstate(over="ignore", invalid="ignore"):
         # zero coefficients stay zero even where the backward factor overflows
-        scaled = np.where(mu.coeffs != 0.0, np.exp(mu.basis.lambdas * t) * mu.coeffs, 0.0)
-    if t < 0 and (not np.all(np.isfinite(scaled)) or np.max(np.abs(scaled)) > BACKWARD_COEFF_GUARD):
+        u = np.where(mu.coeffs != 0.0, np.exp(mu.basis.lambdas * t) * mu.coeffs, 0.0)
+    if t < 0 and (not np.all(np.isfinite(u)) or np.max(np.abs(u)) > BACKWARD_COEFF_GUARD):
         raise ValueError("backward evolution exceeded the coefficient guard")
-    Z = math.fsum(scaled * mu.basis.unit_integrals)
-    if Z <= 0:
-        raise ValueError(f"evolved mass {Z!r} is not positive")
-    return DensityMeasure(mu.basis, scaled / Z, 1.0)
+    z = math.fsum(u * mu.basis.unit_integrals)
+    if z <= 0:
+        raise ValueError(f"evolved mass {z!r} is not positive")
+    return z, DensityMeasure(mu.basis, u / z)
+
+
+def initial_decay_rate(mu):
+    """Initial decay rate of the survival normalizer of a unit-mass measure.
+
+    Spectral form: the eigenvalue-weighted sum of coefficient times unit
+    integral; equals the integral of the density's half-Laplacian.
+    """
+    return math.fsum(mu.basis.lambdas * mu.coeffs * mu.basis.unit_integrals)
+
+
+def flow(mu, t):
+    """Survival-normalized heat evolution after time t >= -1: the measure
+    of ``survival_split``."""
+    return survival_split(mu, t)[1]
 
 
 def _grad_at(f, mu):

@@ -265,7 +265,7 @@ def _fd_neg_half_laplacian(mu, pts):
 def _random_mixture(rng, coeff_rows):
     basis = coeff_rows[0][0]
     w = rng.dirichlet(np.ones(len(coeff_rows)))
-    return DensityMeasure(basis, w @ np.array([c for _, c in coeff_rows]), 1.0)
+    return DensityMeasure(basis, w @ np.array([c for _, c in coeff_rows]))
 
 
 def identity_suite(basis, law=None, seed=20260814):

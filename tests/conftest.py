@@ -16,11 +16,6 @@ def basis_1d():
 
 
 @pytest.fixture(scope="session")
-def basis_1d_k64():
-    return SpectralBasis(interval(0.0, PI), truncation_K=64)
-
-
-@pytest.fixture(scope="session")
 def basis_2d():
     return SpectralBasis(rectangle(0.0, PI, 0.0, 1.5), truncation_K=9)
 

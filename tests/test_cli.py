@@ -242,6 +242,20 @@ def test_exit_3_on_unwritable_output(cfg_file, tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("times", ["nan", "inf", "-0.5", "0,-0.5"])
+def test_exit_2_on_bad_flow_times_before_writing(cfg_file, tmp_path, capsys, times):
+    out = tmp_path / "flowout"
+    assert main(["flow", "--config", cfg_file(), "--times", times, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (out / "flow.csv").exists()
+
+
+def test_flow_accepts_negative_zero_time(cfg_file, tmp_path):
+    out = tmp_path / "flowout"
+    assert main(["flow", "--config", cfg_file(), "--times", "-0", "--out", str(out)]) == 0
+    assert (out / "flow.csv").read_text().splitlines()[2].split(",")[1] == "-0"
+
+
 # -- subcommands -----------------------------------------------------------------------
 
 def test_simulate_artifacts(cfg_file, tmp_path, capsys):

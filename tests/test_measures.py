@@ -9,11 +9,9 @@ from flemvi.geometry import interval, rectangle
 from flemvi.measures import (
     CylinderFunction,
     EmpiricalMeasure,
-    bl_distance,
     boundary_glued_metric,
     cylinder_value,
     cylinder_value_many,
-    default_dictionary,
     discrete_generator,
     pair,
     pair_many,
@@ -201,41 +199,3 @@ def test_discrete_generator_vs_brute_force(basis_1d):
         e[j] = h
         lap += (val(flat + e) - 2 * val(flat) + val(flat - e)) / (h * h)
     assert lhs == pytest.approx(0.5 * lap, rel=1e-5)
-
-
-# -- bounded-Lipschitz distance -------------------------------------------------
-
-def test_bl_distance_properties(basis_1d, rng):
-    dictionary = default_dictionary(basis_1d)
-    a = EmpiricalMeasure(DOM, rng.uniform(0.3, 2.8, size=(20, 1)))
-    b = EmpiricalMeasure(DOM, rng.uniform(0.3, 2.8, size=(20, 1)))
-    assert bl_distance(a, a, dictionary, basis_1d) == 0.0
-    dab = bl_distance(a, b, dictionary, basis_1d)
-    dba = bl_distance(b, a, dictionary, basis_1d)
-    assert dab == pytest.approx(dba, abs=1e-15)
-    assert dab > 0
-
-
-def test_bl_distance_detects_weak_convergence(basis_1d):
-    prof = DensityMeasure.stationary_profile(basis_1d)
-    dictionary = default_dictionary(basis_1d)
-    rng = np.random.default_rng(5)
-    dists = []
-    for n in (20, 200, 2000):
-        # inverse-CDF sampling via bisection on the exact CDF
-        us = rng.uniform(0, 1, size=n)
-        pts = np.array([_cdf_inv(prof, u) for u in us])[:, None]
-        emp = EmpiricalMeasure(DOM, pts)
-        dists.append(bl_distance(emp, prof, dictionary, basis_1d))
-    assert dists[2] < dists[0]
-
-
-def _cdf_inv(prof, u, tol=1e-10):
-    lo, hi = 0.0, PI
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if prof.cdf_1d(mid) < u:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

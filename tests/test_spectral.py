@@ -11,7 +11,6 @@ from flemvi.spectral import (
     diffusion_part,
     flow,
     flow_generator,
-    heat_kernel,
     initial_decay_rate,
     kahan_sum,
     replenishment_part,
@@ -98,7 +97,7 @@ def test_cdf_1d(basis_1d):
 def test_survival_split_stationary_decay(basis_1d):
     prof = DensityMeasure.stationary_profile(basis_1d)
     for t in (0.1, 0.5, 2.0):
-        _raw, z, v = survival_split(prof, t)
+        z, v = survival_split(prof, t)
         assert z == pytest.approx(math.exp(-0.5 * t), rel=1e-13)
         assert v.mass() == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(v.coeffs, prof.coeffs, atol=1e-13)
@@ -106,7 +105,7 @@ def test_survival_split_stationary_decay(basis_1d):
 
 def test_survival_split_at_zero(basis_1d):
     mu = admissible_from_perturbation(basis_1d, {2: 0.1}).mu
-    _raw, z, v = survival_split(mu, 0.0)
+    z, v = survival_split(mu, 0.0)
     assert z == pytest.approx(1.0, abs=1e-14)
     np.testing.assert_allclose(v.coeffs, mu.coeffs, atol=1e-14)
 
@@ -129,6 +128,72 @@ def test_flow_long_time_converges_to_stationary(basis_1d):
     prof = DensityMeasure.stationary_profile(basis_1d)
     far = flow(mu, 25.0)
     np.testing.assert_allclose(far.coeffs, prof.coeffs, atol=1e-10)
+
+
+# -- the merged flow against the two separate bodies it replaced ---------------
+
+def _reference_survival_split(mu, t):
+    """survival_split as it ran before it took over flow's arithmetic, for a
+    unit-mass mu: (u, z, v)."""
+    if t < 0:
+        raise ValueError("survival_split is defined for t >= 0")
+    basis = mu.basis
+    if not np.any(mu.coeffs):
+        return np.zeros(basis.K), 1.0, DensityMeasure(basis, np.zeros(basis.K))
+    u = np.exp(basis.lambdas * t) * mu.coeffs
+    z = math.fsum(u * basis.unit_integrals) / 1.0
+    v = DensityMeasure(basis, u / z)
+    return u, float(z), v
+
+
+def _reference_flow(mu, t):
+    """flow as it ran with its own body, for a unit-mass mu."""
+    if t < -1:
+        raise ValueError("backward evolution is only supported down to t = -1")
+    if not np.any(mu.coeffs):
+        raise ValueError("cannot flow the zero measure")
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.where(mu.coeffs != 0.0, np.exp(mu.basis.lambdas * t) * mu.coeffs, 0.0)
+    if t < 0 and (not np.all(np.isfinite(scaled)) or np.max(np.abs(scaled)) > 1e12):
+        raise ValueError("backward evolution exceeded the coefficient guard")
+    Z = math.fsum(scaled * mu.basis.unit_integrals)
+    if Z <= 0:
+        raise ValueError(f"evolved mass {Z!r} is not positive")
+    return DensityMeasure(mu.basis, scaled / Z)
+
+
+@pytest.mark.parametrize("domain,modes", [
+    (interval(0.0, PI), [{}, {2: 0.02, 3: 0.005}]),
+    (rectangle(0.0, PI, 0.0, 1.5), [{4: 0.02}, {2: 0.03}]),
+])
+def test_merged_flow_equals_both_old_bodies(domain, modes):
+    basis = SpectralBasis(domain, truncation_K=16)
+    for spec in modes:
+        mu = admissible_from_perturbation(basis, spec).mu
+        for t in (0.0, 1e-3, 0.25, 2.0, 25.0):
+            z, v = survival_split(mu, t)
+            _u, z_ref, v_ref = _reference_survival_split(mu, t)
+            assert _same_bits(np.array(z), np.array(z_ref))
+            assert _same_bits(v.coeffs, v_ref.coeffs)
+        for t in (0.0, 1e-3, 0.25, 2.0, 25.0, -1.0, -0.5, -1e-3):
+            assert _same_bits(flow(mu, t).coeffs, _reference_flow(mu, t).coeffs)
+
+
+def test_merged_flow_keeps_the_backward_guards(basis_1d):
+    coeffs = DensityMeasure.stationary_profile(basis_1d).coeffs.copy()
+    coeffs[15] = 1e-3  # exp(128) at t = -1 lifts it past the guard
+    steep = DensityMeasure(basis_1d, coeffs)
+    mild = admissible_from_perturbation(basis_1d, {2: 0.05}).mu
+    for fn in (survival_split, flow, _reference_flow):
+        with pytest.raises(ValueError, match="coefficient guard"):
+            fn(steep, -1.0)
+        with pytest.raises(ValueError, match="down to t = -1"):
+            fn(mild, -1.5)
+
+
+def test_flow_of_the_zero_measure_raises(basis_1d):
+    with pytest.raises(ValueError, match="evolved mass 0.0 is not positive"):
+        flow(DensityMeasure(basis_1d, np.zeros(basis_1d.K)), 0.5)
 
 
 def test_initial_decay_rate_stationary(basis_1d):
@@ -163,16 +228,6 @@ def test_curvature_mass_stationary_value(basis_1d):
     lhs, _rhs = curvature_mass_routes(prof)
     # signed half-Laplacian integral of the profile = its decay rate
     assert lhs == pytest.approx(-0.5, abs=1e-12)
-
-
-def test_heat_kernel_symmetry_and_positivity(basis_1d_k64):
-    x = np.array([1.0])
-    y = np.array([2.2])
-    for t in (0.1, 0.5):
-        kxy = heat_kernel(basis_1d_k64, t, x, y)
-        kyx = heat_kernel(basis_1d_k64, t, y, x)
-        assert kxy == pytest.approx(kyx, rel=1e-12)
-        assert kxy > 0
 
 
 def test_kahan_sum_matches_fsum():
@@ -283,7 +338,7 @@ def test_prefix_series_equals_full_k_series(domain):
     # plain truncation at the last nonzero mode moves some of these values, so
     # the prefix series above would fail without its trailing zero-term steps
     assert truncation_differs > 0
-    zero = DensityMeasure.zero(basis)
+    zero = DensityMeasure(basis, np.zeros(basis.K))
     assert _same_bits(zero.density(pts), _reference_density(zero, H))
     assert _same_bits(zero.half_laplacian(pts), _reference_half_laplacian(zero, H))
     nan_point = np.full((1, domain.dimension), np.nan)
