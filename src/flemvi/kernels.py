@@ -382,25 +382,33 @@ def sample_initial_configuration(law: InitialLaw, n: int, rng) -> EmpiricalMeasu
     return EmpiricalMeasure(law.basis.domain, atoms)
 
 
-def sample_curvature_weighted(law: InitialLaw, n: int, rng):
-    """Sample a configuration from the normalized curvature-weighted law.
+def sample_curvature_weighted(law: InitialLaw, n: int, B: int, rng):
+    """B configurations of n atoms from the normalized curvature-weighted law,
+    as (starts (B, n, d), masses (B,)), every mass n times the mixture
+    curvature mass; raises ValueError if an atom is not in the open domain.
+    A row takes a component with probability proportional to weight times
+    curvature mass, one special atom from its normalized negative
+    half-Laplacian and n-1 atoms i.i.d. from its density.  The draws are
+    array calls, made in this order:
 
-    One component is drawn proportionally to weight times curvature mass,
-    one atom position from the normalized negative half-Laplacian, the rest
-    i.i.d. from the component density.  Returns (configuration, total mass),
-    the total mass being n times the mixture curvature mass.
+    1. ``rng.choice(len(wK), size=B, p=wK / wK.sum())``, the components;
+    2. ``rng.integers(n, size=B)``, the special-atom indices;
+    3. per component m in index order, over its r rows in row order:
+       ``sample_neg_half_laplacian(rng, r)``, then, if n > 1,
+       ``sample(rng, r * (n - 1))`` filled row-major around the special atoms.
     """
     if n < 1:
         raise ValueError("need at least one particle")
     wK = np.array([w * ad.curvature_mass for w, ad in law.components])
-    total_mass = float(n * math.fsum(wK))
-    m = int(rng.choice(len(wK), p=wK / wK.sum()))
-    ad = law.components[m][1]
-    i = int(rng.integers(n))
-    special = ad.sample_neg_half_laplacian(rng, 1)[0]
-    if n == 1:
-        atoms = special[None, :]
-    else:
-        rest = ad.sample(rng, n - 1)
-        atoms = np.insert(rest, i, special, axis=0)
-    return EmpiricalMeasure(law.basis.domain, atoms), total_mass
+    comp = rng.choice(len(wK), size=B, p=wK / wK.sum())
+    special = np.arange(n) == rng.integers(n, size=B)[:, None]
+    starts = np.empty((B, n, law.basis.domain.dimension))
+    for m, (_, ad) in enumerate(law.components):
+        rows = comp[:, None] == m
+        r = np.count_nonzero(rows)
+        starts[rows & special] = ad.sample_neg_half_laplacian(rng, r)
+        if n > 1:
+            starts[rows & ~special] = ad.sample(rng, r * (n - 1))
+    if not np.all(law.basis.domain.contains_many(starts)):
+        raise ValueError("start atom outside the open domain")
+    return starts, np.full(B, n * math.fsum(wK))

@@ -18,7 +18,6 @@ from flemvi.kernels import (
     sample_relocation,
     validate_admissible,
 )
-from flemvi.measures import EmpiricalMeasure
 from flemvi.spectral import DensityMeasure
 
 PI = math.pi
@@ -244,17 +243,94 @@ def test_uniform_survivor_copies_a_survivor(rng):
 
 def test_curvature_weighted_mass(stationary_law, rng):
     n = 6
-    masses = []
-    for _ in range(400):
-        emp, mass = sample_curvature_weighted(stationary_law, n, rng)
-        assert emp.n == n
-        masses.append(mass)
+    starts, masses = sample_curvature_weighted(stationary_law, n, 400, rng)
+    assert starts.shape == (400, n, 1)
     # for the stationary profile the total weight is n * curvature mass = n/2
     mean = float(np.mean(masses))
     assert mean == pytest.approx(n * 0.5, abs=1e-12)
 
 
 def test_curvature_weighted_positions_interior(perturbed_law, rng):
-    emp, mass = sample_curvature_weighted(perturbed_law, 5, rng)
-    assert np.all(perturbed_law.basis.domain.contains_many(emp.positions))
-    assert mass > 0
+    starts, masses = sample_curvature_weighted(perturbed_law, 5, 20, rng)
+    assert np.all(perturbed_law.basis.domain.contains_many(starts))
+    assert np.all(masses > 0)
+
+
+def _twin(rng):
+    """A generator that draws the same numbers as ``rng`` from here on."""
+    twin = np.random.Generator(np.random.Philox())
+    twin.bit_generator.state = rng.bit_generator.state
+    return twin
+
+
+@pytest.mark.parametrize("n, B", [(5, 300), (1, 40), (4, 1)])
+@pytest.mark.parametrize("where", ["interval", "rectangle"])
+def test_curvature_weighted_draw_layout(perturbed_law, basis_2d, rng, where, n, B):
+    law = perturbed_law if where == "interval" else InitialLaw(
+        ((0.7, admissible_from_perturbation(basis_2d, {})),
+         (0.3, admissible_from_perturbation(basis_2d, {2: 0.05}))))
+    d = law.basis.domain.dimension
+    ref = _twin(rng)
+    starts, masses = sample_curvature_weighted(law, n, B, rng)
+    # the documented layout, one configuration at a time from the same array calls
+    wK = np.array([w * ad.curvature_mass for w, ad in law.components])
+    comp = ref.choice(len(wK), size=B, p=wK / wK.sum())
+    index = ref.integers(n, size=B)
+    want = np.empty((B, n, d))
+    for m, (_, ad) in enumerate(law.components):
+        rows = np.flatnonzero(comp == m)
+        special = ad.sample_neg_half_laplacian(ref, len(rows))
+        rest = ad.sample(ref, len(rows) * (n - 1)) if n > 1 else np.empty((0, d))
+        rest = rest.reshape(len(rows), n - 1, d)
+        for j, r in enumerate(rows):
+            want[r] = np.insert(rest[j], index[r], special[j], axis=0)
+    assert starts.shape == want.shape and starts.tobytes() == want.tobytes()
+    assert masses.tolist() == [n * math.fsum(wK)] * B
+    assert np.array_equal(rng.random(4), ref.random(4))  # nothing else was drawn
+
+
+def test_curvature_weighted_law_matches_its_closed_forms(perturbed_law, monkeypatch):
+    from scipy import stats
+
+    law, n, B = perturbed_law, 3, 6000
+    calls = []
+    original = kernels.AdmissibleDensity.sample_neg_half_laplacian
+
+    def spy(self, rng, size=1):
+        out = original(self, rng, size)
+        calls.append((self, out))
+        return out
+
+    monkeypatch.setattr(kernels.AdmissibleDensity, "sample_neg_half_laplacian", spy)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(20261018)))
+    starts, _masses = sample_curvature_weighted(law, n, B, rng)
+    x = starts[:, :, 0]
+    # each component's special-atom call draws one atom per row of that component
+    wK = np.array([w * ad.curvature_mass for w, ad in law.components])
+    p = wK / math.fsum(wK)
+    assert [who for who, _ in calls] == [ad for _, ad in law.components]
+    for (_, out), p_m in zip(calls, p):
+        assert abs(len(out) - B * p_m) < 4 * math.sqrt(B * p_m * (1 - p_m))
+    # each row holds exactly one of the special atoms, at a uniform index
+    is_special = np.isin(x, np.concatenate([out[:, 0] for _, out in calls]))
+    assert np.all(is_special.sum(axis=1) == 1)
+    counts = np.bincount(np.argmax(is_special, axis=1), minlength=n)
+    assert np.all(np.abs(counts - B / n) < 4 * math.sqrt(B * (1 / n) * (1 - 1 / n)))
+    # one special and one other atom per row against the mixtures' closed-form CDFs
+    basis = law.basis
+    neg_lap = DensityMeasure(basis, sum(
+        w * -ad.mu.coeffs * basis.lambdas for w, ad in law.components) / math.fsum(wK))
+    rest_law = DensityMeasure(basis, sum(
+        p_m * ad.mu.coeffs for p_m, (_, ad) in zip(p, law.components)))
+    first_other = np.where(is_special[:, 0], x[:, 1], x[:, 0])
+    for pts, mu in ((x[is_special], neg_lap), (first_other, rest_law)):
+        assert mu.cdf_1d(0.0) == pytest.approx(0.0, abs=1e-12)
+        assert mu.cdf_1d(PI) == pytest.approx(1.0, abs=1e-12)
+        assert stats.kstest(pts, mu.cdf_1d).pvalue > 1e-4
+
+
+def test_curvature_weighted_start_on_the_boundary_raises(perturbed_law, rng, monkeypatch):
+    monkeypatch.setattr(kernels.AdmissibleDensity, "sample",
+                        lambda self, rng, size=1: np.zeros((size, 1)))
+    with pytest.raises(ValueError, match="outside the open domain"):
+        sample_curvature_weighted(perturbed_law, 3, 4, rng)

@@ -226,12 +226,8 @@ def _ref_batch_sizes(M):
 
 def _ref_exit_side_batch(law, n, B, dt, rng):
     """One exit-side batch, drawn as the estimators draw it: B curvature-weighted
-    start configurations with their masses, then their first exits."""
-    starts = np.empty((B, n, law.basis.domain.dimension))
-    masses = np.empty(B)
-    for i in range(B):
-        emp, masses[i] = sample_curvature_weighted(law, n, rng)
-        starts[i] = emp.positions
+    start configurations with their masses in one call, then their first exits."""
+    starts, masses = sample_curvature_weighted(law, n, B, rng)
     finals, hit_index, _taus = first_exit_batch(law.basis.domain, starts, dt, rng)
     return starts, masses, finals, hit_index
 
