@@ -290,11 +290,14 @@ def _atom_terms(law: InitialLaw, pts):
     return terms
 
 
-def mixture_terms(kernel: RelocationKernel, pts):
-    """The per-atom terms of ``kernel``'s component weights at pts (see
-    ``sample_relocation``), or None when its draw does not use them."""
+def mixture_terms(kernel: RelocationKernel, pts, rows=slice(None)):
+    """The per-atom terms of ``kernel``'s component weights (see ``sample_relocation``)
+    at the points ``pts[rows]`` (..., d), shape (2, components, ...), from one
+    ``_atom_terms`` call; None, with pts unread, when its draw does not use them."""
     if kernel.kind is KernelKind.MIXTURE_REWEIGHTED and len(kernel.law.components) > 1:
-        return _atom_terms(kernel.law, pts)
+        pts = pts[rows]
+        terms = _atom_terms(kernel.law, pts.reshape(-1, pts.shape[-1]))
+        return terms.reshape(terms.shape[:2] + pts.shape[:-1])
     return None
 
 
@@ -318,11 +321,12 @@ def _mixture_log_weights(law: InitialLaw, terms):
     and of w_m * K_m * prod_j d_m(z_j) (mass denominator), from the other
     atoms' ``_atom_terms``."""
     n = terms.shape[2] + 1
+    logs, ratios = terms.tolist()  # fsum reads a list of floats fastest
     log_num = np.empty(len(law.components))
     log_den = np.empty(len(law.components))
     for m, (w, ad) in enumerate(law.components):
-        log_prod = math.fsum(terms[0, m])
-        likelihood = math.fsum(terms[1, m]) / n
+        log_prod = math.fsum(logs[m])
+        likelihood = math.fsum(ratios[m]) / n
         log_num[m] = math.log(w) + math.log(likelihood) + log_prod
         log_den[m] = math.log(w) + math.log(ad.curvature_mass) + log_prod
     return log_num, log_den

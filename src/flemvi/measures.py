@@ -153,14 +153,14 @@ class CylinderFunction:
             return coef * powers[i], tuple(q)
 
         def _eval(terms_, a):
-            return math.fsum(
-                c * np.prod(np.asarray(a, dtype=float) ** np.array(p))
-                for c, p in terms_
-                if c != 0.0
-            )
+            a = np.asarray(a, dtype=float)
+            # np.prod's own reduction, without its dispatch
+            return math.fsum(c * np.multiply.reduce(a ** p) for c, p in terms_ if c != 0.0)
+
+        exponents = [(c, np.array(p)) for c, p in clean]  # built once per observable
 
         def phi(a):
-            return float(_eval(clean, a))
+            return float(_eval(exponents, a))
 
         def grad(a):
             out = np.empty(r)
@@ -215,7 +215,8 @@ def pair_many(modes, positions, basis: SpectralBasis, boundary_mask=None) -> np.
     if not np.all(basis.domain.contains_many(positions)[interior]):
         raise ValueError("non-boundary atom outside the open domain")
     flat = positions.reshape(B * n, d)
-    vals = [np.where(interior, basis.eigenfunction(k, flat).reshape(B, n), 0.0) for k in modes]
+    vals = [np.where(interior, basis.eigenfunction(k, flat).reshape(B, n), 0.0).tolist()
+            for k in modes]
     return np.array([[math.fsum(v[b]) / n for v in vals] for b in range(B)]).reshape(B, -1)
 
 

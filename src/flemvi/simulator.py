@@ -159,11 +159,12 @@ def _step_inplace(domain, positions, time, dt, kernel, rngs):
     block, its bridge-uniform block and then its relocations from
     ``rngs[b]``.
 
-    Relocation happens at the step's end: hit particles are processed in
-    ascending index, each drawing its target from the other n-1 particles'
-    current positions (post-step for non-hit, already-relocated for earlier
-    hits, pre-step for pending later hits).  The kernel's per-atom terms are
-    evaluated once for all n rows and refreshed at each relocated row.
+    Relocation happens at the step's end, replica by replica: hit particles
+    are processed in ascending index, each drawing its target from the other
+    n-1 particles' current positions (post-step for non-hit, already-relocated
+    for earlier hits, pre-step for pending later hits).  The kernel's per-atom
+    terms are evaluated in one call for every replica with a hit, and a
+    relocated row's are refreshed only if a later hit of its replica reads them.
     """
     B, n, d = positions.shape
     prop = np.empty((B, n, d))
@@ -181,13 +182,15 @@ def _step_inplace(domain, positions, time, dt, kernel, rngs):
 
     new_time = time + dt
     jumps = [[] for _ in range(B)]
-    for b in np.flatnonzero(hit_mask.any(axis=1)):
-        work, rng = positions[b], rngs[b]
-        terms = mixture_terms(kernel, work)
-        for i in np.flatnonzero(hit_mask[b]):
-            target = sample_relocation(kernel, work, i, rng, terms)
-            if terms is not None:
-                terms[..., i] = mixture_terms(kernel, target[None, :])[..., 0]
+    rows = np.flatnonzero(hit_mask.any(axis=1))
+    terms = mixture_terms(kernel, positions, rows) if len(rows) else None
+    for r, b in enumerate(rows):
+        work, rng, own = positions[b], rngs[b], None if terms is None else terms[:, :, r]
+        hits = np.flatnonzero(hit_mask[b])
+        for i in hits:
+            target = sample_relocation(kernel, work, i, rng, own)
+            if own is not None and i != hits[-1]:  # a later hit reads column i
+                own[..., i] = mixture_terms(kernel, target[None])[..., 0]
             work[i] = target
             jumps[b].append((i, hit_points[b, i], target))
     return new_time, jumps

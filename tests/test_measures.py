@@ -123,6 +123,31 @@ def test_pair_many_with_mask_matches_the_scalar_reference(basis_1d, basis_2d, di
         assert cylinder_value(f, emp, basis) == values[b]
 
 
+def _reference_phi(terms, a):
+    """The per-configuration polynomial ``phi`` that the stacked observation
+    replaced: exponent arrays built on every call, reduced by ``np.prod``."""
+    return float(math.fsum(c * np.prod(np.asarray(a, dtype=float) ** np.array(p))
+                           for c, p in terms if c != 0.0))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cylinder_value_many_matches_the_per_configuration_reference(basis_1d, basis_2d, dim):
+    basis = basis_1d if dim == 1 else basis_2d
+    lo, hi = np.asarray(basis.domain.lo), np.asarray(basis.domain.hi)
+    pos = lo + (hi - lo) * np.random.default_rng(50 + dim).uniform(0.01, 0.99, size=(40, 7, dim))
+    observables = [
+        ((1,), [(1.0, (2,))]),  # a single mode squared
+        ((1, 2, 3), [(0.7, (1, 0, 0)), (-1.3, (0, 2, 1)), (0.0, (3, 3, 3)),
+                     (2.5, (0, 0, 0)), (0.25, (3, 1, 2))]),
+        ((2, 1), [(1.0, (2, 0)), (-0.5, (1, 1)), (0.0, (1, 0))]),
+    ]
+    for modes, terms in observables:
+        f = CylinderFunction.polynomial(modes, terms)
+        want = [_reference_phi(terms, [math.fsum(basis.eigenfunction(k, x)) / len(x)
+                                       for k in modes]) for x in pos]
+        assert np.array_equal(cylinder_value_many(f, pos, basis), want)
+
+
 def test_pair_many_rejects_an_unmasked_atom_outside(basis_1d):
     pos = np.array([[[0.5], [4.0]], [[1.0], [0.0]]])
     for mask in (None, np.array([[True, False], [False, True]]),

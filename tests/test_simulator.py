@@ -6,8 +6,8 @@ import pytest
 
 from flemvi import __version__, simulator
 from flemvi.geometry import interval, rectangle
-from flemvi.kernels import (RelocationKernel, mixture_terms, sample_initial_configuration,
-                            sample_relocation)
+from flemvi.kernels import (InitialLaw, RelocationKernel, admissible_from_perturbation,
+                            mixture_terms, sample_initial_configuration, sample_relocation)
 from flemvi.measures import CylinderFunction, EmpiricalMeasure, cylinder_value, pair
 from flemvi.verify import convergence_experiment
 from flemvi.simulator import (
@@ -100,18 +100,31 @@ def _reference_step(domain, positions, time, dt, kernel, rng):
     return time + dt, events
 
 
-def test_per_step_mixture_terms_match_from_scratch(perturbed_law, monkeypatch):
-    kernel = _kernel(perturbed_law)
-    start = sample_initial_configuration(perturbed_law, 200, _rng(21)).positions
-    n_steps, dt = 30, 0.01  # 26 relocations, 6 steps with two or more
+def test_per_step_mixture_terms_match_from_scratch(perturbed_law, basis_2d, monkeypatch):
+    law_2d = InitialLaw(((0.6, admissible_from_perturbation(basis_2d, {})),
+                         (0.4, admissible_from_perturbation(basis_2d, {2: 0.05}))))
+    for law, n, dt in ((perturbed_law, 200, 0.01), (law_2d, 20, 0.01)):
+        _check_stacked_terms(law, n, 30, dt, monkeypatch)
 
-    ref_pos, ref_events, time, rng = start.copy(), [], 0.0, _rng(5)
-    for _ in range(n_steps):
-        time, events = _reference_step(DOM, ref_pos, time, dt, kernel, rng)
-        ref_events += events
+
+def _check_stacked_terms(law, n, n_steps, dt, monkeypatch):
+    """Three replicas stepped as one stack against ``_reference_step`` run on
+    each alone, which evaluates every relocation's weights from scratch."""
+    kernel, domain, B = _kernel(law), law.basis.domain, 3
+    starts = np.stack([sample_initial_configuration(law, n, _rng(21 + b)).positions
+                       for b in range(B)])
+    ref_pos, ref_events, hits = starts.copy(), [[] for _ in range(B)], np.zeros((B, n_steps), int)
+    for b in range(B):
+        time, rng = 0.0, _rng(5 + b)
+        for k in range(n_steps):
+            time, events = _reference_step(domain, ref_pos[b], time, dt, kernel, rng)
+            ref_events[b] += events
+            hits[b, k] = len(events)
+    assert (hits.max(axis=0) >= 2).any()  # a replica with two or more hits in a step
+    assert (hits.sum(axis=0) == 0).any()  # a step without a hit
 
     # every relocation's terms equal a fresh evaluation on its other particles
-    used = []
+    used, calls = [], []
 
     def checked(kernel_, positions, i, rng_, terms=None):
         others = np.delete(positions, i, axis=0)
@@ -119,14 +132,28 @@ def test_per_step_mixture_terms_match_from_scratch(perturbed_law, monkeypatch):
         used.append(terms is not None)
         return sample_relocation(kernel_, positions, i, rng_, terms)
 
+    def counted(*args):
+        calls.append(args)
+        return mixture_terms(*args)
+
     monkeypatch.setattr(simulator, "sample_relocation", checked)
-    pos, jumps = start.copy(), []
-    advance_steps(DOM, pos[None], n_steps, dt, kernel, [_rng(5)],
-                  on_step=lambda _k, _t, new: jumps.extend(new[0]))
-    assert len(used) > 10 and all(used)
+    monkeypatch.setattr(simulator, "mixture_terms", counted)
+    pos, jumps = starts.copy(), [[] for _ in range(B)]
+
+    def record(_k, _t, new):
+        for b in range(B):
+            jumps[b].extend(new[b])
+
+    advance_steps(domain, pos, n_steps, dt, kernel, [_rng(5 + b) for b in range(B)],
+                  on_step=record)
+    assert len(used) == hits.sum() and all(used)
+    # one call per step with a hit, plus one refresh per hit that a later
+    # hit of its replica reads: none after a replica's last hit of the step
+    assert len(calls) == np.count_nonzero(hits.sum(axis=0)) + np.maximum(hits - 1, 0).sum()
     assert np.array_equal(pos, ref_pos)
-    assert [(int(i), tuple(y), tuple(z)) for i, y, z in jumps] == \
-        [(ev.index, ev.jump_off, ev.target) for ev in ref_events]
+    for b in range(B):
+        assert [(int(i), tuple(y), tuple(z)) for i, y, z in jumps[b]] == \
+            [(ev.index, ev.jump_off, ev.target) for ev in ref_events[b]]
 
 
 def test_run_recording_grid(stationary_law):
