@@ -42,7 +42,7 @@ from .verify import (
     exit_moment_check,
     identity_suite,
     jump_increment_checks,
-    operator_limit_check,
+    operator_limit_checks,
     render_table,
     reports_to_json,
     suite_passed,
@@ -302,16 +302,11 @@ def _suite_reports(config, suite, seed, jobs):
         one = CylinderFunction.constant(1.0)
         k_b = bonferroni_k(2 + len(config.n_list))
         subs = np.random.SeedSequence(seed).spawn(3)
-        reports += operator_limit_check(
-            law, g, one, config.horizon, config.n_list, M, config.dt, kernel,
-            subs[0], jobs=jobs, mode="semigroup", k=k_b)
-        reports += operator_limit_check(
-            law, one, one, config.horizon, config.n_list,
-            max(4, min(M, 16)), config.dt, kernel, subs[1], jobs=jobs,
-            mode="resolvent", k=k_b)
-        reports += operator_limit_check(
-            law, g, one, config.horizon, config.n_list, M, config.dt, kernel,
-            subs[2], jobs=jobs, mode="resolvent", k=k_b)
+        reports += operator_limit_checks(law, [
+            ("semigroup", g, one, config.horizon, M, subs[0]),
+            ("resolvent", one, one, config.horizon, max(4, min(M, 16)), subs[1]),
+            ("resolvent", g, one, config.horizon, M, subs[2])],
+            config.n_list, config.dt, kernel, jobs=jobs, k=k_b)
 
     return reports
 

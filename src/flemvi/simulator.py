@@ -341,15 +341,59 @@ def mean_and_stderr(values):
     return mean, math.sqrt(var / m)
 
 
-def _replica_starts(law: InitialLaw, n, M, seed, jobs):
-    """Per replica, its stream and an n-particle start drawn from the initial
-    law with it, through ``run_replicas`` on ``jobs`` threads; returns the
-    starts as one (M, n, d) stack and the streams."""
+def _replica_starts(law: InitialLaw, n, sets, jobs):
+    """Per replica of each (M, seed) of ``sets``, its stream and an n-particle
+    start drawn from the initial law with it, through ``run_replicas`` on
+    ``jobs`` threads; returns the starts as one stack and the streams."""
     def worker(rng, _m):
         return rng, sample_initial_configuration(law, n, rng).positions
 
-    rngs, starts = zip(*run_replicas(M, seed, worker, jobs))
+    rngs, starts = zip(*(r for M, seed in sets for r in run_replicas(M, seed, worker, jobs)))
     return np.stack(starts), rngs
+
+
+def _stacked_estimates(law: InitialLaw, n, dt, kernel: RelocationKernel, jobs, estimators):
+    """What ``semigroup_estimate`` or ``resolvent_estimate`` returns for each
+    ("semigroup", g, psi, t, M, seed) or ("resolvent", g, psi, beta, M, seed)
+    of ``estimators`` (a resolvent ignores psi), all replicas stepping as one
+    stack in order of step count.  One that reaches its count is read, and the
+    rest of the stack steps on in place, so each replica steps as it would alone."""
+    for kind, _g, _psi, x, M, _seed in estimators:
+        if kind == "resolvent" and x <= 0:
+            raise ValueError("beta must be positive")
+        if M < 2:
+            raise ValueError("need at least two replicas for a standard error")
+    basis = law.basis
+    steps = [int(math.ceil(12.0 / x / dt)) if kind == "resolvent" else int(round(x / dt))
+             for kind, _g, _psi, x, _M, _seed in estimators]
+    order = sorted(range(len(estimators)), key=steps.__getitem__)
+    pos, rngs = _replica_starts(law, n, [estimators[e][4:] for e in order], jobs)
+    at = np.cumsum([0] + [estimators[e][4] for e in order])  # each estimator's first row
+    rows = {e: pos[at[i]:at[i + 1]] for i, e in enumerate(order)}  # views, stepped in place
+    # a semigroup's psi at the start; a resolvent's g at the start and after each step
+    seen = {e: [cylinder_value_many(g if kind == "resolvent" else psi, rows[e], basis)]
+            for e, (kind, g, psi, *_) in enumerate(estimators)}
+
+    def observe(_k, _time, _jumps):
+        for e, (kind, g, *_) in enumerate(estimators):
+            if kind == "resolvent" and len(seen[e]) <= steps[e]:  # not yet read
+                seen[e].append(cylinder_value_many(g, rows[e], basis))
+
+    out = {}
+    for i, (e, taken) in enumerate(zip(order, [0] + sorted(steps))):
+        kind, g, _psi, beta, _M, _seed = estimators[e]
+        advance_steps(basis.domain, pos[at[i]:], steps[e] - taken, dt, kernel, rngs[at[i]:],
+                      on_step=observe)
+        if kind == "semigroup":
+            out[e] = mean_and_stderr(cylinder_value_many(g, rows[e], basis) * seen[e][0])
+            continue
+        # integral of e^{-beta t} over each step, plus the tail frozen at T_cut = 12/beta
+        edges = np.exp(-beta * dt * np.arange(steps[e] + 1))
+        weights = np.append((edges[:-1] - edges[1:]) / beta, edges[-1] / beta)
+        vals = np.array(seen[e])
+        est, err = mean_and_stderr([math.fsum(v * weights) for v in vals.T])
+        out[e] = est, err, float(np.abs(vals).max()) * math.exp(-beta * (12.0 / beta)) / beta
+    return [out[e] for e in range(len(estimators))]
 
 
 def semigroup_estimate(law: InitialLaw, g: CylinderFunction, psi: CylinderFunction,
@@ -357,13 +401,7 @@ def semigroup_estimate(law: InitialLaw, g: CylinderFunction, psi: CylinderFuncti
     """Monte Carlo for the pairing of the time-t semigroup applied to g with
     psi under the n-particle initial law: mean over replicas of
     g(state at t) * psi(state at 0).  The replicas advance as one stack."""
-    if M < 2:
-        raise ValueError("need at least two replicas for a standard error")
-    basis = law.basis
-    pos, rngs = _replica_starts(law, n, M, seed, jobs)
-    weight = cylinder_value_many(psi, pos, basis)
-    advance_steps(basis.domain, pos, int(round(t / dt)), dt, kernel, rngs)
-    return mean_and_stderr(cylinder_value_many(g, pos, basis) * weight)
+    return _stacked_estimates(law, n, dt, kernel, jobs, [("semigroup", g, psi, t, M, seed)])[0]
 
 
 def resolvent_estimate(law: InitialLaw, g: CylinderFunction, beta, n, M, dt,
@@ -373,27 +411,7 @@ def resolvent_estimate(law: InitialLaw, g: CylinderFunction, beta, n, M, dt,
     T_cut = 12/beta, the replicas advancing as one stack.  Returns
     (estimate, stderr, tail_bound), the tail bound using the largest |g|
     value seen."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if M < 2:
-        raise ValueError("need at least two replicas for a standard error")
-    basis = law.basis
-    t_cut = 12.0 / beta
-    n_steps = int(math.ceil(t_cut / dt))
-    # integral of e^{-beta t} over each step, plus the tail frozen at T_cut
-    edges = np.exp(-beta * dt * np.arange(n_steps + 1))
-    weights = np.append((edges[:-1] - edges[1:]) / beta, edges[-1] / beta)
-
-    pos, rngs = _replica_starts(law, n, M, seed, jobs)
-    vals = np.empty((n_steps + 1, M))
-    vals[0] = cylinder_value_many(g, pos, basis)
-
-    def observe(k, _time, _events):
-        vals[k + 1] = cylinder_value_many(g, pos, basis)
-
-    advance_steps(basis.domain, pos, n_steps, dt, kernel, rngs, on_step=observe)
-    est, err = mean_and_stderr([math.fsum(v * weights) for v in vals.T])
-    return est, err, float(np.abs(vals).max()) * math.exp(-beta * t_cut) / beta
+    return _stacked_estimates(law, n, dt, kernel, jobs, [("resolvent", g, None, beta, M, seed)])[0]
 
 
 # -- artifacts ----------------------------------------------------------------

@@ -13,7 +13,7 @@ Suites:
   jump_increment_checks    coupled relocation/diffusion increment estimators
   boundary_cutoff_diagnostic  soft boundary-vanishing observable, reported only
   convergence_experiment   empirical-measure moments vs the limit flow
-  operator_limit_check     semigroup / resolvent estimates vs flow targets
+  operator_limit_check(s)  semigroup / resolvent estimates vs flow targets
 """
 
 import math
@@ -42,12 +42,11 @@ from .measures import (
 from .simulator import (
     _as_seedseq,
     _replica_starts,
+    _stacked_estimates,
     advance_steps,
     first_exit_batch,
     mean_and_stderr,
-    resolvent_estimate,
     run_replicas,
-    semigroup_estimate,
 )
 from .spectral import (
     DensityMeasure,
@@ -560,7 +559,7 @@ def boundary_cutoff_diagnostic(law, n_list, M, dt, seed, jobs=1):
 
         return mean_and_stderr(_exit_side(law, n, M, dt, sub, jobs, observe))
 
-    stats, runtimes = _run_ladder(n_list, seed, estimate)
+    stats, runtimes = _run_ladder(n_list, [seed], estimate)
     return [
         diagnostic_report(f"boundary_cutoff[n={n}]", lhs, stderr, rt, M,
                           note="hard-cutoff analogue is identically 0 at every n")
@@ -584,13 +583,14 @@ def _ladder_sizes(n_list, kernel):
     return n_list
 
 
-def _run_ladder(n_list, seed, estimate):
-    """``estimate(n, stream)`` per n, each on its own stream spawned from
-    ``seed``; returns the results and their wall-clock runtimes."""
+def _run_ladder(n_list, seeds, estimate):
+    """``estimate(n, *streams)`` per n, one stream per n spawned from each of
+    ``seeds``; returns the results and their wall-clock runtimes."""
     results, runtimes = [], []
-    for n, sub in zip(n_list, _as_seedseq(seed).spawn(len(n_list))):
+    streams = zip(*(_as_seedseq(seed).spawn(len(n_list)) for seed in seeds))
+    for n, subs in zip(n_list, streams):
         t0 = time.perf_counter()
-        results.append(estimate(n, sub))
+        results.append(estimate(n, *subs))
         runtimes.append(time.perf_counter() - t0)
     return results, runtimes
 
@@ -639,12 +639,12 @@ def convergence_experiment(law, t, n_list, M, dt, kernel, seed, jobs=1,
     }
 
     def estimate(n, sub):
-        pos, rngs = _replica_starts(law, n, M, sub, jobs)
+        pos, rngs = _replica_starts(law, n, [(M, sub)], jobs)
         advance_steps(basis.domain, pos, int(round(t / dt)), dt, kernel, rngs)
         vals = pair_many(modes, pos, basis)
         return [mean_and_stderr(vals[:, j]) for j in range(len(modes))]
 
-    per_n, runtimes = _run_ladder(n_list, seed, estimate)
+    per_n, runtimes = _run_ladder(n_list, [seed], estimate)
     reports = []
     for j, kk in enumerate(modes):
         reports += _ladder_reports(
@@ -665,16 +665,22 @@ def resolvent_target(law, g, beta):
     """Quadrature oracle for the resolvent of a flow observable: mixture
     average of the exponentially weighted time integral of g along each
     component's flow (Gauss-Legendre on [0, 40/beta], then the frozen tail);
-    exactly c/beta for a constant c."""
+    exactly c/beta for a constant c.  One table gives the flow at every time
+    with the bits of ``flow``."""
     if g.n_modes == 0:
         return float(g.phi(np.zeros(0))) / beta
     T = 40.0 / beta
     nodes, weights = _axis_rule(0.0, T)
 
-    def total(mu):
-        vals = [math.exp(-beta * s) * cylinder_value(g, flow(mu, s)) for s in nodes]
-        tail = math.exp(-beta * T) / beta * cylinder_value(g, flow(mu, T))
-        return math.fsum(weights * vals) + tail
+    def total(mu):  # survival_split's arithmetic at the nodes and at T
+        decay = np.exp(np.multiply.outer(np.append(nodes, T), mu.basis.lambdas))
+        u = np.where(mu.coeffs != 0.0, decay * mu.coeffs, 0.0)
+        z = [math.fsum(row) for row in (u * mu.basis.unit_integrals).tolist()]
+        if min(z) <= 0:
+            raise ValueError(f"evolved mass {next(v for v in z if v <= 0)!r} is not positive")
+        vals = [float(g.phi(a)) for a in u[:, [k - 1 for k in g.mode_indices]] / np.c_[z]]
+        head = [math.exp(-beta * s) * v for s, v in zip(nodes, vals)]
+        return math.fsum(weights * head) + math.exp(-beta * T) / beta * vals[-1]
 
     return math.fsum(w * total(ad.mu) for w, ad in law.components)
 
@@ -691,38 +697,39 @@ def operator_limit_check(law, g, psi, t_or_beta, n_list, M, dt, kernel, seed,
     exponentially weighted time integral.  In both modes the largest-n row
     is asserted at k sigma and the deviation ladder must be nonincreasing;
     a constant observable's resolvent rows are exact, so all of them are
-    asserted.
+    asserted.  Table runtimes: a row shows its n's stacked run, shared by all
+    checks stacked with it, and a trend row their sum (the JSON has none).
     """
+    return operator_limit_checks(law, [(mode, g, psi, t_or_beta, M, seed)], n_list, dt,
+                                 kernel, jobs=jobs, k=k)
+
+
+def operator_limit_checks(law, checks, n_list, dt, kernel, jobs=1, k=DEFAULT_K_SIGMA):
+    """The rows of ``operator_limit_check`` for each (mode, g, psi,
+    t_or_beta, M, seed) of ``checks``, in order; at each n their replicas
+    step as one stack."""
     n_list = _ladder_sizes(n_list, kernel)
-    if mode not in ("semigroup", "resolvent"):
-        raise ValueError("mode must be 'semigroup' or 'resolvent'")
-    if mode == "semigroup":
-        t = float(t_or_beta)
-        target = math.fsum(
-            w * cylinder_value(g, flow(ad.mu, t)) * cylinder_value(psi, ad.mu)
-            for w, ad in law.components)
-        label = f"semigroup[{g.name}|t={t:g}"
-
-        def estimate(n, sub):
-            return semigroup_estimate(law, g, psi, t, n, M, dt, kernel, sub, jobs=jobs)
-    else:
-        if not _is_constant_one(psi):
-            raise ValueError(
-                "the resolvent estimator carries no start weighting; "
-                "psi must be the constant one")
-        beta = float(t_or_beta)
-        target = resolvent_target(law, g, beta)
-        label = f"resolvent[{g.name}|beta={beta:g}"
-
-        def estimate(n, sub):
-            est, se, _tail = resolvent_estimate(law, g, beta, n, M, dt, kernel, sub,
-                                                jobs=jobs)
-            return est, se
-
-    stats, runtimes = _run_ladder(n_list, seed, estimate)
-    return _ladder_reports(
-        label, f"{label}]_trend", n_list, stats, runtimes, target, M, k,
-        assert_every_n=mode == "resolvent" and _is_constant_one(g))
+    blocks, runs = [], []
+    for mode, g, psi, t_or_beta, M, _seed in checks:
+        if mode not in ("semigroup", "resolvent"):
+            raise ValueError("mode must be 'semigroup' or 'resolvent'")
+        x = float(t_or_beta)
+        if mode == "resolvent" and not _is_constant_one(psi):
+            raise ValueError("the resolvent estimator carries no start weighting; "
+                             "psi must be the constant one")
+        if mode == "semigroup":
+            target = math.fsum(w * cylinder_value(g, flow(ad.mu, x)) * cylinder_value(psi, ad.mu)
+                               for w, ad in law.components)
+        else:
+            target = resolvent_target(law, g, x)
+        label = f"{mode}[{g.name}|{'t' if mode == 'semigroup' else 'beta'}={x:g}"
+        blocks.append((label, target, M, mode == "resolvent" and _is_constant_one(g)))
+        runs.append((mode, g, psi, x, M))
+    per_n, runtimes = _run_ladder(n_list, [check[5] for check in checks], lambda n, *subs: (
+        _stacked_estimates(law, n, dt, kernel, jobs, [r + (s,) for r, s in zip(runs, subs)])))
+    return [row for j, (label, target, M, every_n) in enumerate(blocks)
+            for row in _ladder_reports(label, f"{label}]_trend", n_list, [s[j][:2] for s in per_n],
+                                       runtimes, target, M, k, assert_every_n=every_n)]
 
 
 # ---------------------------------------------------------------------------

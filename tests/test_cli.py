@@ -334,6 +334,17 @@ def test_verify_jumps_byte_identical_across_jobs(cfg_file, tmp_path):
     assert (a / "report_jumps.json").read_bytes() == (b / "report_jumps.json").read_bytes()
 
 
+@pytest.mark.parametrize("suite", ["operator_limits", "convergence"])
+def test_verify_stacked_suites_byte_identical_across_jobs(cfg_file, tmp_path, suite):
+    # horizon 1 keeps the resolvent at 12/beta/dt = 1200 steps
+    path = cfg_file({"replicas": 4, "dt": 0.01, "horizon": 1.0})
+    for jobs in ("1", "2"):
+        main(["verify", "--config", path, "--suite", suite, "--jobs", jobs,
+              "--out", str(tmp_path / jobs)])
+    name = f"report_{suite}.json"
+    assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
 def test_verify_all_rows_equal_standalone_suites(cfg_file, tmp_path):
     # each suite draws from its own stream of the seed, so its rows do not
     # depend on which other suites ran in the same call

@@ -4,11 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from flemvi import simulator
+from flemvi.cli import RunConfig, _suite_reports
 from flemvi.kernels import (InitialLaw, RelocationKernel, admissible_from_perturbation,
-                            sample_curvature_weighted, sample_relocation)
-from flemvi.measures import CylinderFunction, EmpiricalMeasure, boundary_glued_metric, cylinder_value
-from flemvi.simulator import first_exit_batch, mean_and_stderr, run_replicas
-from flemvi.spectral import diffusion_part, flow, replenishment_part
+                            sample_curvature_weighted, sample_initial_configuration,
+                            sample_relocation)
+from flemvi.measures import (CylinderFunction, EmpiricalMeasure, boundary_glued_metric,
+                             cylinder_value, cylinder_value_many)
+from flemvi.simulator import advance_steps, first_exit_batch, mean_and_stderr, run_replicas
+from flemvi.spectral import _axis_rule, diffusion_part, flow, replenishment_part
 from flemvi.verify import (
     _ALPHA,
     _BATCH,
@@ -303,7 +307,7 @@ def _ref_boundary_cutoff_diagnostic(law, n_list, M, dt, seed, cap=10.0):
 
         return mean_and_stderr(np.concatenate(run_replicas(len(sizes), sub, worker)))
 
-    stats, _runtimes = _run_ladder(n_list, seed, estimate)
+    stats, _runtimes = _run_ladder(n_list, [seed], estimate)
     return [diagnostic_report(f"boundary_cutoff[n={n}]", lhs, stderr, 0.0, M,
                               note="hard-cutoff analogue is identically 0 at every n")
             for n, (lhs, stderr) in zip(n_list, stats)]
@@ -392,6 +396,31 @@ def test_resolvent_target_matches_quad(perturbed_law, basis_2d):
         assert resolvent_target(law_2d, CylinderFunction.constant(3.0), beta) == 3.0 / beta
 
 
+def test_resolvent_target_equals_the_per_node_flow_loop(perturbed_law, basis_2d):
+    def loop_target(law, g, beta):  # one flow measure per node, as the table replaced
+        T = 40.0 / beta
+        nodes, weights = _axis_rule(0.0, T)
+
+        def total(mu):
+            vals = [math.exp(-beta * s) * cylinder_value(g, flow(mu, s)) for s in nodes]
+            return (math.fsum(weights * vals)
+                    + math.exp(-beta * T) / beta * cylinder_value(g, flow(mu, T)))
+
+        return math.fsum(w * total(ad.mu) for w, ad in law.components)
+
+    law_2d = InitialLaw(((0.7, admissible_from_perturbation(basis_2d, {})),
+                         (0.3, admissible_from_perturbation(basis_2d, {2: 0.05, 3: 0.03}))))
+    observables = [CylinderFunction.coordinate(2),
+                   CylinderFunction.polynomial((1, 2), [(1.0, (1, 1)), (-0.5, (2, 0))])]
+    for law in (perturbed_law, law_2d):
+        for g in observables:
+            for beta in (0.5, 2.0, 5.0):
+                assert resolvent_target(law, g, beta) == loop_target(law, g, beta)
+    # at beta = 0.1 the 2-D flow's mass underflows to 0 before 40/beta, as flow rejects
+    with pytest.raises(ValueError, match="evolved mass 0.0 is not positive"):
+        resolvent_target(law_2d, observables[0], 0.1)
+
+
 def test_resolvent_constant_rows_exact_at_every_n(stationary_law):
     one = CylinderFunction.constant(1.0)
     kernel = RelocationKernel.mixture_reweighted(stationary_law)
@@ -404,3 +433,79 @@ def test_resolvent_constant_rows_exact_at_every_n(stationary_law):
     for r in rows:
         assert r.lhs == pytest.approx(0.5, abs=1e-12)
         assert r.passed
+
+
+# -- the operator_limits suite: one stack per n against one estimator at a time -------
+
+def _operator_config(horizon, dt, replicas):
+    return RunConfig({
+        "domain": {"kind": "interval", "bounds": [0.0, math.pi]},
+        "truncation": 8,
+        "components": [{"weight": 0.6, "modes": {}}, {"weight": 0.4, "modes": {"2": 0.05}}],
+        "kernel": "mixture_reweighted",
+        "n_list": [2, 5],
+        "replicas": replicas,
+        "dt": dt,
+        "horizon": horizon,
+        "observables": [{"name": "m1", "modes": [1], "terms": [[1.0, [1]]]}],
+        "seed": 0,
+        "output_dir": "out",
+    })
+
+
+def _ref_operator_estimate(law, mode, g, psi, x, n, M, dt, kernel, seed):
+    """(mean, stderr) of one semigroup or resolvent estimate alone: its M
+    starts through run_replicas, then advance_steps on their own stack."""
+    basis = law.basis
+    drawn = run_replicas(M, seed, lambda rng, _m: (
+        rng, sample_initial_configuration(law, n, rng).positions))
+    rngs, pos = [rng for rng, _ in drawn], np.stack([p for _, p in drawn])
+    if mode == "semigroup":
+        weight = cylinder_value_many(psi, pos, basis)
+        advance_steps(basis.domain, pos, int(round(x / dt)), dt, kernel, rngs)
+        return mean_and_stderr(cylinder_value_many(g, pos, basis) * weight)
+    n_steps = int(math.ceil(12.0 / x / dt))
+    edges = np.exp(-x * dt * np.arange(n_steps + 1))
+    weights = np.append((edges[:-1] - edges[1:]) / x, edges[-1] / x)
+    vals = [cylinder_value_many(g, pos, basis)]
+    advance_steps(basis.domain, pos, n_steps, dt, kernel, rngs,
+                  on_step=lambda *_: vals.append(cylinder_value_many(g, pos, basis)))
+    return mean_and_stderr([math.fsum(v * weights) for v in np.array(vals).T])
+
+
+@pytest.mark.parametrize("horizon, dt, replicas", [
+    (2.0, 0.05, 4),  # horizon < sqrt(12): the semigroup finishes first
+    (4.0, 0.02, 4),  # horizon > sqrt(12): the resolvents finish first
+    (4.0, 0.02, 20),  # the constant's resolvent runs 16 replicas, the others 20
+])
+def test_operator_limits_suite_equals_one_estimator_at_a_time(monkeypatch, horizon, dt, replicas):
+    config = _operator_config(horizon, dt, replicas)
+    basis = config.build_basis()
+    law = config.build_law(basis)
+    kernel = config.build_kernel(basis, law)
+    g, one = config.build_observables()[0], CylinderFunction.constant(1.0)
+    n_list, seed, k = config.n_list, 13, bonferroni_k(2 + len(config.n_list))
+
+    calls = []
+    step = simulator._step_inplace
+    monkeypatch.setattr(simulator, "_step_inplace", lambda *a: calls.append(1) or step(*a))
+    suite = _suite_reports(config, "operator_limits", seed, jobs=2)
+    steps = (round(horizon / dt), math.ceil(12.0 / horizon / dt))
+    assert len(calls) == len(n_list) * max(steps)  # one stacked step serves every estimator
+
+    def checks():  # a SeedSequence spawns new children on every call, so a fresh one per use
+        subs = np.random.SeedSequence(seed).spawn(3)
+        return [("semigroup", g, one, horizon, replicas, subs[0]),
+                ("resolvent", one, one, horizon, max(4, min(replicas, 16)), subs[1]),
+                ("resolvent", g, one, horizon, replicas, subs[2])]
+
+    alone = [row for mode, f, psi, x, M, sub in checks()
+             for row in operator_limit_check(law, f, psi, x, n_list, M, dt, kernel, sub,
+                                             mode=mode, k=k)]
+    assert [r.to_dict() for r in suite] == [r.to_dict() for r in alone]
+    for j, (mode, f, psi, x, M, sub) in enumerate(checks()):
+        for i, (n, sub_n) in enumerate(zip(n_list, sub.spawn(len(n_list)))):
+            row = suite[j * (len(n_list) + 1) + i]
+            assert row.name.endswith(f"|n={n}]")
+            assert (row.lhs, row.stderr) == _ref_operator_estimate(
+                law, mode, f, psi, x, n, M, dt, kernel, sub_n)

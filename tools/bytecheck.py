@@ -1,23 +1,32 @@
-"""Fingerprint the seeded ``flemvi verify`` reports of a source tree, so that
-two trees (say a commit and its parent) can be compared byte for byte.
+"""Fingerprint the seeded outputs of a source tree, so that two trees (say a
+commit and its parent) can be compared byte for byte.
 
 Usage:
 
     python3 tools/bytecheck.py SRC_DIR > sums.txt
 
 SRC_DIR is the directory that holds the ``flemvi`` package (a checkout's
-``src``).  For every workload config of ``perfbench/workloads.py``, at flemvi
-seeds 64, 65, 66, 130 and 192 and with ``--jobs`` 1 and 2, it runs one
-``flemvi verify`` call in a fresh interpreter on that tree and prints one
-``sha256  name`` line per report.  The first line names numpy's version and
-the SIMD targets it found on this CPU, because some of numpy's kernels give
-other bits on other targets: compare two listings only when that line
-matches.  The exit code is 0 when every call exited 0 or 1 and wrote its
-report, 1 otherwise.  Nothing under ``perfbench/`` is written.
+``src``).  Every call runs in a fresh interpreter on that tree, and each
+output gets one ``sha256  name`` line:
+
+- for every workload config of ``perfbench/workloads.py``, at flemvi seeds
+  64, 65, 66, 130 and 192 and with ``--jobs`` 1 and 2, the report of one
+  ``flemvi verify`` call;
+- for the config of README.md's schema block, the artifacts of ``flemvi
+  simulate``, of ``flemvi verify --suite identities`` and of ``flemvi flow``
+  at its default times and at ``0,0.25,0.5``.
+
+The last line is what README.md's quick-start program prints.  The first
+line names numpy's version and the SIMD targets it found on this CPU,
+because some of numpy's kernels give other bits on other targets: compare
+two listings only when that line matches.  The exit code is 0 when every
+call exited as it should (``verify`` with 0 or 1, the others with 0) and
+wrote its outputs, 1 otherwise.  Nothing under ``perfbench/`` is written.
 """
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -33,16 +42,17 @@ from workloads import WORKLOADS  # noqa: E402
 SEEDS = (64, 65, 66, 130, 192)
 JOBS = (1, 2)
 
-# runs flemvi.cli.main on argv[2:] with the tree argv[1] first on the path
-_CALL = """\
+# puts the tree argv[1] first on the path and checks that flemvi loads from it
+_PRELUDE = """\
 import os, sys
 src = os.path.abspath(sys.argv[1])
 sys.path.insert(0, src)
-import flemvi.cli as cli
-if not os.path.abspath(cli.__file__).startswith(src + os.sep):
-    sys.exit(f"flemvi imported from {cli.__file__}, not from {src}")
-sys.exit(cli.main(sys.argv[2:]))
+import flemvi
+if not os.path.abspath(flemvi.__file__).startswith(src + os.sep):
+    sys.exit(f"flemvi imported from {flemvi.__file__}, not from {src}")
 """
+# runs flemvi.cli.main on argv[2:]
+_CALL = _PRELUDE + "import flemvi.cli as cli\nsys.exit(cli.main(sys.argv[2:]))\n"
 
 
 def simd_line():
@@ -57,25 +67,77 @@ def simd_line():
     return f"# numpy {np.__version__} SIMD found: {' '.join(found) or '(none)'}"
 
 
-def report_sum(src, workload, seed, jobs, work):
-    """sha256 of the report of one verify call, or None if the call failed."""
-    out = os.path.join(work, f"{workload.name}_{seed}_{jobs}")
-    config = out + ".json"
-    with open(config, "w") as fh:
-        json.dump(workload.make_config(seed), fh)
-    argv = ["verify", "--config", config, "--suite", workload.suite, "--seed", str(seed),
-            "--jobs", str(jobs), "--out", out]
-    proc = subprocess.run([sys.executable, "-c", _CALL, src, *argv], cwd=work,
-                          stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.PIPE, text=True)
-    path = os.path.join(out, f"report_{workload.suite}.json")
-    if proc.returncode not in (0, 1) or not os.path.exists(path):
+def readme_block(heading, lang):
+    """The first ``lang`` code block after ``heading`` in README.md."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
+    fence = f"```{lang}\n"
+    start = text.index(fence, text.index(heading)) + len(fence)
+    return text[start:text.index("```", start)]
+
+
+def run(src, code, args, work, ok_codes=(0,)):
+    """Run ``code`` in a fresh interpreter on the tree ``src`` with ``args``;
+    returns its standard output, or None (after a note on stderr) if it
+    exited with a code not in ``ok_codes``."""
+    proc = subprocess.run([sys.executable, "-c", code, src, *args], cwd=work,
+                          stdin=subprocess.DEVNULL, capture_output=True, text=True)
+    if proc.returncode not in ok_codes:
         tail = proc.stderr.strip().splitlines()[-1:]
-        print(f"FAIL {workload.name} seed={seed} jobs={jobs}: exit {proc.returncode} {tail}",
+        print(f"FAIL {' '.join(args) or 'quick start'}: exit {proc.returncode} {tail}",
               file=sys.stderr)
+        return None
+    return proc.stdout
+
+
+def file_sum(path):
+    """sha256 of a file, or None if it is missing."""
+    if not os.path.exists(path):
+        print(f"FAIL missing {path}", file=sys.stderr)
         return None
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def cli_sums(src, argv, names, work, out, ok_codes=(0,)):
+    """[(name, sha256 or None)] of the files ``names`` that one CLI call
+    writes to ``out``."""
+    done = run(src, _CALL, [*argv, "--out", out], work, ok_codes) is not None
+    return [(name, file_sum(os.path.join(out, name)) if done else None) for name in names]
+
+
+def workload_sums(src, work):
+    for workload in WORKLOADS.values():
+        for seed in SEEDS:
+            for jobs in JOBS:
+                tag = f"{workload.name}_{seed}_{jobs}"
+                config = os.path.join(work, tag + ".json")
+                with open(config, "w") as fh:
+                    json.dump(workload.make_config(seed), fh)
+                argv = ["verify", "--config", config, "--suite", workload.suite,
+                        "--seed", str(seed), "--jobs", str(jobs)]
+                report = f"report_{workload.suite}.json"
+                [(_, digest)] = cli_sums(src, argv, [report], work, os.path.join(work, tag),
+                                         ok_codes=(0, 1))
+                yield f"{workload.name}/seed={seed}/jobs={jobs}/{report}", digest
+
+
+def readme_sums(src, work):
+    config = os.path.join(work, "readme.json")
+    with open(config, "w") as fh:
+        fh.write(readme_block("### Config schema", "json"))
+    calls = [
+        ("simulate", ["simulate"], ["trajectory.csv", "jumps.csv", "manifest.json"], (0,)),
+        ("verify_identities", ["verify", "--suite", "identities"],
+         ["report_identities.json"], (0, 1)),
+        ("flow", ["flow"], ["flow.csv"], (0,)),
+        ("flow_0,0.25,0.5", ["flow", "--times", "0,0.25,0.5"], ["flow.csv"], (0,)),
+    ]
+    for tag, argv, names, ok_codes in calls:
+        out = os.path.join(work, "readme_" + tag)
+        for name, digest in cli_sums(src, [*argv, "--config", config], names, work, out,
+                                     ok_codes):
+            yield f"readme/{tag}/{name}", digest
 
 
 def main(argv=None):
@@ -88,13 +150,12 @@ def main(argv=None):
     print(simd_line(), flush=True)
     ok = True
     with tempfile.TemporaryDirectory() as work:
-        for workload in WORKLOADS.values():
-            for seed in SEEDS:
-                for jobs in JOBS:
-                    digest = report_sum(src, workload, seed, jobs, work)
-                    ok = ok and digest is not None
-                    name = f"{workload.name}/seed={seed}/jobs={jobs}/report_{workload.suite}.json"
-                    print(f"{digest or 'FAILED'}  {name}", flush=True)
+        for name, digest in itertools.chain(workload_sums(src, work), readme_sums(src, work)):
+            ok = ok and digest is not None
+            print(f"{digest or 'FAILED'}  {name}", flush=True)
+        printed = run(src, _PRELUDE + readme_block("## Quick start", "python"), [], work)
+        ok = ok and printed is not None
+        print(f"quick start: {(printed or 'FAILED').strip()}", flush=True)
     return 0 if ok else 1
 
 
