@@ -195,9 +195,11 @@ class RunConfig:
             _require(isinstance(name, str), f"observables[{i}].name must be a string")
             modes = tuple(_int(m, f"observables[{i}].modes entries") for m in modes)
             self.observable_specs.append((name, modes, clean_terms))
-        for _name, modes, _terms in self.observable_specs:
+        for _name, modes, terms in self.observable_specs:
+            _require(min(modes) >= 1, "observable mode indices must be >= 1")
             _require(max(modes) <= self.truncation,
                      "observable mode index beyond the basis truncation")
+            _require(min(min(p) for _c, p in terms) >= 0, "observable powers must be >= 0")
 
     # -- builders ---------------------------------------------------------
 

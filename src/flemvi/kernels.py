@@ -167,19 +167,14 @@ def _check_admissible(d, c, values):
 def admissible_from_perturbation(basis, higher_coeffs, c=None):
     """Density proportional to the ground mode plus higher-mode terms.
 
-    ``higher_coeffs`` is either a mapping {mode index >= 2: amplitude} or a
-    sequence giving amplitudes for modes 2, 3, ...  With c=None the smallest
-    valid constant is found on the validation grid (with a tiny safety
-    margin) and rejected if it exceeds ``_C_CAP``.  The grid is evaluated
-    once either way.
+    ``higher_coeffs`` maps mode indices >= 2 to amplitudes.  With c=None the
+    smallest valid constant is found on the validation grid (with a tiny
+    safety margin) and rejected if it exceeds ``_C_CAP``.  The grid is
+    evaluated once either way.
     """
     raw = np.zeros(basis.K)
     raw[0] = 1.0
-    if isinstance(higher_coeffs, dict):
-        items = higher_coeffs.items()
-    else:
-        items = enumerate(higher_coeffs, start=2)
-    for k, a_k in items:
+    for k, a_k in higher_coeffs.items():
         k = int(k)
         if not 2 <= k <= basis.K:
             raise ValueError(f"perturbation mode {k} out of range 2..{basis.K}")

@@ -99,7 +99,7 @@ class CylinderFunction:
     phi: object
     grad: object
     hess: object
-    name: str = "cylinder"
+    name: str
 
     @property
     def n_modes(self) -> int:

@@ -65,23 +65,19 @@ class JumpEvent:
 
 @dataclass(eq=False)
 class ParticleConfig:
-    """Mutable simulation state: interior positions, clock, log, RNG stream."""
+    """n particles in the domain, as interior positions (n, d), and the RNG
+    stream that moves them."""
 
     domain: Domain
     positions: np.ndarray
-    time: float = 0.0
-    jump_log: list = field(default_factory=list)
     rng: np.random.Generator = field(kw_only=True)
 
     def __post_init__(self):
         self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float)).copy()
+        if self.positions.shape[1] != self.domain.dimension:
+            raise ValueError("atom coordinates do not match the domain dimension")
         if not np.all(self.domain.contains_many(self.positions)):
             raise ValueError("all particles must start interior")
-
-    def copy(self):
-        """Copy of the positions, clock and log; the stream is shared."""
-        return ParticleConfig(self.domain, self.positions.copy(), self.time,
-                              list(self.jump_log), rng=self.rng)
 
 
 def _detect_hits(domain, pos, prop, dt, u_bridge):
@@ -196,16 +192,16 @@ def _step_inplace(domain, positions, time, dt, kernel, rngs):
     return new_time, jumps
 
 
-def advance_steps(domain, positions, n_steps, dt, kernel, rngs, time=0.0, on_step=None):
+def advance_steps(domain, positions, n_steps, dt, kernel, rngs, on_step=None):
     """In-place multi-step advance of a (B, n, d) stack with one stream per
-    replica; returns the new time.  ``on_step(k, time, jumps)``, if given,
+    replica, its clock starting at 0.  ``on_step(k, time, jumps)``, if given,
     observes the state after step k (0-based); ``jumps[b]`` are replica
     b's (index, hit point, target) triples of that step."""
+    time = 0.0
     for k in range(n_steps):
         time, jumps = _step_inplace(domain, positions, time, dt, kernel, rngs)
         if on_step is not None:
             on_step(k, time, jumps)
-    return time
 
 
 @dataclass
@@ -220,24 +216,23 @@ class TrajectoryResult:
 
 def run(cfg0: ParticleConfig, T, dt, kernel: RelocationKernel, observables,
         basis, record_stride=1) -> TrajectoryResult:
-    """Run to horizon T, recording cylinder observables of the empirical
-    measure every ``record_stride`` steps (and at time 0).  It steps a copy
-    of ``cfg0`` but draws from and advances the shared ``cfg0.rng``, so a
-    rerun needs a freshly seeded config."""
+    """Run from time 0 to horizon T, recording cylinder observables of the
+    empirical measure every ``record_stride`` steps (and at time 0).  It steps
+    a copy of ``cfg0.positions``, which stay as they were, but draws from and
+    advances ``cfg0.rng``, so a rerun needs a freshly seeded config.  ``final``
+    holds the positions at T and that same stream."""
     if T <= 0:
         raise ValueError("horizon must be positive")
     if dt <= 0:
         raise ValueError("dt must be positive")
     n_steps = int(round(T / dt))
-    cfg = cfg0.copy()
-    events = list(cfg.jump_log)
+    pos = cfg0.positions.copy()
+    events = []
 
     def observe():
-        return [cylinder_value_many(f, cfg.positions[None], basis)[0] for f in observables]
+        return [cylinder_value_many(f, pos[None], basis)[0] for f in observables]
 
-    times = [cfg.time]
-    rows = [observe()]
-    counts = [len(events)]
+    times, rows, counts = [0.0], [observe()], [0]
 
     def record(k, time, jumps):
         events.extend(JumpEvent(time, int(i), tuple(float(v) for v in y),
@@ -249,16 +244,14 @@ def run(cfg0: ParticleConfig, T, dt, kernel: RelocationKernel, observables,
             rows.append(observe())
             counts.append(len(events))
 
-    cfg.time = advance_steps(cfg.domain, cfg.positions[None], n_steps, dt, kernel, [cfg.rng],
-                             cfg.time, on_step=record)
-    cfg.jump_log = events
+    advance_steps(cfg0.domain, pos[None], n_steps, dt, kernel, [cfg0.rng], on_step=record)
     return TrajectoryResult(
         times=np.array(times),
         observable_names=[f.name for f in observables],
         values=np.array(rows),
         jump_counts=np.array(counts),
         events=events,
-        final=cfg,
+        final=ParticleConfig(cfg0.domain, pos, rng=cfg0.rng),
     )
 
 
@@ -397,32 +390,31 @@ def _stacked_estimates(law: InitialLaw, n, dt, kernel: RelocationKernel, jobs, e
 
 
 def semigroup_estimate(law: InitialLaw, g: CylinderFunction, psi: CylinderFunction,
-                       t, n, M, dt, kernel: RelocationKernel, seed, jobs=1):
+                       t, n, M, dt, kernel: RelocationKernel, seed):
     """Monte Carlo for the pairing of the time-t semigroup applied to g with
     psi under the n-particle initial law: mean over replicas of
     g(state at t) * psi(state at 0).  The replicas advance as one stack."""
-    return _stacked_estimates(law, n, dt, kernel, jobs, [("semigroup", g, psi, t, M, seed)])[0]
+    return _stacked_estimates(law, n, dt, kernel, 1, [("semigroup", g, psi, t, M, seed)])[0]
 
 
 def resolvent_estimate(law: InitialLaw, g: CylinderFunction, beta, n, M, dt,
-                       kernel: RelocationKernel, seed, jobs=1):
+                       kernel: RelocationKernel, seed):
     """Monte Carlo for the beta-resolvent of g under the n-particle process,
     by exact exponential-weight quadrature of the observed trajectory up to
     T_cut = 12/beta, the replicas advancing as one stack.  Returns
     (estimate, stderr, tail_bound), the tail bound using the largest |g|
     value seen."""
-    return _stacked_estimates(law, n, dt, kernel, jobs, [("resolvent", g, None, beta, M, seed)])[0]
+    return _stacked_estimates(law, n, dt, kernel, 1, [("resolvent", g, None, beta, M, seed)])[0]
 
 
 # -- artifacts ----------------------------------------------------------------
 
 
 def _write_meta_line(fh, meta):
-    if meta:
-        fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
+    fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
 
 
-def write_trajectory_csv(path, result: TrajectoryResult, meta=None):
+def write_trajectory_csv(path, result: TrajectoryResult, meta):
     """Columns: time, one per observable, jump_count.  ``meta`` key/values
     (config hash, seed) go into a leading comment line."""
     import csv as _csv
@@ -437,8 +429,9 @@ def write_trajectory_csv(path, result: TrajectoryResult, meta=None):
             )
 
 
-def write_jump_log_csv(path, events, dimension, meta=None):
-    """Columns: time, particle, jump-off point, relocation target, distance."""
+def write_jump_log_csv(path, events, dimension, meta):
+    """Columns: time, particle, jump-off point, relocation target, distance,
+    after the ``meta`` comment line."""
     import csv as _csv
 
     offcols = [f"jump_off{k + 1}" for k in range(dimension)]

@@ -98,7 +98,7 @@ class SpectralBasis:
     set is the smallest square tensor grid holding ``truncation_K`` modes.
     """
 
-    def __init__(self, domain: Domain, truncation_K: int = 64):
+    def __init__(self, domain: Domain, truncation_K: int):
         if truncation_K < 1:
             raise ValueError("need at least one mode")
         self.domain = domain

@@ -13,7 +13,7 @@ Suites:
   jump_increment_checks    coupled relocation/diffusion increment estimators
   boundary_cutoff_diagnostic  soft boundary-vanishing observable, reported only
   convergence_experiment   empirical-measure moments vs the limit flow
-  operator_limit_check(s)  semigroup / resolvent estimates vs flow targets
+  operator_limit_checks    semigroup / resolvent estimates vs flow targets
 """
 
 import math
@@ -685,10 +685,10 @@ def resolvent_target(law, g, beta):
     return math.fsum(w * total(ad.mu) for w, ad in law.components)
 
 
-def operator_limit_check(law, g, psi, t_or_beta, n_list, M, dt, kernel, seed,
-                         jobs=1, mode="semigroup", k=DEFAULT_K_SIGMA):
+def operator_limit_checks(law, checks, n_list, dt, kernel, jobs=1, k=DEFAULT_K_SIGMA):
     """Semigroup or resolvent estimates across a particle-count ladder vs
-    the flow-computed limit target.
+    the flow-computed limit target, for each (mode, g, psi, t_or_beta, M,
+    seed) of ``checks``, in order; at each n their replicas step as one stack.
 
     mode="semigroup": estimates mean[g(state at t) psi(state at 0)] per n
     against the mixture average of g(flow(d, t)) psi(d).  mode="resolvent":
@@ -700,14 +700,6 @@ def operator_limit_check(law, g, psi, t_or_beta, n_list, M, dt, kernel, seed,
     asserted.  Table runtimes: a row shows its n's stacked run, shared by all
     checks stacked with it, and a trend row their sum (the JSON has none).
     """
-    return operator_limit_checks(law, [(mode, g, psi, t_or_beta, M, seed)], n_list, dt,
-                                 kernel, jobs=jobs, k=k)
-
-
-def operator_limit_checks(law, checks, n_list, dt, kernel, jobs=1, k=DEFAULT_K_SIGMA):
-    """The rows of ``operator_limit_check`` for each (mode, g, psi,
-    t_or_beta, M, seed) of ``checks``, in order; at each n their replicas
-    step as one stack."""
     n_list = _ladder_sizes(n_list, kernel)
     blocks, runs = [], []
     for mode, g, psi, t_or_beta, M, _seed in checks:
@@ -770,15 +762,12 @@ def render_table(reports):
     return "\n".join(lines)
 
 
-def reports_to_json(suite, reports, seed=None, config_sha256=None):
+def reports_to_json(suite, reports, seed, config_sha256):
     """Machine-readable suite summary (no wall-clock timings)."""
-    out = {
+    return {
         "suite": suite,
         "passed": suite_passed(reports),
         "reports": [r.to_dict() for r in reports],
+        "seed": int(seed),
+        "config_sha256": config_sha256,
     }
-    if seed is not None:
-        out["seed"] = int(seed)
-    if config_sha256 is not None:
-        out["config_sha256"] = config_sha256
-    return out

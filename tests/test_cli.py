@@ -115,6 +115,8 @@ def test_missing_required_key(cfg_file, tmp_path, missing):
         {"observables": [{"name": [1], "modes": [1], "terms": [[1.0, [1]]]}]},
         {"components": [{"weight": 1.0, "modes": {"\u0663": 0.05}}]},
         {"components": [{"weight": 1.0, "modes": {"\u00b2": 0.05}}]},
+        {"observables": [{"name": "m", "modes": [0], "terms": [[1.0, [1]]]}]},
+        {"observables": [{"name": "m", "modes": [1], "terms": [[1.0, [-1]]]}]},
     ],
 )
 def test_invalid_values_rejected(cfg_file, overrides):
@@ -134,6 +136,19 @@ def test_invalid_values_rejected(cfg_file, overrides):
 def test_formerly_coerced_values_exit_2(cfg_file, tmp_path, capsys, overrides, message):
     assert main(["simulate", "--config", cfg_file(overrides), "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["flow"], ["verify", "--suite", "identities"],
+                                     ["verify", "--suite", "convergence"]])
+@pytest.mark.parametrize("observable,message", [
+    ({"name": "m", "modes": [0], "terms": [[1.0, [1]]]}, "mode indices must be >= 1"),
+    ({"name": "m", "modes": [1], "terms": [[1.0, [-1]]]}, "powers must be >= 0"),
+])
+def test_unevaluable_observables_exit_2_under_every_command(cfg_file, tmp_path, capsys,
+                                                            command, observable, message):
+    path = cfg_file({"observables": [observable]})
+    assert main([*command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: observable {message}")
 
 
 # -- config fuzz: a mutated valid config is rejected with a message or runs ---------

@@ -231,6 +231,25 @@ def test_sample_relocation_interior(perturbed_law, basis_1d, rng):
             assert basis_1d.domain.contains(y)
 
 
+def test_mixture_relocation_follows_the_reweighted_law(basis_1d, rng):
+    """The reappearance point of an interior atom is drawn from the
+    reweighted mixture eta of ``reweighted_mixture``, not from the mixture
+    with the law's own component weights."""
+    from scipy import stats
+
+    law = InitialLaw(((1.0, admissible_from_perturbation(basis_1d, {2: 0.1})),
+                      (1.0, admissible_from_perturbation(basis_1d, {2: -0.1}))))
+    kernel = RelocationKernel.mixture_reweighted(law)
+    others = rng.uniform(0.2, 1.2, size=(30, 1))  # crowded on one side
+    positions = np.vstack([[[1.5]], others])
+    terms = kernels.mixture_terms(kernel, positions)
+    draws = [sample_relocation(kernel, positions, 0, rng, terms)[0] for _ in range(4000)]
+    eta, _rho = reweighted_mixture(law, others)
+    plain = DensityMeasure(basis_1d, sum(w * ad.mu.coeffs for w, ad in law.components))
+    assert stats.kstest(draws, eta.cdf_1d).pvalue > 1e-4
+    assert stats.kstest(draws, plain.cdf_1d).pvalue < 1e-6
+
+
 def test_uniform_survivor_copies_a_survivor(rng):
     kernel = RelocationKernel.uniform_survivor()
     positions = np.array([[0.5], [0.0], [1.5], [2.5]])

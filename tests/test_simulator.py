@@ -47,8 +47,8 @@ def test_step_determinism(stationary_law):
     a, b = (run(ParticleConfig(DOM, [[1.0], [2.0]], rng=_rng(3)), 0.5, 0.01, kernel, [],
                 stationary_law.basis) for _ in range(2))
     np.testing.assert_array_equal(a.final.positions, b.final.positions)
-    assert a.final.time == b.final.time
-    assert len(a.final.jump_log) == len(b.final.jump_log)
+    assert a.times[-1] == b.times[-1]
+    assert len(a.events) == len(b.events)
 
 
 def test_step_keeps_particles_interior(stationary_law):
@@ -172,8 +172,13 @@ def test_particle_config_requires_its_stream():
     # an unseeded default stream would break reproducibility
     with pytest.raises(TypeError):
         ParticleConfig(DOM, [[1.0]])
-    cfg = ParticleConfig(DOM, [[1.0]], rng=_rng(1))
-    assert cfg.copy().rng is cfg.rng
+
+
+def test_particle_config_checks_the_dimension():
+    with pytest.raises(ValueError, match="domain dimension"):
+        ParticleConfig(DOM, [[1.0, 2.0], [0.5, 1.5]], rng=_rng(1))
+    with pytest.raises(ValueError, match="domain dimension"):
+        ParticleConfig(RECT, [[1.0], [0.5]], rng=_rng(1))
 
 
 def test_run_copies_the_state_but_advances_the_shared_stream(stationary_law):
@@ -185,7 +190,8 @@ def test_run_copies_the_state_but_advances_the_shared_stream(stationary_law):
     cfg = ParticleConfig(DOM, [[1.0], [2.0]], rng=_rng(3))
     first, second = go(cfg), go(cfg)
     np.testing.assert_array_equal(cfg.positions, [[1.0], [2.0]])
-    assert cfg.time == 0.0 and cfg.jump_log == []
+    assert first.times[0] == second.times[0] == 0.0
+    assert first.final.rng is cfg.rng and second.final.rng is cfg.rng
     assert first.values[-1, 0] != second.values[-1, 0]
     fresh = go(ParticleConfig(DOM, [[1.0], [2.0]], rng=_rng(3)))
     np.testing.assert_array_equal(fresh.values, first.values)
@@ -586,7 +592,7 @@ def test_run_equals_the_reference_step(perturbed_law):
         if (k + 1) % 7 == 0 or k == 59:
             record()
     assert len(events) > 5
-    assert result.events == events and result.final.jump_log == events
+    assert result.events == events and result.times[-1] == time
     assert np.array_equal(result.values, np.array(rows))
     assert np.array_equal(result.jump_counts, counts)
     assert np.array_equal(result.final.positions, pos)

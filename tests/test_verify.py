@@ -29,7 +29,7 @@ from flemvi.verify import (
     exit_moment_check,
     identity_suite,
     jump_increment_checks,
-    operator_limit_check,
+    operator_limit_checks,
     render_table,
     reports_to_json,
     resolvent_target,
@@ -354,12 +354,12 @@ def test_operator_limit_check_validates_inputs(stationary_law):
     one = CylinderFunction.constant(1.0)
     kernel = RelocationKernel.mixture_reweighted(stationary_law)
     with pytest.raises(ValueError):
-        operator_limit_check(stationary_law, g, one, 0.1, [4], 8, 0.002,
-                             kernel, 1, mode="nonsense")
+        operator_limit_checks(stationary_law, [("nonsense", g, one, 0.1, 8, 1)], [4], 0.002,
+                              kernel)
     with pytest.raises(ValueError):
         # resolvent weighting by a non-constant start observable is unsupported
-        operator_limit_check(stationary_law, g, g, 1.0, [4], 8, 0.002,
-                             kernel, 1, mode="resolvent")
+        operator_limit_checks(stationary_law, [("resolvent", g, g, 1.0, 8, 1)], [4], 0.002,
+                              kernel)
 
 
 def test_resolvent_target_constant(stationary_law):
@@ -424,10 +424,8 @@ def test_resolvent_target_equals_the_per_node_flow_loop(perturbed_law, basis_2d)
 def test_resolvent_constant_rows_exact_at_every_n(stationary_law):
     one = CylinderFunction.constant(1.0)
     kernel = RelocationKernel.mixture_reweighted(stationary_law)
-    reports = operator_limit_check(
-        stationary_law, one, one, 2.0, [2, 4], 4, 0.01, kernel, seed=5,
-        mode="resolvent",
-    )
+    reports = operator_limit_checks(
+        stationary_law, [("resolvent", one, one, 2.0, 4, 5)], [2, 4], 0.01, kernel)
     rows = [r for r in reports if r.name.startswith("resolvent[") and "|n=" in r.name]
     assert len(rows) == 2
     for r in rows:
@@ -499,9 +497,8 @@ def test_operator_limits_suite_equals_one_estimator_at_a_time(monkeypatch, horiz
                 ("resolvent", one, one, horizon, max(4, min(replicas, 16)), subs[1]),
                 ("resolvent", g, one, horizon, replicas, subs[2])]
 
-    alone = [row for mode, f, psi, x, M, sub in checks()
-             for row in operator_limit_check(law, f, psi, x, n_list, M, dt, kernel, sub,
-                                             mode=mode, k=k)]
+    alone = [row for check in checks()
+             for row in operator_limit_checks(law, [check], n_list, dt, kernel, k=k)]
     assert [r.to_dict() for r in suite] == [r.to_dict() for r in alone]
     for j, (mode, f, psi, x, M, sub) in enumerate(checks()):
         for i, (n, sub_n) in enumerate(zip(n_list, sub.spawn(len(n_list)))):
