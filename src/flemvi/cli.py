@@ -22,6 +22,7 @@ from .kernels import (
     InitialLaw,
     KernelKind,
     RelocationKernel,
+    _check_population,
     admissible_from_perturbation,
     sample_initial_configuration,
 )
@@ -213,7 +214,9 @@ class RunConfig:
         return InitialLaw(tuple(comps))
 
     def build_kernel(self, basis, law):
-        return RelocationKernel(self.kernel_kind, basis, law)
+        kernel = RelocationKernel(self.kernel_kind, basis, law)
+        _check_population(kernel, self.n_list[0])
+        return kernel
 
     def build_observables(self):
         return [
@@ -245,9 +248,6 @@ def cmd_simulate(config, seed, out_dir):
     kernel = config.build_kernel(basis, law)
     observables = config.build_observables()
     n = config.n_list[0]
-    if kernel.kind is KernelKind.UNIFORM_SURVIVOR and n < 2:
-        raise ConfigError(
-            "survivor-copy relocation is undefined with fewer than two particles")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     start = sample_initial_configuration(law, n, rng)
     cfg0 = ParticleConfig(config.domain, start.positions, rng=rng)

@@ -29,7 +29,6 @@ __all__ = [
     "InitialLaw",
     "KernelKind",
     "RelocationKernel",
-    "validate_admissible",
     "admissible_from_perturbation",
     "sample_ground_mode",
     "sample_initial_configuration",
@@ -60,7 +59,7 @@ class AdmissibleDensity:
     def basis(self) -> SpectralBasis:
         return self.mu.basis
 
-    def sample(self, rng, size=1):
+    def sample(self, rng, size):
         """i.i.d. draws by rejection against the ground-mode envelope."""
         basis = self.basis
         return _rejection_sample(
@@ -71,7 +70,7 @@ class AdmissibleDensity:
             envelope_factor=self.c,
         )
 
-    def sample_neg_half_laplacian(self, rng, size=1):
+    def sample_neg_half_laplacian(self, rng, size):
         """i.i.d. draws from the normalized negative half-Laplacian."""
         basis = self.basis
         neg_lam1 = -basis.lambdas[0]
@@ -84,7 +83,7 @@ class AdmissibleDensity:
         )
 
 
-def sample_ground_mode(basis: SpectralBasis, rng, size=1):
+def sample_ground_mode(basis: SpectralBasis, rng, size):
     """i.i.d. draws from the normalized ground mode, by per-axis inversion."""
     d = basis.domain.dimension
     u = rng.random((size, d))
@@ -119,32 +118,51 @@ def _rejection_sample(rng, size, basis, target, envelope_factor):
     return out
 
 
-def _grid_values(d: DensityMeasure):
-    """The validation grid and, on it, the ground mode, the density and its
-    negative half-Laplacian, all from one eigenfunction table."""
-    basis = d.basis
+def admissible_from_perturbation(basis, higher_coeffs, c=None):
+    """Density proportional to the ground mode plus higher-mode terms, checked
+    admissible on a uniform interior grid; raises with the violation count.
+
+    ``higher_coeffs`` maps mode indices >= 2 to amplitudes.  With c=None the
+    smallest valid constant is found on the grid (with a tiny safety margin)
+    and rejected if it exceeds ``_C_CAP``.  The grid is evaluated once, as one
+    eigenfunction table, either way.
+    """
+    raw = np.zeros(basis.K)
+    raw[0] = 1.0
+    for k, a_k in higher_coeffs.items():
+        k = int(k)
+        if not 2 <= k <= basis.K:
+            raise ValueError(f"perturbation mode {k} out of range 2..{basis.K}")
+        raw[k - 1] = float(a_k)
+    Z = math.fsum(raw * basis.unit_integrals)
+    if Z <= 0:
+        raise ValueError("perturbation destroys the positivity of the total mass")
+    d = DensityMeasure(basis, raw / Z)
     grid = basis.interior_grid()
     H = basis.eigenfunction_matrix(grid, _last_mode(d.coeffs))
-    # the series of DensityMeasure.density and .half_laplacian
-    return grid, H[0], _series(d.coeffs, H), -_series(d.coeffs * basis.lambdas, H)
-
-
-def validate_admissible(d: DensityMeasure, c) -> AdmissibleDensity:
-    """Check the two-sided ground-mode comparisons on a uniform interior grid
-    and return the validated density; raises with the violation count."""
-    return _check_admissible(d, c, _grid_values(d))
-
-
-def _check_admissible(d, c, values):
-    """validate_admissible on the grid evaluation ``values`` of ``_grid_values``."""
+    # the ground mode, then the series of DensityMeasure.density and .half_laplacian
+    h1, dens, neglap = H[0], _series(d.coeffs, H), -_series(d.coeffs * basis.lambdas, H)
+    neg_lam1 = -basis.lambdas[0]
+    if c is None:
+        if dens.min() <= 0.0 or neglap.min() <= 0.0:
+            raise ValueError("density or its curvature loses positivity")
+        c_min = max(
+            float((dens / h1).max()),
+            float((h1 / dens).max()),
+            float((neglap / (neg_lam1 * h1)).max()),
+            float(((neg_lam1 * h1) / neglap).max()),
+        )
+        c = c_min * (1.0 + 1e-9)
+        if c > _C_CAP:
+            raise ValueError(
+                f"smallest admissible constant {c:.4f} exceeds the cap {_C_CAP:g}"
+            )
     c = float(c)
     if not c > 1.0:
         raise ValueError("comparison constant must exceed 1")
     mass = d.mass()
     if abs(mass - 1.0) > 1e-8:
         raise ValueError(f"density mass {mass!r} is not 1 within 1e-8")
-    grid, h1, dens, neglap = values
-    neg_lam1 = -d.basis.lambdas[0]
     slack = 1e-12
     bad = (
         (dens < h1 / c - slack)
@@ -162,45 +180,6 @@ def _check_admissible(d, c, values):
     if not K > 0.0:
         raise ValueError(f"curvature mass {K!r} is not positive")
     return AdmissibleDensity(d, c, K)
-
-
-def admissible_from_perturbation(basis, higher_coeffs, c=None):
-    """Density proportional to the ground mode plus higher-mode terms.
-
-    ``higher_coeffs`` maps mode indices >= 2 to amplitudes.  With c=None the
-    smallest valid constant is found on the validation grid (with a tiny
-    safety margin) and rejected if it exceeds ``_C_CAP``.  The grid is
-    evaluated once either way.
-    """
-    raw = np.zeros(basis.K)
-    raw[0] = 1.0
-    for k, a_k in higher_coeffs.items():
-        k = int(k)
-        if not 2 <= k <= basis.K:
-            raise ValueError(f"perturbation mode {k} out of range 2..{basis.K}")
-        raw[k - 1] = float(a_k)
-    Z = math.fsum(raw * basis.unit_integrals)
-    if Z <= 0:
-        raise ValueError("perturbation destroys the positivity of the total mass")
-    d = DensityMeasure(basis, raw / Z)
-    values = _grid_values(d)
-    if c is None:
-        _grid, h1, dens, neglap = values
-        neg_lam1 = -basis.lambdas[0]
-        if dens.min() <= 0.0 or neglap.min() <= 0.0:
-            raise ValueError("density or its curvature loses positivity")
-        c_min = max(
-            float((dens / h1).max()),
-            float((h1 / dens).max()),
-            float((neglap / (neg_lam1 * h1)).max()),
-            float(((neg_lam1 * h1) / neglap).max()),
-        )
-        c = c_min * (1.0 + 1e-9)
-        if c > _C_CAP:
-            raise ValueError(
-                f"smallest admissible constant {c:.4f} exceeds the cap {_C_CAP:g}"
-            )
-    return _check_admissible(d, c, values)
 
 
 @dataclass(frozen=True)
@@ -270,6 +249,19 @@ class RelocationKernel:
     def mixture_reweighted(cls, law: InitialLaw):
         return cls(KernelKind.MIXTURE_REWEIGHTED, basis=law.basis, law=law)
 
+    @property
+    def reads_others(self):
+        """Whether a draw reads the other atoms: survivor-copy, and the
+        reweighted mixture of more than one component."""
+        return self.kind is KernelKind.UNIFORM_SURVIVOR or (
+            self.kind is KernelKind.MIXTURE_REWEIGHTED and len(self.law.components) > 1)
+
+
+def _check_population(kernel: RelocationKernel, n):
+    """Raise ValueError if ``kernel``'s draws read the other atoms and n < 2."""
+    if n < 2 and kernel.reads_others:
+        raise ValueError(f"{kernel.kind.value} relocation is undefined with fewer than two particles")
+
 
 def _atom_terms(law: InitialLaw, pts):
     """log d_m(z) and (-1/2 Laplacian d_m)(z) / d_m(z) per component m and
@@ -289,7 +281,7 @@ def mixture_terms(kernel: RelocationKernel, pts, rows=slice(None)):
     """The per-atom terms of ``kernel``'s component weights (see ``sample_relocation``)
     at the points ``pts[rows]`` (..., d), shape (2, components, ...), from one
     ``_atom_terms`` call; None, with pts unread, when its draw does not use them."""
-    if kernel.kind is KernelKind.MIXTURE_REWEIGHTED and len(kernel.law.components) > 1:
+    if kernel.kind is KernelKind.MIXTURE_REWEIGHTED and kernel.reads_others:
         pts = pts[rows]
         terms = _atom_terms(kernel.law, pts.reshape(-1, pts.shape[-1]))
         return terms.reshape(terms.shape[:2] + pts.shape[:-1])
@@ -346,17 +338,15 @@ def sample_relocation(kernel: RelocationKernel, positions, i, rng, terms=None):
     ``positions`` (n, d); the draw reads only the other n-1 atoms.
     ``terms``, if given, must equal ``mixture_terms(kernel, positions)``
     at those atoms (its column i is never read)."""
+    _check_population(kernel, len(positions))
     if kernel.kind is KernelKind.UNIFORM_SURVIVOR:
-        n = len(positions)
-        if n < 2:
-            raise ValueError("no surviving particle to copy from")
-        j = int(rng.integers(n - 1))
+        j = int(rng.integers(len(positions) - 1))
         return positions[j + (j >= i)].copy()
     if kernel.kind is KernelKind.GROUND_MODE:
         return sample_ground_mode(kernel.basis, rng, 1)[0]
     if kernel.kind is KernelKind.MIXTURE_REWEIGHTED:
         law = kernel.law
-        if len(law.components) == 1:
+        if not kernel.reads_others:
             alpha = np.ones(1)
         else:
             if terms is None:  # never evaluated at atom i, which may sit on the boundary

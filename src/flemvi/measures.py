@@ -106,7 +106,7 @@ class CylinderFunction:
         return len(self.mode_indices)
 
     @classmethod
-    def constant(cls, value=1.0):
+    def constant(cls, value):
         v = float(value)
         return cls(
             (),

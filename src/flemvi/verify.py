@@ -19,12 +19,13 @@ Suites:
 import math
 import time
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .kernels import (
     KernelKind,
+    _check_population,
     admissible_from_perturbation,
     sample_curvature_weighted,
     sample_relocation,
@@ -87,27 +88,18 @@ class TestReport:
     underpowered: bool = False
     note: str = ""
 
+    def __post_init__(self):
+        for f in fields(self):
+            if f.type in (float, bool, int):
+                setattr(self, f.name, f.type(getattr(self, f.name)))
+
     def to_dict(self):
         """JSON form; wall-clock runtime is deliberately omitted so artifacts
         are byte-identical across re-runs.  Non-finite sentinels (diagnostic
         rows) become null to keep the JSON strict."""
-
-        def fin(v):
-            v = float(v)
-            return v if math.isfinite(v) else None
-
-        return {
-            "name": self.name,
-            "lhs": fin(self.lhs),
-            "stderr": fin(self.stderr),
-            "rhs": fin(self.rhs),
-            "tolerance": fin(self.tolerance),
-            "rule": self.rule,
-            "passed": bool(self.passed),
-            "samples": int(self.samples),
-            "underpowered": bool(self.underpowered),
-            "note": self.note,
-        }
+        row = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "runtime"}
+        return {key: None if isinstance(v, float) and not math.isfinite(v) else v
+                for key, v in row.items()}
 
 
 _ALPHA = 0.0026997960632601866  # 2 * ndtr(-DEFAULT_K_SIGMA), the default rule's error budget
@@ -155,15 +147,15 @@ def statistical_report(name, lhs, stderr, rhs, samples, runtime,
     underpowered = (scale > 0.0 and k * stderr > scale) or samples < 100
     return TestReport(
         name=name,
-        lhs=float(lhs),
-        stderr=float(stderr),
-        rhs=float(rhs),
-        tolerance=float(tolerance),
+        lhs=lhs,
+        stderr=stderr,
+        rhs=rhs,
+        tolerance=tolerance,
         rule=f"{k:g}*sigma",
-        passed=bool(abs(lhs - rhs) <= tolerance),
-        runtime=float(runtime),
-        samples=int(samples),
-        underpowered=bool(underpowered),
+        passed=abs(lhs - rhs) <= tolerance,
+        runtime=runtime,
+        samples=samples,
+        underpowered=underpowered,
         note="UNDERPOWERED" if underpowered else "",
     )
 
@@ -172,14 +164,14 @@ def deterministic_report(name, lhs, rhs, tolerance, runtime, samples=0, note="")
     """Absolute-tolerance comparison for exact identities."""
     return TestReport(
         name=name,
-        lhs=float(lhs),
+        lhs=lhs,
         stderr=0.0,
-        rhs=float(rhs),
-        tolerance=float(tolerance),
+        rhs=rhs,
+        tolerance=tolerance,
         rule="absolute",
-        passed=bool(abs(lhs - rhs) <= tolerance),
-        runtime=float(runtime),
-        samples=int(samples),
+        passed=abs(lhs - rhs) <= tolerance,
+        runtime=runtime,
+        samples=samples,
         note=note,
     )
 
@@ -201,14 +193,14 @@ def trend_report(name, deviations, stderrs, runtime, samples, note=""):
     devs = ", ".join(f"{d:.3e}" for d in deviations)
     return TestReport(
         name=name,
-        lhs=float(inversions),
+        lhs=inversions,
         stderr=0.0,
         rhs=0.0,
         tolerance=1.0,
         rule="nonincreasing (<=1 sigma-inversion)",
         passed=inversions <= 1,
-        runtime=float(runtime),
-        samples=int(samples),
+        runtime=runtime,
+        samples=samples,
         note=(note + "; " if note else "") + f"deviations: [{devs}]",
     )
 
@@ -217,14 +209,14 @@ def diagnostic_report(name, lhs, stderr, runtime, samples, note=""):
     """Reported value with no assertion attached (always passes)."""
     return TestReport(
         name=name,
-        lhs=float(lhs),
-        stderr=float(stderr),
-        rhs=float("nan"),
-        tolerance=float("inf"),
+        lhs=lhs,
+        stderr=stderr,
+        rhs=math.nan,
+        tolerance=math.inf,
         rule="diagnostic (reported, not asserted)",
         passed=True,
-        runtime=float(runtime),
-        samples=int(samples),
+        runtime=runtime,
+        samples=samples,
         note=note,
     )
 
@@ -346,7 +338,7 @@ def identity_suite(basis, law=None, seed=20260814):
         f = CylinderFunction.polynomial(
             (1, 2), [(a1, (1, 0)), (a2, (0, 1)), (a30, (3, 0)), (a21, (2, 1))])
 
-        def F(tau, f=f, mu=mu):
+        def F(tau):
             return cylinder_value(f, flow(mu, tau))
 
         hs = 0.02
@@ -377,27 +369,19 @@ def identity_suite(basis, law=None, seed=20260814):
     ]
     worst_rel = 0.0
     h = 5e-3
+    shifts = np.array([2, 1, 0, -1, -2]) * h
     for n in (1, 2, 3):
         lo = domain.lo + 0.1 * np.asarray(domain.sides)
         hi = domain.hi - 0.1 * np.asarray(domain.sides)
         positions = rng.uniform(lo, hi, size=(n, domain.dimension))
         emp = EmpiricalMeasure(domain, positions)
+        # row 5j + s: the configuration with coordinate j moved by shifts[s]
+        stack = positions.ravel() + np.kron(np.eye(positions.size), shifts[:, None])
         for f in f_tests:
-            def G(flat, f=f, n=n):
-                return cylinder_value(
-                    f, EmpiricalMeasure(domain, flat.reshape(n, domain.dimension)),
-                    basis)
-
-            flat0 = positions.ravel()
             acc = 0.0
-            for j in range(flat0.size):
-                vals = []
-                for shift in (2, 1, 0, -1, -2):
-                    p = flat0.copy()
-                    p[j] += shift * h
-                    vals.append(G(p))
-                acc += (-vals[0] + 16 * vals[1] - 30 * vals[2]
-                        + 16 * vals[3] - vals[4]) / (12 * h * h)
+            for v in cylinder_value_many(f, stack.reshape(-1, n, domain.dimension),
+                                         basis).reshape(-1, 5).tolist():
+                acc += (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3] - v[4]) / (12 * h * h)
             brute = 0.5 * acc
             mine = discrete_generator(f, emp, basis)
             worst_rel = max(worst_rel, abs(mine - brute) / max(abs(brute), 1e-12))
@@ -572,14 +556,12 @@ def boundary_cutoff_diagnostic(law, n_list, M, dt, seed, jobs=1):
 # ---------------------------------------------------------------------------
 
 def _ladder_sizes(n_list, kernel):
-    """The population ladder as ints, checked strictly increasing and, for
-    survivor-copy relocation, free of single-particle systems."""
+    """The population ladder as ints, checked nonempty, strictly increasing
+    and large enough for the kernel (``_check_population``)."""
     n_list = [int(n) for n in n_list]
-    if n_list != sorted(n_list) or len(set(n_list)) != len(n_list):
-        raise ValueError("n_list must be strictly increasing")
-    if kernel.kind is KernelKind.UNIFORM_SURVIVOR and min(n_list) < 2:
-        raise ValueError(
-            "survivor-copy relocation is undefined with fewer than two particles")
+    if not n_list or n_list != sorted(n_list) or len(set(n_list)) != len(n_list):
+        raise ValueError("n_list must be a nonempty, strictly increasing list")
+    _check_population(kernel, n_list[0])
     return n_list
 
 

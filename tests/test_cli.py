@@ -250,6 +250,16 @@ def test_exit_2_survivor_kernel_single_particle(cfg_file, capsys):
     assert "fewer than two" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["simulate"], ["verify", "--suite", "convergence"]])
+def test_exit_2_two_component_mixture_single_particle(cfg_file, capsys, argv):
+    # the reweighted mixture of two components reads the other particles
+    path = cfg_file({
+        "components": [{"weight": 0.6, "modes": {}}, {"weight": 0.4, "modes": {"2": 0.05}}],
+        "n_list": [1, 4], "replicas": 4, "dt": 0.01, "horizon": 0.5, "seed": 1})
+    assert main([*argv, "--config", path]) == 2
+    assert "fewer than two particles" in capsys.readouterr().err
+
+
 def test_exit_3_on_unwritable_output(cfg_file, tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("")

@@ -16,7 +16,6 @@ from flemvi.kernels import (
     sample_ground_mode,
     sample_initial_configuration,
     sample_relocation,
-    validate_admissible,
 )
 from flemvi.spectral import DensityMeasure
 
@@ -27,11 +26,12 @@ PI = math.pi
 
 def test_stationary_profile_admissible(basis_1d):
     prof = DensityMeasure.stationary_profile(basis_1d)
-    ad = validate_admissible(prof, 1.6)
+    ad = admissible_from_perturbation(basis_1d, {}, c=1.6)
+    assert np.array_equal(ad.mu.coeffs, prof.coeffs)
     assert ad.c == 1.6
     assert ad.curvature_mass == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(ValueError):
-        validate_admissible(prof, 1.5)  # ratio bound needs c >= L1 norm here
+        admissible_from_perturbation(basis_1d, {}, c=1.5)  # ratio bound needs c >= L1 norm here
 
 
 def test_auto_comparison_constant(basis_1d):
@@ -43,10 +43,9 @@ def test_auto_comparison_constant(basis_1d):
 
 def test_two_mode_perturbation_needs_larger_comparison_constant(basis_1d):
     # the 5% mode-2 tilt already needs c > 2.6 because of the curvature bound
-    mu = admissible_from_perturbation(basis_1d, {2: 0.05}).mu
     with pytest.raises(ValueError):
-        validate_admissible(mu, 2.0)
-    validate_admissible(mu, 2.7)
+        admissible_from_perturbation(basis_1d, {2: 0.05}, c=2.0)
+    admissible_from_perturbation(basis_1d, {2: 0.05}, c=2.7)
 
 
 def test_admissible_rejects_nonpositive_density(basis_1d):
@@ -92,10 +91,7 @@ def test_auto_constant_evaluates_the_grid_once(basis_2d, monkeypatch, modes):
     assert calls == ["eigenfunction_matrix"]
     pinned = admissible_from_perturbation(basis_2d, modes, c=ad.c)
     assert calls == ["eigenfunction_matrix"] * 2
-    monkeypatch.undo()
-    ref = validate_admissible(ad.mu, ad.c)
-    assert ref.mu is ad.mu
-    assert (ref.c, ref.curvature_mass) == (ad.c, ad.curvature_mass)
+    assert np.array_equal(pinned.mu.coeffs, ad.mu.coeffs)
     assert (pinned.c, pinned.curvature_mass) == (ad.c, ad.curvature_mass)
 
 

@@ -13,8 +13,11 @@ output gets one ``sha256  name`` line:
   64, 65, 66, 130 and 192 and with ``--jobs`` 1 and 2, the report of one
   ``flemvi verify`` call;
 - for the config of README.md's schema block, the artifacts of ``flemvi
-  simulate``, of ``flemvi verify --suite identities`` and of ``flemvi flow``
-  at its default times and at ``0,0.25,0.5``.
+  simulate``, of ``flemvi verify --suite identities`` and ``--suite jumps``
+  and of ``flemvi flow`` at its default times and at ``0,0.25,0.5``;
+- for the ``operator`` workload config at seed 64 with survivor-copy
+  relocation (``"kernel": "uniform_survivor"``), the report of ``flemvi
+  verify --suite operator_limits``.
 
 The last line is what README.md's quick-start program prints.  The first
 line names numpy's version and the SIMD targets it found on this CPU,
@@ -130,6 +133,7 @@ def readme_sums(src, work):
         ("simulate", ["simulate"], ["trajectory.csv", "jumps.csv", "manifest.json"], (0,)),
         ("verify_identities", ["verify", "--suite", "identities"],
          ["report_identities.json"], (0, 1)),
+        ("verify_jumps", ["verify", "--suite", "jumps"], ["report_jumps.json"], (0, 1)),
         ("flow", ["flow"], ["flow.csv"], (0,)),
         ("flow_0,0.25,0.5", ["flow", "--times", "0,0.25,0.5"], ["flow.csv"], (0,)),
     ]
@@ -138,6 +142,17 @@ def readme_sums(src, work):
         for name, digest in cli_sums(src, [*argv, "--config", config], names, work, out,
                                      ok_codes):
             yield f"readme/{tag}/{name}", digest
+
+
+def survivor_sums(src, work):
+    config = os.path.join(work, "survivor.json")
+    with open(config, "w") as fh:
+        json.dump(dict(WORKLOADS["operator"].make_config(SEEDS[0]), kernel="uniform_survivor"), fh)
+    argv = ["verify", "--config", config, "--suite", "operator_limits"]
+    report = "report_operator_limits.json"
+    [(_, digest)] = cli_sums(src, argv, [report], work, os.path.join(work, "survivor"),
+                             ok_codes=(0, 1))
+    yield f"operator/kernel=uniform_survivor/{report}", digest
 
 
 def main(argv=None):
@@ -150,7 +165,9 @@ def main(argv=None):
     print(simd_line(), flush=True)
     ok = True
     with tempfile.TemporaryDirectory() as work:
-        for name, digest in itertools.chain(workload_sums(src, work), readme_sums(src, work)):
+        sums = itertools.chain(workload_sums(src, work), readme_sums(src, work),
+                               survivor_sums(src, work))
+        for name, digest in sums:
             ok = ok and digest is not None
             print(f"{digest or 'FAILED'}  {name}", flush=True)
         printed = run(src, _PRELUDE + readme_block("## Quick start", "python"), [], work)
