@@ -86,7 +86,7 @@ class AdmissibleDensity:
 def sample_ground_mode(basis: SpectralBasis, rng, size):
     """i.i.d. draws from the normalized ground mode, by per-axis inversion."""
     d = basis.domain.dimension
-    u = rng.random((size, d))
+    u = np.maximum(rng.random((size, d)), 2.0**-54)  # 0 would map onto the wall lo
     out = np.empty((size, d))
     for ax in range(d):
         a = basis.domain.lo[ax]

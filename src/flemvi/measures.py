@@ -90,9 +90,11 @@ class CylinderFunction:
     """Observable of the form phi applied to finitely many eigenfunction
     pairings of the measure.
 
-    ``grad`` and ``hess`` return the gradient vector and Hessian matrix of
-    phi at an argument vector; they must stay bounded on the reachable box
-    of pairings (automatic for the polynomial builders below).
+    ``phi`` takes a stack of pairing rows (..., r) and returns each row's
+    value, shape (...).  ``grad`` and ``hess`` return the gradient vector
+    and Hessian matrix of phi at an argument vector; they must stay bounded
+    on the reachable box of pairings (automatic for the polynomial builders
+    below).
     """
 
     mode_indices: tuple
@@ -107,25 +109,13 @@ class CylinderFunction:
 
     @classmethod
     def constant(cls, value):
-        v = float(value)
-        return cls(
-            (),
-            lambda a: v,
-            lambda a: np.zeros(0),
-            lambda a: np.zeros((0, 0)),
-            name=f"const[{v:g}]",
-        )
+        """The constant observable: the polynomial of degree 0 in no pairing."""
+        return cls.polynomial((), [(float(value), ())], name=f"const[{float(value):g}]")
 
     @classmethod
     def coordinate(cls, k):
         """The linear observable: pairing with eigenfunction k."""
-        return cls(
-            (int(k),),
-            lambda a: float(a[0]),
-            lambda a: np.ones(1),
-            lambda a: np.zeros((1, 1)),
-            name=f"pair[{k}]",
-        )
+        return cls.polynomial((k,), [(1.0, (1,))], name=f"pair[{k}]")
 
     @classmethod
     def polynomial(cls, mode_indices, terms, name=None):
@@ -145,36 +135,32 @@ class CylinderFunction:
                 raise ValueError("negative powers are not allowed")
             clean.append((float(coef), powers))
 
-        def _d(coef, powers, i):
-            if powers[i] == 0:
-                return 0.0, powers
-            q = list(powers)
-            q[i] -= 1
-            return coef * powers[i], tuple(q)
+        def _d(terms_, i):
+            """d/dx_i of a term list, dropping the terms without x_i."""
+            return [(c * p[i], p[:i] + (p[i] - 1,) + p[i + 1:]) for c, p in terms_ if p[i]]
 
         def _eval(terms_, a):
             a = np.asarray(a, dtype=float)
-            # np.prod's own reduction, without its dispatch
-            return math.fsum(c * np.multiply.reduce(a ** p) for c, p in terms_ if c != 0.0)
+            # exponents of a's full shape: a broadcast one sends power to its
+            # square fast path, whose bits differ from a one-row call's
+            cols = [c * np.multiply.reduce(a ** np.full(a.shape, p, float), axis=-1)
+                    for c, p in terms_ if c != 0.0] or [np.zeros(a.shape[:-1])]
+            if len(cols) == 1:  # math.fsum of one value x is x + 0.0, and of none 0.0
+                return cols[0] + 0.0
+            rows = zip(*(v.ravel().tolist() for v in cols))
+            return np.array([math.fsum(t) for t in rows]).reshape(a.shape[:-1])
 
-        exponents = [(c, np.array(p)) for c, p in clean]  # built once per observable
+        firsts = [_d(clean, i) for i in range(r)]  # derivative terms, built once
+        seconds = [[_d(di, j) for j in range(r)] for di in firsts]
 
         def phi(a):
-            return float(_eval(exponents, a))
+            return _eval(clean, a)
 
         def grad(a):
-            out = np.empty(r)
-            for i in range(r):
-                out[i] = _eval([_d(c, p, i) for c, p in clean], a)
-            return out
+            return np.array([_eval(di, a) for di in firsts]).reshape(r)
 
         def hess(a):
-            out = np.empty((r, r))
-            for i in range(r):
-                di = [_d(c, p, i) for c, p in clean]
-                for j in range(r):
-                    out[i, j] = _eval([_d(c, p, j) for c, p in di], a)
-            return out
+            return np.array([[_eval(dij, a) for dij in row] for row in seconds]).reshape(r, r)
 
         if name is None:
             name = "poly[" + ",".join(str(k) for k in mode_indices) + "]"
@@ -205,7 +191,7 @@ def pair_many(modes, positions, basis: SpectralBasis, boundary_mask=None) -> np.
 
     ``boundary_mask`` (B, n) marks atoms on the collapsed boundary: they pair
     to zero but count in n, and only the other atoms must lie in the open
-    domain.  One eigenfunction call per mode and one ``math.fsum`` per
+    domain.  One eigenfunction call per mode and one ``math.fsum`` per mode and
     configuration; the masked zeros leave the exact sum unchanged.
     """
     if basis is None:
@@ -215,17 +201,16 @@ def pair_many(modes, positions, basis: SpectralBasis, boundary_mask=None) -> np.
     if not np.all(basis.domain.contains_many(positions)[interior]):
         raise ValueError("non-boundary atom outside the open domain")
     flat = positions.reshape(B * n, d)
-    vals = [np.where(interior, basis.eigenfunction(k, flat).reshape(B, n), 0.0).tolist()
-            for k in modes]
-    return np.array([[math.fsum(v[b]) / n for v in vals] for b in range(B)]).reshape(B, -1)
+    sums = [math.fsum(row) for k in modes
+            for row in np.where(interior, basis.eigenfunction(k, flat).reshape(B, n), 0.0).tolist()]
+    return np.array(sums).reshape(len(modes), B).T / n
 
 
 def cylinder_value_many(f: CylinderFunction, positions, basis: SpectralBasis,
                         boundary_mask=None) -> np.ndarray:
     """``cylinder_value`` on each configuration of a stack (B, n, d), with
     boundary atoms marked as in ``pair_many``, shape (B,)."""
-    pairs = pair_many(f.mode_indices, positions, basis, boundary_mask)
-    return np.array([float(f.phi(a)) for a in pairs])
+    return np.array(f.phi(pair_many(f.mode_indices, positions, basis, boundary_mask)), float)
 
 
 def _grad_sup_bound(basis: SpectralBasis, k) -> float:

@@ -256,6 +256,7 @@ def run(cfg0: ParticleConfig, T, dt, kernel: RelocationKernel, observables,
 
 
 _MAX_EXIT_STEPS = 10**7  # first_exit_batch gives up on configurations this slow
+_BLOCK = 4096  # atom coordinates a resolvent observes per cylinder_value_many call
 
 
 def first_exit_batch(domain: Domain, starts, dt, rng):
@@ -309,9 +310,9 @@ def _as_seedseq(seed):
 
 def run_replicas(M, seed, worker, jobs=1):
     """Evaluate ``worker(rng, replica_index)`` for M replicas on independent
-    counter-based streams; results come back in replica order regardless of
-    the worker count."""
-    children = _as_seedseq(seed).spawn(M)
+    Philox streams seeded by M children of ``seed`` (or by ``seed``, a list of
+    M SeedSequences); results come back in replica order for any ``jobs``."""
+    children = seed if isinstance(seed, list) else _as_seedseq(seed).spawn(M)
 
     def task(m):
         rng = np.random.Generator(np.random.Philox(children[m]))
@@ -336,12 +337,13 @@ def mean_and_stderr(values):
 
 def _replica_starts(law: InitialLaw, n, sets, jobs):
     """Per replica of each (M, seed) of ``sets``, its stream and an n-particle
-    start drawn from the initial law with it, through ``run_replicas`` on
-    ``jobs`` threads; returns the starts as one stack and the streams."""
+    start drawn from the initial law with it, through one ``run_replicas`` call
+    on ``jobs`` threads; returns the starts as one stack and the streams."""
     def worker(rng, _m):
         return rng, sample_initial_configuration(law, n, rng).positions
 
-    rngs, starts = zip(*(r for M, seed in sets for r in run_replicas(M, seed, worker, jobs)))
+    children = [child for M, seed in sets for child in _as_seedseq(seed).spawn(M)]
+    rngs, starts = zip(*run_replicas(len(children), children, worker, jobs))
     return np.stack(starts), rngs
 
 
@@ -350,7 +352,9 @@ def _stacked_estimates(law: InitialLaw, n, dt, kernel: RelocationKernel, jobs, e
     ("semigroup", g, psi, t, M, seed) or ("resolvent", g, psi, beta, M, seed)
     of ``estimators`` (a resolvent ignores psi), all replicas stepping as one
     stack in order of step count.  One that reaches its count is read, and the
-    rest of the stack steps on in place, so each replica steps as it would alone."""
+    rest of the stack steps on in place, so each replica steps as it would alone.
+    A resolvent copies its rows at the start and after each step, and observes
+    the copies in one call once they hold ``_BLOCK`` atom coordinates, and when read."""
     for kind, _g, _psi, x, M, _seed in estimators:
         if kind == "resolvent" and x <= 0:
             raise ValueError("beta must be positive")
@@ -363,27 +367,35 @@ def _stacked_estimates(law: InitialLaw, n, dt, kernel: RelocationKernel, jobs, e
     pos, rngs = _replica_starts(law, n, [estimators[e][4:] for e in order], jobs)
     at = np.cumsum([0] + [estimators[e][4] for e in order])  # each estimator's first row
     rows = {e: pos[at[i]:at[i + 1]] for i, e in enumerate(order)}  # views, stepped in place
-    # a semigroup's psi at the start; a resolvent's g at the start and after each step
-    seen = {e: [cylinder_value_many(g if kind == "resolvent" else psi, rows[e], basis)]
-            for e, (kind, g, psi, *_) in enumerate(estimators)}
+    # a semigroup's psi at the start; a resolvent's g, observed on copies of its rows
+    seen = {e: [cylinder_value_many(psi, rows[e], basis)] if kind == "semigroup" else []
+            for e, (kind, _g, psi, *_) in enumerate(estimators)}
+    kept = {e: [rows[e].copy()] for e, (kind, *_) in enumerate(estimators) if kind == "resolvent"}
 
-    def observe(_k, _time, _jumps):
-        for e, (kind, g, *_) in enumerate(estimators):
-            if kind == "resolvent" and len(seen[e]) <= steps[e]:  # not yet read
-                seen[e].append(cylinder_value_many(g, rows[e], basis))
+    def observe(e, block):  # once a resolvent's copies hold ``block`` atom coordinates
+        if len(kept[e]) * rows[e].size >= block:
+            seen[e].append(cylinder_value_many(estimators[e][1], np.concatenate(kept[e]), basis))
+            kept[e].clear()
+
+    def keep(_k, _time, _jumps):  # every resolvent not yet read
+        for e in kept:
+            kept[e].append(rows[e].copy())
+            observe(e, _BLOCK)
 
     out = {}
     for i, (e, taken) in enumerate(zip(order, [0] + sorted(steps))):
-        kind, g, _psi, beta, _M, _seed = estimators[e]
+        kind, g, _psi, beta, M, _seed = estimators[e]
         advance_steps(basis.domain, pos[at[i]:], steps[e] - taken, dt, kernel, rngs[at[i]:],
-                      on_step=observe)
+                      on_step=keep)
         if kind == "semigroup":
             out[e] = mean_and_stderr(cylinder_value_many(g, rows[e], basis) * seen[e][0])
             continue
+        observe(e, 1)
+        del kept[e]
         # integral of e^{-beta t} over each step, plus the tail frozen at T_cut = 12/beta
         edges = np.exp(-beta * dt * np.arange(steps[e] + 1))
         weights = np.append((edges[:-1] - edges[1:]) / beta, edges[-1] / beta)
-        vals = np.array(seen[e])
+        vals = np.concatenate(seen[e]).reshape(-1, M)
         est, err = mean_and_stderr([math.fsum(v * weights) for v in vals.T])
         out[e] = est, err, float(np.abs(vals).max()) * math.exp(-beta * (12.0 / beta)) / beta
     return [out[e] for e in range(len(estimators))]

@@ -482,12 +482,11 @@ def jump_increment_checks(law, f, n, M, dt, kernel, seed, jobs=1,
             relocated[i, hit_index[i]] = sample_relocation(kernel, finals[i], hit_index[i], rng)
         if not np.array_equal(relocated[~mask], finals[~mask]):
             raise AssertionError("relocation touched a surviving atom")
-        px, py, pz = (pair_many(f.mode_indices, pos, basis, m)
-                      for pos, m in ((starts, None), (finals, mask), (relocated, None)))
+        _px, py, pz = pairs = np.stack([pair_many(f.mode_indices, pos, basis, m) for pos, m in
+                                        ((starts, None), (finals, mask), (relocated, None))])
         out = np.empty((B, 2))
-        for i in range(B):
+        for i, (fx, fy, fz) in enumerate(zip(*f.phi(pairs).tolist())):
             hit = hit_index[i]
-            fx, fy, fz = float(f.phi(px[i])), float(f.phi(py[i])), float(f.phi(pz[i]))
             r = boundary_glued_metric(domain, finals[i, hit], relocated[i, hit])
             grad = np.maximum(np.abs(f.grad(py[i])), np.abs(f.grad(pz[i])))
             bound = 2.0 * float(grad.sum()) * _jump_bound(f, basis, r) + 1e-12
@@ -660,7 +659,7 @@ def resolvent_target(law, g, beta):
         z = [math.fsum(row) for row in (u * mu.basis.unit_integrals).tolist()]
         if min(z) <= 0:
             raise ValueError(f"evolved mass {next(v for v in z if v <= 0)!r} is not positive")
-        vals = [float(g.phi(a)) for a in u[:, [k - 1 for k in g.mode_indices]] / np.c_[z]]
+        vals = g.phi(u[:, [k - 1 for k in g.mode_indices]] / np.c_[z]).tolist()
         head = [math.exp(-beta * s) * v for s, v in zip(nodes, vals)]
         return math.fsum(weights * head) + math.exp(-beta * T) / beta * vals[-1]
 

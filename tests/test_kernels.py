@@ -128,6 +128,31 @@ def test_ground_mode_sampling(basis_1d, rng):
     assert abs(np.mean(pts < PI / 2) - 0.5) < 0.03
 
 
+class _ZeroUniforms:
+    """A generator whose every uniform is 0.0, the smallest value that
+    ``Generator.random`` returns."""
+
+    def random(self, size=None):
+        return np.zeros(size)
+
+
+def test_ground_mode_draws_never_land_on_a_wall(basis_1d, basis_2d):
+    for basis in (basis_1d, basis_2d):
+        domain = basis.domain
+        kernel = RelocationKernel.ground_mode(basis)
+        direct = sample_ground_mode(basis, _ZeroUniforms(), 4)
+        relocated = sample_relocation(kernel, np.full((3, domain.dimension), 1.0), 1,
+                                      _ZeroUniforms())
+        for pts in (direct, relocated[None]):
+            assert np.all(domain.contains_many(pts))
+            assert np.all(pts > np.asarray(domain.lo))
+        # a nonzero uniform maps as the plain inversion does, bit for bit
+        u = np.random.Generator(np.random.Philox(7)).random((500, domain.dimension))
+        lo, sides = np.asarray(domain.lo), np.asarray(domain.sides)
+        got = sample_ground_mode(basis, np.random.Generator(np.random.Philox(7)), 500)
+        assert np.array_equal(got, lo + sides / math.pi * np.arccos(1.0 - 2.0 * u))
+
+
 # -- mixtures --------------------------------------------------------------------
 
 def test_mixture_weight_normalization(basis_1d):

@@ -148,6 +148,35 @@ def test_cylinder_value_many_matches_the_per_configuration_reference(basis_1d, b
         assert np.array_equal(cylinder_value_many(f, pos, basis), want)
 
 
+def test_stacked_phi_matches_the_one_row_phi():
+    """The stacked ``phi`` against the one-row ``phi`` and against the
+    per-configuration formula it replaced, bit for bit."""
+    rng = np.random.default_rng(60)
+    cases = [
+        ((1,), [(1.0, (2,))]),  # x**2, which numpy's power may square
+        *(((1, 2), [(1.0, (p, 3 - p))]) for p in range(4)),
+        ((2,), [(0.0, (1,))]),  # only a zero coefficient
+        # several terms, summed by fsum across terms, with zero coefficients among them
+        ((1, 2, 3), [(0.7, (1, 0, 0)), (0.0, (3, 3, 3)), (-1.3, (0, 2, 1)), (2.5, (0, 0, 0)),
+                     (1e-17, (0, 0, 0)), (0.25, (3, 1, 2))]),
+        ((3,), [(1.0, (1,))]),  # the coordinate builder's polynomial
+    ]
+    observables = [(CylinderFunction.polynomial(modes, terms),
+                    lambda a, t=terms: _reference_phi(t, a)) for modes, terms in cases]
+    observables += [(CylinderFunction.constant(2.5), lambda a: 2.5),
+                    (CylinderFunction.coordinate(3), lambda a: _reference_phi([(1.0, (1,))], a))]
+    for f, reference in observables:
+        a = rng.uniform(-1.5, 1.5, size=(6000, f.n_modes))
+        a[::7] = 0.0
+        a[3::11] = -0.0
+        want = np.array([reference(row) for row in a])
+        got = f.phi(a)
+        assert got.shape == (6000,)
+        assert got.tobytes() == want.tobytes()
+        assert np.array([f.phi(row) for row in a]).tobytes() == want.tobytes()
+        assert f.phi(a.reshape(60, 100, -1)).tobytes() == want.tobytes()
+
+
 def test_pair_many_rejects_an_unmasked_atom_outside(basis_1d):
     pos = np.array([[[0.5], [4.0]], [[1.0], [0.0]]])
     for mask in (None, np.array([[True, False], [False, True]]),

@@ -8,7 +8,8 @@ from flemvi import __version__, simulator
 from flemvi.geometry import interval, rectangle
 from flemvi.kernels import (InitialLaw, RelocationKernel, admissible_from_perturbation,
                             mixture_terms, sample_initial_configuration, sample_relocation)
-from flemvi.measures import CylinderFunction, EmpiricalMeasure, cylinder_value, pair
+from flemvi.measures import (CylinderFunction, EmpiricalMeasure, cylinder_value,
+                             cylinder_value_many, pair)
 from flemvi.verify import convergence_experiment
 from flemvi.simulator import (
     JumpEvent,
@@ -596,6 +597,110 @@ def test_run_equals_the_reference_step(perturbed_law):
     assert np.array_equal(result.values, np.array(rows))
     assert np.array_equal(result.jump_counts, counts)
     assert np.array_equal(result.final.positions, pos)
+
+
+# -- block observation against per-step observation -------------------------------
+
+def _per_step_estimates(law, n, dt, kernel, jobs, estimators):
+    """``_stacked_estimates`` as it was before block observation: each
+    resolvent observes its rows with one ``cylinder_value_many`` call at the
+    start and after every stacked step."""
+    basis = law.basis
+    steps = [int(math.ceil(12.0 / x / dt)) if kind == "resolvent" else int(round(x / dt))
+             for kind, _g, _psi, x, _M, _seed in estimators]
+    order = sorted(range(len(estimators)), key=steps.__getitem__)
+    pos, rngs = simulator._replica_starts(law, n, [estimators[e][4:] for e in order], jobs)
+    at = np.cumsum([0] + [estimators[e][4] for e in order])
+    rows = {e: pos[at[i]:at[i + 1]] for i, e in enumerate(order)}
+    seen = {e: [cylinder_value_many(g if kind == "resolvent" else psi, rows[e], basis)]
+            for e, (kind, g, psi, *_) in enumerate(estimators)}
+
+    def observe(_k, _time, _jumps):
+        for e, (kind, g, *_) in enumerate(estimators):
+            if kind == "resolvent" and len(seen[e]) <= steps[e]:  # not yet read
+                seen[e].append(cylinder_value_many(g, rows[e], basis))
+
+    out = {}
+    for i, (e, taken) in enumerate(zip(order, [0] + sorted(steps))):
+        kind, g, _psi, beta, _M, _seed = estimators[e]
+        advance_steps(basis.domain, pos[at[i]:], steps[e] - taken, dt, kernel, rngs[at[i]:],
+                      on_step=observe)
+        if kind == "semigroup":
+            out[e] = mean_and_stderr(cylinder_value_many(g, rows[e], basis) * seen[e][0])
+            continue
+        edges = np.exp(-beta * dt * np.arange(steps[e] + 1))
+        weights = np.append((edges[:-1] - edges[1:]) / beta, edges[-1] / beta)
+        vals = np.array(seen[e])
+        est, err = mean_and_stderr([math.fsum(v * weights) for v in vals.T])
+        out[e] = est, err, float(np.abs(vals).max()) * math.exp(-beta * (12.0 / beta)) / beta
+    return [out[e] for e in range(len(estimators))]
+
+
+ONE = CylinderFunction.constant(1.0)
+# sorted by step count: the semigroup (13 steps), then the G2 resolvent (240),
+# then the constant resolvent (400), whose rows are the last three
+BLOCK_STACK = [("resolvent", ONE, ONE, 3.0, 3, 83),
+               ("semigroup", G2, CylinderFunction.coordinate(2), 0.13, 4, 89),
+               ("resolvent", G2, ONE, 5.0, 4, 97)]
+
+
+def _block_case(dim, perturbed_law, basis_2d):
+    if dim == 1:
+        return perturbed_law, _kernel(perturbed_law)
+    law = InitialLaw(((0.6, admissible_from_perturbation(basis_2d, {})),
+                      (0.4, admissible_from_perturbation(basis_2d, {2: 0.05}))))
+    return law, RelocationKernel.ground_mode(basis_2d)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_block_observation_matches_per_step_observation(perturbed_law, basis_2d, dim,
+                                                        monkeypatch):
+    law, kernel = _block_case(dim, perturbed_law, basis_2d)
+    n, dt = 5, 0.01
+    want = _per_step_estimates(law, n, dt, kernel, 1, BLOCK_STACK)
+    # 70 coordinates are 4 copies of 20 (1-D) or 2 of 40 (2-D), and neither
+    # divides the 241 or 401 observations of the resolvents
+    for block in (1, 70, simulator._BLOCK):
+        monkeypatch.setattr(simulator, "_BLOCK", block)
+        assert simulator._stacked_estimates(law, n, dt, kernel, 2, BLOCK_STACK) == want
+
+
+def test_block_observation_of_a_constant_still_checks_the_domain(basis_2d, monkeypatch):
+    """A relocation that puts an atom on a wall in the constant resolvent's
+    rows, once the other estimators are read, ends the call as it did when
+    every step was observed."""
+    law = InitialLaw.single(admissible_from_perturbation(basis_2d, {}))
+    kernel = RelocationKernel.ground_mode(basis_2d)
+    real_starts, real_step = simulator._replica_starts, simulator._step_inplace
+    victims, steps, placed = [], [], []
+
+    def starts(*args):
+        pos, rngs = real_starts(*args)
+        victims[:] = rngs[-3:]
+        return pos, rngs
+
+    def step(*args):
+        steps.append(len(args[1]))
+        return real_step(*args)
+
+    def on_wall(kernel_, positions, i, rng, terms=None):
+        target = sample_relocation(kernel_, positions, i, rng, terms)
+        if len(steps) > 300 and not placed and any(rng is v for v in victims):
+            placed.append(len(steps))
+            return np.array(basis_2d.domain.lo)
+        return target
+
+    monkeypatch.setattr(simulator, "_replica_starts", starts)
+    monkeypatch.setattr(simulator, "_step_inplace", step)
+    monkeypatch.setattr(simulator, "sample_relocation", on_wall)
+    for estimate in (_per_step_estimates, simulator._stacked_estimates):
+        steps.clear()
+        placed.clear()
+        with pytest.raises(ValueError, match="outside the open domain"):
+            estimate(law, 5, 0.01, kernel, 1, BLOCK_STACK)
+        assert placed and steps[placed[0] - 1] == 3  # only the constant resolvent stepped
+        # per step, the call ends at that step; by blocks, at a later one
+        assert (len(steps) > placed[0]) == (estimate is simulator._stacked_estimates)
 
 
 # -- hashing and artifacts --------------------------------------------------------------

@@ -16,7 +16,8 @@ output gets one ``sha256  name`` line:
   simulate``, of ``flemvi verify --suite identities`` and ``--suite jumps``
   and of ``flemvi flow`` at its default times and at ``0,0.25,0.5``;
 - for the ``operator`` workload config at seed 64 with survivor-copy
-  relocation (``"kernel": "uniform_survivor"``), the report of ``flemvi
+  relocation (``"kernel": "uniform_survivor"``), and with a two-mode
+  observable whose powers are 2 and 3 (``P23``), the report of ``flemvi
   verify --suite operator_limits``.
 
 The last line is what README.md's quick-start program prints.  The first
@@ -44,6 +45,11 @@ from workloads import WORKLOADS  # noqa: E402
 
 SEEDS = (64, 65, 66, 130, 192)
 JOBS = (1, 2)
+# the workloads observe m1 only, whose power is 1; these powers go through
+# numpy's power with other exponents, over more than one term
+P23 = {"name": "p23", "modes": [1, 2], "terms": [[1.0, [2, 0]], [-0.5, [1, 3]]]}
+OPERATOR_VARIANTS = (("kernel=uniform_survivor", {"kernel": "uniform_survivor"}),
+                     ("observable=p23", {"observables": [P23]}))
 
 # puts the tree argv[1] first on the path and checks that flemvi loads from it
 _PRELUDE = """\
@@ -144,15 +150,16 @@ def readme_sums(src, work):
             yield f"readme/{tag}/{name}", digest
 
 
-def survivor_sums(src, work):
-    config = os.path.join(work, "survivor.json")
-    with open(config, "w") as fh:
-        json.dump(dict(WORKLOADS["operator"].make_config(SEEDS[0]), kernel="uniform_survivor"), fh)
-    argv = ["verify", "--config", config, "--suite", "operator_limits"]
+def operator_sums(src, work):
     report = "report_operator_limits.json"
-    [(_, digest)] = cli_sums(src, argv, [report], work, os.path.join(work, "survivor"),
-                             ok_codes=(0, 1))
-    yield f"operator/kernel=uniform_survivor/{report}", digest
+    for tag, overrides in OPERATOR_VARIANTS:
+        config = os.path.join(work, f"operator_{tag}.json")
+        with open(config, "w") as fh:
+            json.dump(dict(WORKLOADS["operator"].make_config(SEEDS[0]), **overrides), fh)
+        argv = ["verify", "--config", config, "--suite", "operator_limits"]
+        [(_, digest)] = cli_sums(src, argv, [report], work, os.path.join(work, f"operator_{tag}"),
+                                 ok_codes=(0, 1))
+        yield f"operator/{tag}/{report}", digest
 
 
 def main(argv=None):
@@ -166,7 +173,7 @@ def main(argv=None):
     ok = True
     with tempfile.TemporaryDirectory() as work:
         sums = itertools.chain(workload_sums(src, work), readme_sums(src, work),
-                               survivor_sums(src, work))
+                               operator_sums(src, work))
         for name, digest in sums:
             ok = ok and digest is not None
             print(f"{digest or 'FAILED'}  {name}", flush=True)
