@@ -57,25 +57,20 @@ class Domain:
         hi = np.asarray(self.hi)
         return np.all((pts > lo) & (pts < hi), axis=-1)
 
-    def dist_to_boundary(self, x) -> float:
-        """Distance to the boundary: min over the coordinate gaps."""
-        p = self._as_point(x)
-        if not self.contains(p):
-            raise ValueError(f"point {tuple(p)} is not interior")
-        gaps = np.minimum(p - self.lo, self.hi - p)
-        return float(gaps.min())
-
     def dist_to_boundary_many(self, pts: np.ndarray) -> np.ndarray:
+        """Distance of each point to the boundary: min over the coordinate gaps."""
         pts = np.asarray(pts, dtype=float)
         lo = np.asarray(self.lo)
         hi = np.asarray(self.hi)
         return np.minimum(pts - lo, hi - pts).min(axis=-1)
 
-    def on_boundary(self, x, tol: float = 1e-12) -> bool:
-        p = self._as_point(x)
-        inside_closed = bool(np.all(p >= np.asarray(self.lo) - tol) and np.all(p <= np.asarray(self.hi) + tol))
-        touches = bool(np.any(np.abs(p - self.lo) <= tol) or np.any(np.abs(p - self.hi) <= tol))
-        return inside_closed and touches
+    def on_boundary(self, x, tol: float = 1e-12):
+        """Whether x, or each point of a stack (..., d), is within tol of a face of the closed box."""
+        p = np.asarray(x, dtype=float) if np.ndim(x) > 1 else self._as_point(x)
+        lo, hi = np.asarray(self.lo), np.asarray(self.hi)
+        inside_closed = np.all((p >= lo - tol) & (p <= hi + tol), axis=-1)
+        touches = np.any((np.abs(p - lo) <= tol) | (np.abs(p - hi) <= tol), axis=-1)
+        return inside_closed & touches
 
     def project_to_boundary(self, x_prev, x_next) -> np.ndarray:
         """Intersection of the segment [x_prev, x_next] with the boundary, nearest x_prev.

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import EmpiricalMeasure
-from .spectral import DensityMeasure, SpectralBasis, _last_mode, _series, initial_decay_rate
+from .spectral import DensityMeasure, SpectralBasis, _last_mode, _series, _tensor_points, initial_decay_rate
 
 __all__ = [
     "AdmissibleDensity",
@@ -34,6 +34,7 @@ __all__ = [
     "sample_initial_configuration",
     "reweighted_mixture",
     "sample_relocation",
+    "sample_relocations",
     "mixture_terms",
     "sample_curvature_weighted",
 ]
@@ -61,38 +62,38 @@ class AdmissibleDensity:
 
     def sample(self, rng, size):
         """i.i.d. draws by rejection against the ground-mode envelope."""
-        basis = self.basis
-        return _rejection_sample(
-            rng,
-            size,
-            basis,
-            target=self.mu.density,
-            envelope_factor=self.c,
-        )
+        return _rejection_sample(rng, size, self.basis, self.mu.density, self.c)
 
     def sample_neg_half_laplacian(self, rng, size):
         """i.i.d. draws from the normalized negative half-Laplacian."""
-        basis = self.basis
-        neg_lam1 = -basis.lambdas[0]
-        return _rejection_sample(
-            rng,
-            size,
-            basis,
-            target=lambda pts: -self.mu.half_laplacian(pts),
-            envelope_factor=neg_lam1 * self.c,
-        )
+        return _rejection_sample(rng, size, self.basis, lambda pts: -self.mu.half_laplacian(pts),
+                                 -self.basis.lambdas[0] * self.c)
 
 
-def sample_ground_mode(basis: SpectralBasis, rng, size):
-    """i.i.d. draws from the normalized ground mode, by per-axis inversion."""
-    d = basis.domain.dimension
-    u = np.maximum(rng.random((size, d)), 2.0**-54)  # 0 would map onto the wall lo
-    out = np.empty((size, d))
-    for ax in range(d):
+def _ground_mode_points(basis: SpectralBasis, u):
+    """The ground-mode points of uniforms u (N, d), by per-axis inversion."""
+    u = np.maximum(u, 2.0**-54)  # 0 would map onto the wall lo
+    out = np.empty(u.shape)
+    for ax in range(u.shape[1]):
         a = basis.domain.lo[ax]
         L = basis.domain.sides[ax]
         out[:, ax] = a + (L / math.pi) * np.arccos(1.0 - 2.0 * u[:, ax])
     return out
+
+
+def sample_ground_mode(basis: SpectralBasis, rng, size):
+    """i.i.d. draws from the normalized ground mode, by per-axis inversion."""
+    return _ground_mode_points(basis, rng.random((size, basis.domain.dimension)))
+
+
+def _proposal_count(want, basis, envelope_factor):
+    """Proposals of a ``_rejection_sample`` round that wants ``want`` more draws."""
+    return min(max(64, int(want * envelope_factor * basis.unit_integrals[0] * 1.2)), 1 << 17)
+
+
+def _accepted(u, props, basis, target, envelope_factor):
+    """Which of the proposals the acceptance uniforms u accept."""
+    return u * (envelope_factor * basis.eigenfunction(1, props)) < target(props)
 
 
 def _rejection_sample(rng, size, basis, target, envelope_factor):
@@ -101,17 +102,16 @@ def _rejection_sample(rng, size, basis, target, envelope_factor):
     out = np.empty((size, basis.domain.dimension))
     got = 0
     used = 0
-    l1_h1 = basis.unit_integrals[0]
     while got < size:
         want = size - got
-        batch = min(max(64, int(want * envelope_factor * l1_h1 * 1.2)), 1 << 17)
+        batch = _proposal_count(want, basis, envelope_factor)
         if used + batch > _MAX_PROPOSALS + size * 64:
             raise RuntimeError(
                 f"rejection sampler exhausted {used} proposals for {size} draws"
             )
         props = sample_ground_mode(basis, rng, batch)
         used += batch
-        accept = rng.random(batch) * (envelope_factor * basis.eigenfunction(1, props)) < target(props)
+        accept = _accepted(rng.random(batch), props, basis, target, envelope_factor)
         take = props[accept][:want]
         out[got : got + len(take)] = take
         got += len(take)
@@ -124,8 +124,8 @@ def admissible_from_perturbation(basis, higher_coeffs, c=None):
 
     ``higher_coeffs`` maps mode indices >= 2 to amplitudes.  With c=None the
     smallest valid constant is found on the grid (with a tiny safety margin)
-    and rejected if it exceeds ``_C_CAP``.  The grid is evaluated once, as one
-    eigenfunction table, either way.
+    and rejected if it exceeds ``_C_CAP``.  The grid is 512 points per axis; its
+    eigenfunction table is built from one sine table per axis, in chunks.
     """
     raw = np.zeros(basis.K)
     raw[0] = 1.0
@@ -138,20 +138,23 @@ def admissible_from_perturbation(basis, higher_coeffs, c=None):
     if Z <= 0:
         raise ValueError("perturbation destroys the positivity of the total mass")
     d = DensityMeasure(basis, raw / Z)
-    grid = basis.interior_grid()
-    H = basis.eigenfunction_matrix(grid, _last_mode(d.coeffs))
-    # the ground mode, then the series of DensityMeasure.density and .half_laplacian
-    h1, dens, neglap = H[0], _series(d.coeffs, H), -_series(d.coeffs * basis.lambdas, H)
+    axes = [np.linspace(a, b, 512 + 2)[1:-1] for a, b in zip(basis.domain.lo, basis.domain.hi)]
+    rows = np.array(basis.mode_indices[:_last_mode(d.coeffs)]) - 1  # (k_top, dimension)
+    tables = [basis._axis_table(ax, int(rows[:, ax].max()) + 1, x) for ax, x in enumerate(axes)]
+    step = 512 if len(axes) == 1 else 32  # first coordinates per chunk of at most 16k points
+    parts = []  # per chunk, the ground mode and DensityMeasure.density's and .half_laplacian's series
+    for s in range(0, 512, step):
+        H = tables[0][rows[:, 0], s:s + step]  # eigenfunction_matrix's table on the chunk
+        if len(axes) == 2:
+            H = (H[:, :, None] * tables[1][rows[:, 1], None, :]).reshape(len(rows), -1)
+        parts.append((H[0], _series(d.coeffs, H), -_series(d.coeffs * basis.lambdas, H)))
     neg_lam1 = -basis.lambdas[0]
-    if c is None:
-        if dens.min() <= 0.0 or neglap.min() <= 0.0:
+    if c is None:  # the chunks' extrema reduce as the whole grid's (NaN included)
+        if (np.min([(dens.min(), neglap.min()) for _, dens, neglap in parts], axis=0) <= 0.0).any():
             raise ValueError("density or its curvature loses positivity")
-        c_min = max(
-            float((dens / h1).max()),
-            float((h1 / dens).max()),
-            float((neglap / (neg_lam1 * h1)).max()),
-            float(((neg_lam1 * h1) / neglap).max()),
-        )
+        c_min = max(np.max([((dens / h1).max(), (h1 / dens).max(), (neglap / (neg_lam1 * h1)).max(),
+                             ((neg_lam1 * h1) / neglap).max()) for h1, dens, neglap in parts],
+                           axis=0).tolist())
         c = c_min * (1.0 + 1e-9)
         if c > _C_CAP:
             raise ValueError(
@@ -164,17 +167,17 @@ def admissible_from_perturbation(basis, higher_coeffs, c=None):
     if abs(mass - 1.0) > 1e-8:
         raise ValueError(f"density mass {mass!r} is not 1 within 1e-8")
     slack = 1e-12
-    bad = (
+    bad = np.concatenate([
         (dens < h1 / c - slack)
         | (dens > c * h1 + slack)
         | (neglap < neg_lam1 * h1 / c - slack)
         | (neglap > neg_lam1 * c * h1 + slack)
-    )
+        for h1, dens, neglap in parts])
     if bad.any():
         idx = np.flatnonzero(bad)
         raise ValueError(
-            f"admissibility bounds violated at {len(idx)} of {len(grid)} grid "
-            f"points for c={c:g} (first at {tuple(grid[idx[0]])})"
+            f"admissibility bounds violated at {len(idx)} of {len(bad)} grid "
+            f"points for c={c:g} (first at {tuple(_tensor_points(axes)[idx[0]])})"
         )
     K = -initial_decay_rate(d)
     if not K > 0.0:
@@ -359,6 +362,36 @@ def sample_relocation(kernel: RelocationKernel, positions, i, rng, terms=None):
         m = int(rng.choice(len(alpha), p=alpha))
         return law.components[m][1].sample(rng, 1)[0]
     raise ValueError(f"unknown kernel kind {kernel.kind!r}")
+
+
+def sample_relocations(kernel: RelocationKernel, configs, hit_index, rng):
+    """``sample_relocation`` of atom hit_index[i] of each configuration i of a stack
+    (B, n, d) in turn, shape (B, d), with its draws and bits.  A one-component mixture
+    reads no other atom, so a block of rows (at most 2**17 proposals) is one ``rng.random``
+    call: per row the component choice's uniform, P proposals of d uniforms and their P
+    acceptance uniforms, the first accepted proposal winning.  A block where a row accepts
+    none is redrawn row by row from its saved state."""
+    B, d = len(configs), configs.shape[-1]
+    out = np.empty((B, d))
+    batched = kernel.kind is KernelKind.MIXTURE_REWEIGHTED and not kernel.reads_others
+    if batched:
+        ad = kernel.law.components[0][1]
+        P = _proposal_count(1, ad.basis, ad.c)
+    step = max(1, (1 << 17) // P if batched else B)
+    for s in range(0, B, step):
+        rows = range(s, min(s + step, B))
+        if batched:
+            state = rng.bit_generator.state
+            u = rng.random((len(rows), 1 + P * (d + 1)))
+            props = _ground_mode_points(ad.basis, u[:, 1:1 + P * d].reshape(-1, d))
+            ok = _accepted(u[:, 1 + P * d:].ravel(), props, ad.basis, ad.mu.density, ad.c).reshape(-1, P)
+            if ok.any(axis=1).all():
+                out[rows] = props.reshape(len(rows), P, d)[np.arange(len(rows)), ok.argmax(axis=1)]
+                continue
+            rng.bit_generator.state = state
+        for i in rows:
+            out[i] = sample_relocation(kernel, configs[i], hit_index[i], rng)
+    return out
 
 
 def sample_initial_configuration(law: InitialLaw, n: int, rng) -> EmpiricalMeasure:

@@ -30,23 +30,24 @@ __all__ = [
 ]
 
 
-def boundary_glued_metric(domain: Domain, x, y) -> float:
-    """Collapse metric: Euclidean distance capped by the sum of the two
-    boundary distances; the collapsed boundary point is at distance
-    dist_to_boundary from any interior point and 0 from itself."""
-    x_bdry = domain.on_boundary(x)
-    y_bdry = domain.on_boundary(y)
-    if x_bdry and y_bdry:
-        return 0.0
-    if x_bdry:
-        return float(domain.dist_to_boundary(y))
-    if y_bdry:
-        return float(domain.dist_to_boundary(x))
-    p = np.asarray(x, dtype=float)
-    q = np.asarray(y, dtype=float)
-    euc = float(np.linalg.norm(p - q))
-    via_boundary = domain.dist_to_boundary(p) + domain.dist_to_boundary(q)
-    return min(euc, via_boundary)
+def boundary_glued_metric(domain: Domain, x, y):
+    """Collapse metric of two points (a float) or of two stacks (..., d):
+    Euclidean distance capped by the sum of the two boundary distances; the
+    collapsed boundary point is at its boundary distance from any interior
+    point and 0 from itself.  A point neither on the boundary nor interior
+    raises ValueError, x's first."""
+    p, q = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    bdry = [domain.on_boundary(v) for v in (p, q)]
+    for v, b in zip((p, q), bdry):
+        bad = ~(b | domain.contains_many(v))
+        if np.any(bad):
+            raise ValueError(f"point {tuple(v[bad][0])} is not interior")
+    dp, dq = (np.where(b, 0.0, domain.dist_to_boundary_many(v)) for v, b in zip((p, q), bdry))
+    via_boundary, diff = dp + dq, p - q
+    # np.linalg.norm's bits; a plain sum of squares differs in the last place
+    euc = np.sqrt(np.vecdot(diff, diff))
+    out = np.where(bdry[0] | bdry[1], via_boundary, np.minimum(euc, via_boundary))
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(eq=False)
@@ -91,8 +92,8 @@ class CylinderFunction:
     pairings of the measure.
 
     ``phi`` takes a stack of pairing rows (..., r) and returns each row's
-    value, shape (...).  ``grad`` and ``hess`` return the gradient vector
-    and Hessian matrix of phi at an argument vector; they must stay bounded
+    value, shape (...); ``grad`` and ``hess`` return each row's gradient
+    vector (..., r) and Hessian matrix (..., r, r).  They must stay bounded
     on the reachable box of pairings (automatic for the polynomial builders
     below).
     """
@@ -153,14 +154,21 @@ class CylinderFunction:
         firsts = [_d(clean, i) for i in range(r)]  # derivative terms, built once
         seconds = [[_d(di, j) for j in range(r)] for di in firsts]
 
+        def _stacked(lists, a):  # each term list's _eval at a, along a new last axis;
+            # C order, so that a sum over a row adds in a one-row call's order
+            out = np.empty(np.shape(a)[:-1] + (len(lists),))
+            for i, terms_ in enumerate(lists):
+                out[..., i] = _eval(terms_, a)
+            return out
+
         def phi(a):
             return _eval(clean, a)
 
         def grad(a):
-            return np.array([_eval(di, a) for di in firsts]).reshape(r)
+            return _stacked(firsts, a)
 
         def hess(a):
-            return np.array([[_eval(dij, a) for dij in row] for row in seconds]).reshape(r, r)
+            return _stacked(sum(seconds, []), a).reshape(np.shape(a)[:-1] + (r, r))
 
         if name is None:
             name = "poly[" + ",".join(str(k) for k in mode_indices) + "]"

@@ -223,11 +223,6 @@ class SpectralBasis:
         vals = np.asarray(fn(self.quad_points), dtype=float)
         return float(math.fsum(vals * self.quad_weights))
 
-    def interior_grid(self, per_axis=512):
-        """Uniform interior validation grid (tensor product in 2D)."""
-        return _tensor_points([np.linspace(a, b, per_axis + 2)[1:-1]
-                               for a, b in zip(self.domain.lo, self.domain.hi)])
-
 
 @dataclass
 class DensityMeasure:

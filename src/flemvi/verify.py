@@ -28,7 +28,7 @@ from .kernels import (
     _check_population,
     admissible_from_perturbation,
     sample_curvature_weighted,
-    sample_relocation,
+    sample_relocations,
 )
 from .measures import (
     CylinderFunction,
@@ -446,11 +446,9 @@ def exit_moment_check(law, f, n, M, dt, seed, jobs=1, k=DEFAULT_K_SIGMA):
 
 def _jump_bound(f, basis, r):
     """Per-mode pairing increment bound for a single relocated atom at
-    metric distance r from its boundary jump-off point."""
+    metric distance r (or each of an array of r) from its boundary jump-off point."""
     sup_h = math.prod(math.sqrt(2.0 / s) for s in basis.domain.sides)
-    per_mode = max(
-        min(sup_h, _grad_sup_bound(basis, k) * r) for k in f.mode_indices)
-    return per_mode
+    return np.max([np.minimum(sup_h, _grad_sup_bound(basis, k) * r) for k in f.mode_indices], axis=0)
 
 
 def jump_increment_checks(law, f, n, M, dt, kernel, seed, jobs=1,
@@ -475,28 +473,22 @@ def jump_increment_checks(law, f, n, M, dt, kernel, seed, jobs=1,
     domain = basis.domain
 
     def observe(rng, starts, masses, finals, hit_index, mask):
-        B = len(starts)
         # observing draws nothing, so all relocations can come first
         relocated = finals.copy()
-        for i in range(B):
-            relocated[i, hit_index[i]] = sample_relocation(kernel, finals[i], hit_index[i], rng)
+        relocated[mask] = sample_relocations(kernel, finals, hit_index, rng)
         if not np.array_equal(relocated[~mask], finals[~mask]):
             raise AssertionError("relocation touched a surviving atom")
         _px, py, pz = pairs = np.stack([pair_many(f.mode_indices, pos, basis, m) for pos, m in
                                         ((starts, None), (finals, mask), (relocated, None))])
-        out = np.empty((B, 2))
-        for i, (fx, fy, fz) in enumerate(zip(*f.phi(pairs).tolist())):
-            hit = hit_index[i]
-            r = boundary_glued_metric(domain, finals[i, hit], relocated[i, hit])
-            grad = np.maximum(np.abs(f.grad(py[i])), np.abs(f.grad(pz[i])))
-            bound = 2.0 * float(grad.sum()) * _jump_bound(f, basis, r) + 1e-12
-            if n * abs(fz - fy) > bound:
-                raise AssertionError(
-                    f"jump moved the observable by {n * abs(fz - fy):.3e}, "
-                    f"bound {bound:.3e}")
-            out[i, 0] = masses[i] * (fz - fy)
-            out[i, 1] = masses[i] * (fy - fx)
-        return out
+        fx, fy, fz = f.phi(pairs)
+        r = boundary_glued_metric(domain, finals[mask], relocated[mask])
+        grad = np.maximum(np.abs(f.grad(py)), np.abs(f.grad(pz)))
+        bound = 2.0 * grad.sum(axis=-1) * _jump_bound(f, basis, r) + 1e-12
+        moved = n * np.abs(fz - fy)
+        for i in np.flatnonzero(moved > bound)[:1]:
+            raise AssertionError(f"jump moved the observable by {moved[i]:.3e}, "
+                                 f"bound {bound[i]:.3e}")
+        return np.stack([masses * (fz - fy), masses * (fy - fx)], axis=-1)
 
     vals = _exit_side(law, n, M, dt, seed, jobs, observe)
     b_lhs, b_se = mean_and_stderr(vals[:, 0])

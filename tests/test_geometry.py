@@ -19,8 +19,8 @@ def test_interval_basic():
     assert not dom.contains([-0.1])
     assert dom.on_boundary([0.0])
     assert dom.on_boundary([PI])
-    assert dom.dist_to_boundary([1.0]) == pytest.approx(1.0)
-    assert dom.dist_to_boundary([3.0]) == pytest.approx(PI - 3.0)
+    assert dom.dist_to_boundary_many([1.0]) == pytest.approx(1.0)
+    assert dom.dist_to_boundary_many([3.0]) == pytest.approx(PI - 3.0)
 
 
 def test_rectangle_basic():
@@ -29,8 +29,8 @@ def test_rectangle_basic():
     assert dom.sides == (2.0, 1.0)
     assert dom.contains([1.0, 0.5])
     assert not dom.contains([1.0, 1.0])
-    assert dom.dist_to_boundary([0.3, 0.5]) == pytest.approx(0.3)
-    assert dom.dist_to_boundary([1.0, 0.9]) == pytest.approx(0.1)
+    assert dom.dist_to_boundary_many([0.3, 0.5]) == pytest.approx(0.3)
+    assert dom.dist_to_boundary_many([1.0, 0.9]) == pytest.approx(0.1)
 
 
 def test_contains_many_and_dist_many():
@@ -76,7 +76,7 @@ def test_project_to_boundary_rectangle_on_segment():
 def test_interior_points_have_positive_boundary_distance(x, y):
     dom = rectangle(0.0, PI, 0.0, 1.5)
     assert dom.contains([x, y])
-    d = dom.dist_to_boundary([x, y])
+    d = dom.dist_to_boundary_many([x, y])
     assert d > 0
     assert d == pytest.approx(min(x, PI - x, y, 1.5 - y))
 

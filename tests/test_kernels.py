@@ -16,8 +16,9 @@ from flemvi.kernels import (
     sample_ground_mode,
     sample_initial_configuration,
     sample_relocation,
+    sample_relocations,
 )
-from flemvi.spectral import DensityMeasure
+from flemvi.spectral import DensityMeasure, _tensor_points, initial_decay_rate
 
 PI = math.pi
 
@@ -68,15 +69,16 @@ def test_admissible_2d(basis_2d):
 
 @pytest.mark.parametrize("modes", [{}, {2: 0.05, 3: -0.02}])
 def test_auto_constant_evaluates_the_grid_once(basis_2d, monkeypatch, modes):
-    grid_size = len(basis_2d.interior_grid())
+    grid_size = 512 ** 2
     calls = []
 
     def counted(cls, name):
         original = getattr(cls, name)
 
         def wrapper(self, *args):
-            pts = args[1] if name == "eigenfunction" else args[0]
-            if len(pts) == grid_size:
+            if name == "_axis_table":
+                calls.append((name, args[0], len(args[2])))
+            elif len(args[1] if name == "eigenfunction" else args[0]) == grid_size:
                 calls.append(name)
             return original(self, *args)
 
@@ -86,13 +88,56 @@ def test_auto_constant_evaluates_the_grid_once(basis_2d, monkeypatch, modes):
     counted(DensityMeasure, "half_laplacian")
     counted(type(basis_2d), "eigenfunction")
     counted(type(basis_2d), "eigenfunction_matrix")
-    # one table on the grid, whether the constant is found or given
+    counted(type(basis_2d), "_axis_table")
+    # one sine table per axis on its 512 coordinates, whether the constant is
+    # found or given, and nothing evaluated on the whole grid at once
+    tables = [("_axis_table", 0, 512), ("_axis_table", 1, 512)]
     ad = admissible_from_perturbation(basis_2d, modes)
-    assert calls == ["eigenfunction_matrix"]
+    assert calls == tables
     pinned = admissible_from_perturbation(basis_2d, modes, c=ad.c)
-    assert calls == ["eigenfunction_matrix"] * 2
+    assert calls == tables * 2
     assert np.array_equal(pinned.mu.coeffs, ad.mu.coeffs)
     assert (pinned.c, pinned.curvature_mass) == (ad.c, ad.curvature_mass)
+
+
+def _whole_grid_admissibility(basis, modes, c=None):
+    """(c, curvature mass), or the violation message, from the whole 512-per-axis
+    grid evaluated at once through DensityMeasure (the checks of
+    ``admissible_from_perturbation`` before its grid went by chunks)."""
+    raw = np.zeros(basis.K)
+    raw[0] = 1.0
+    for k, a_k in modes.items():
+        raw[k - 1] = a_k
+    mu = DensityMeasure(basis, raw / math.fsum(raw * basis.unit_integrals))
+    grid = _tensor_points([np.linspace(a, b, 514)[1:-1] for a, b in zip(basis.domain.lo, basis.domain.hi)])
+    h1, dens, neglap = basis.eigenfunction(1, grid), mu.density(grid), -mu.half_laplacian(grid)
+    neg_lam1 = -basis.lambdas[0]
+    if c is None:
+        c = max(float((dens / h1).max()), float((h1 / dens).max()),
+                float((neglap / (neg_lam1 * h1)).max()),
+                float(((neg_lam1 * h1) / neglap).max())) * (1.0 + 1e-9)
+    bad = ((dens < h1 / c - 1e-12) | (dens > c * h1 + 1e-12)
+           | (neglap < neg_lam1 * h1 / c - 1e-12) | (neglap > neg_lam1 * c * h1 + 1e-12))
+    idx = np.flatnonzero(bad)
+    if len(idx):
+        return (f"admissibility bounds violated at {len(idx)} of {len(grid)} grid points "
+                f"for c={c:g} (first at {tuple(grid[idx[0]])})")
+    return c, -initial_decay_rate(mu)
+
+
+@pytest.mark.parametrize("where", ["interval", "rectangle"])
+@pytest.mark.parametrize("modes", [{}, {2: 0.05}, {2: 0.02, 3: -0.01}])
+def test_chunked_grid_equals_the_whole_grid(basis_1d, basis_2d, where, modes):
+    basis = basis_1d if where == "interval" else basis_2d
+    ad = admissible_from_perturbation(basis, modes)
+    assert (ad.c, ad.curvature_mass) == _whole_grid_admissibility(basis, modes)
+    # a pinned constant just below the found one fails at part of the grid
+    c = 1.0 + (ad.c - 1.0) * 0.9
+    want = _whole_grid_admissibility(basis, modes, c)
+    assert isinstance(want, str) and f"of {512 ** basis.domain.dimension} grid" in want
+    with pytest.raises(ValueError) as err:
+        admissible_from_perturbation(basis, modes, c=c)
+    assert str(err.value) == want
 
 
 # -- sampling from densities -----------------------------------------------------
@@ -226,7 +271,7 @@ def test_reweighted_mixture_is_probability(perturbed_law, basis_1d, rng):
     mixed, rho = reweighted_mixture(perturbed_law, others)
     assert mixed.mass() == pytest.approx(1.0, abs=1e-10)
     assert rho > 0
-    dens = mixed.density(basis_1d.interior_grid(256))
+    dens = mixed.density(np.linspace(0.0, PI, 258)[1:-1])
     assert np.all(dens > -1e-12)
 
 
@@ -250,6 +295,44 @@ def test_sample_relocation_interior(perturbed_law, basis_1d, rng):
         for _ in range(25):
             y = sample_relocation(kernel, positions, 4, rng)
             assert basis_1d.domain.contains(y)
+
+
+@pytest.mark.parametrize("case, B, one_point", [
+    ("rectangle", 40, (0, 0)),  # every row accepts: one block draw
+    ("rectangle_c25", 40, (40, 40)),  # P = 64 and a row accepts none w.p. 0.23: fallback
+    ("interval_c7e4", 12, (1, 11)),  # P = 2**17, one row per block: some blocks fall back
+    ("two_components", 12, (12, 12)),  # reads the other atoms: row by row
+    ("two_components", 0, (0, 0)),
+    ("rectangle", 0, (0, 0)),
+])
+def test_block_relocations_equal_one_point_draws(basis_1d, basis_2d, perturbed_law, monkeypatch,
+                                                 case, B, one_point):
+    if case == "two_components":
+        law = perturbed_law
+    else:
+        basis, c = {"rectangle": (basis_2d, None), "rectangle_c25": (basis_2d, 25.0),
+                    "interval_c7e4": (basis_1d, 7e4)}[case]
+        law = InitialLaw.single(admissible_from_perturbation(basis, {}, c=c))
+    kernel = RelocationKernel.mixture_reweighted(law)
+    setup = np.random.Generator(np.random.Philox(np.random.SeedSequence(5)))
+    lo, hi = np.array(law.basis.domain.lo), np.array(law.basis.domain.hi)
+    configs = lo + (hi - lo) * setup.uniform(0.05, 0.95, size=(B, 3, len(lo)))
+    hit = setup.integers(3, size=B)
+    configs[np.arange(B), hit] = lo  # the hit atom sits on the boundary
+    one, block = (np.random.Generator(np.random.Philox(np.random.SeedSequence(6))) for _ in range(2))
+    want = np.array([sample_relocation(kernel, configs[i], hit[i], one) for i in range(B)])
+    want = want.reshape(B, len(lo))
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return sample_relocation(*args)
+
+    monkeypatch.setattr(kernels, "sample_relocation", counted)
+    got = sample_relocations(kernel, configs, hit, block)
+    assert np.array_equal(got, want)
+    assert block.random() == one.random()  # the generator ends where B one-point draws leave it
+    assert one_point[0] <= len(calls) <= one_point[1]
 
 
 def test_mixture_relocation_follows_the_reweighted_law(basis_1d, rng):

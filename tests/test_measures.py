@@ -61,6 +61,53 @@ def test_glued_metric_is_a_pseudometric(x, y, z):
     assert d(x, y) <= abs(x - y) + 1e-15
 
 
+def _scalar_glued_metric(domain, x, y):
+    """The per-pair formula of ``boundary_glued_metric`` before it took stacks."""
+    def dist(p):
+        if not domain.contains(p):
+            raise ValueError(f"point {tuple(p)} is not interior")
+        return float(np.minimum(p - domain.lo, domain.hi - p).min())
+
+    x_bdry, y_bdry = bool(domain.on_boundary(x)), bool(domain.on_boundary(y))
+    if x_bdry and y_bdry:
+        return 0.0
+    if x_bdry or y_bdry:
+        return dist(np.asarray(y if x_bdry else x, dtype=float))
+    p, q = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return min(float(np.linalg.norm(p - q)), dist(p) + dist(q))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_glued_metric_stacks_equal_scalar_calls(dim):
+    dom = DOM if dim == 1 else rectangle(0.0, PI, 0.0, 1.5)
+    lo, hi = np.array(dom.lo), np.array(dom.hi)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(3)))
+    x = lo + (hi - lo) * rng.random((20000, dim))
+    y = lo + (hi - lo) * rng.random((20000, dim))
+    # both on the boundary, one of them, and points within and beyond the 1e-12 tolerance
+    x[:50, 0], y[:50, -1] = lo[0], hi[-1]
+    x[50:100, -1] = hi[-1]
+    y[100:150, 0] = lo[0] + 1e-12 * rng.random(50)
+    x[150:200, 0] = hi[0] - 3e-12
+    got = boundary_glued_metric(dom, x, y)
+    want = [_scalar_glued_metric(dom, p, q) for p, q in zip(x, y)]
+    assert np.array_equal(got, want)
+    assert all(type(boundary_glued_metric(dom, p, q)) is float and boundary_glued_metric(dom, p, q) == w
+               for p, q, w in zip(x[:250], y[:250], want))
+    assert np.array_equal(got[:200:7], boundary_glued_metric(dom, x[:200:7][:, None], y[:200:7][:, None])[:, 0])
+
+
+def test_glued_metric_rejects_an_exterior_point():
+    dom = rectangle(0.0, 2.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"point \(np.float64\(2.5\), np.float64\(0.5\)\) is not interior"):
+        boundary_glued_metric(dom, [2.5, 0.5], [1.0, 0.5])
+    with pytest.raises(ValueError, match=r"point \(np.float64\(1.0\), np.float64\(-0.1\)\)"):
+        boundary_glued_metric(dom, np.array([[1.0, 0.5], [1.0, 0.2]]),
+                              np.array([[1.0, 0.7], [1.0, -0.1]]))
+    with pytest.raises(ValueError, match="not interior"):  # the boundary point does not excuse it
+        boundary_glued_metric(dom, [0.0, 0.5], [3.0, 0.5])
+
+
 # -- empirical measures and pairings ------------------------------------------
 
 def test_empirical_measure_pairing(basis_1d, rng):
@@ -234,6 +281,23 @@ def test_polynomial_gradient_matches_fd(a, b, x, y):
         e[j] = h
         fd = (f.phi(pt + e) - f.phi(pt - e)) / (2 * h)
         assert grad[j] == pytest.approx(fd, abs=5e-6)
+
+
+@pytest.mark.parametrize("terms", [[(1.0, (1, 0))], [(1.0, (2, 0)), (0.5, (1, 1)), (-0.3, (0, 3))],
+                                   [(0.7, (3, 2)), (-1.1, (2, 0)), (2.0, (0, 0))]])
+def test_polynomial_stacks_keep_the_one_row_bits(terms):
+    f = CylinderFunction.polynomial((1, 2), terms)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(4)))
+    a = rng.uniform(-1.5, 1.5, size=(4, 6, 2))
+    for fn, shape in ((f.phi, ()), (f.grad, (2,)), (f.hess, (2, 2))):
+        got = fn(a)
+        assert got.shape == a.shape[:-1] + shape
+        for idx in np.ndindex(a.shape[:-1]):
+            assert np.array_equal(got[idx], fn(a[idx]))
+    assert f.grad(a).flags.c_contiguous  # a row sum then takes the one-row order
+    const = CylinderFunction.constant(2.0)
+    assert const.grad(np.zeros(0)).shape == (0,) and const.hess(np.zeros(0)).shape == (0, 0)
+    assert const.grad(np.zeros((3, 0))).shape == (3, 0)
 
 
 def test_discrete_generator_vs_brute_force(basis_1d):

@@ -319,10 +319,19 @@ def rectangle_law(basis_2d):
                        (0.3, admissible_from_perturbation(basis_2d, {2: 0.05}))))
 
 
-@pytest.mark.parametrize("where", ["interval", "rectangle"])
+@pytest.mark.parametrize("where", ["interval", "rectangle", "interval_single", "rectangle_single",
+                                   "rectangle_c25"])
 def test_stacked_exit_side_estimators_equal_per_configuration_loops(
-        perturbed_law, rectangle_law, where):
-    law = perturbed_law if where == "interval" else rectangle_law
+        perturbed_law, rectangle_law, stationary_law, basis_2d, where):
+    # the single-component laws draw each batch's relocations as blocks; with c
+    # pinned at 25 a row accepts none of its 64 proposals w.p. 0.23, so almost
+    # every block falls back to one-point draws
+    law = {"interval": lambda: perturbed_law, "rectangle": lambda: rectangle_law,
+           "interval_single": lambda: stationary_law,
+           "rectangle_single": lambda: InitialLaw.single(
+               admissible_from_perturbation(basis_2d, {2: 0.05})),
+           "rectangle_c25": lambda: InitialLaw.single(
+               admissible_from_perturbation(basis_2d, {}, c=25.0))}[where]()
     kernel = RelocationKernel.mixture_reweighted(law)
     f = CylinderFunction.polynomial((1, 2), [(1.0, (2, 0)), (0.5, (1, 1)), (-0.3, (0, 1))])
     n, M, dt = 5, _BATCH + 13, 0.004  # a full batch and a partial one

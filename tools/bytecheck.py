@@ -18,7 +18,13 @@ output gets one ``sha256  name`` line:
 - for the ``operator`` workload config at seed 64 with survivor-copy
   relocation (``"kernel": "uniform_survivor"``), and with a two-mode
   observable whose powers are 2 and 3 (``P23``), the report of ``flemvi
-  verify --suite operator_limits``.
+  verify --suite operator_limits``;
+- at seed 64 and with ``--jobs`` 1 and 2, the report of ``flemvi verify
+  --suite jumps`` for the ``exit2d`` workload config with its component's
+  ``"comparison_c"`` pinned at 25 (a one-point relocation draw then often
+  accepts none of its 64 proposals), and for the ``operator`` workload
+  config with ``"kernel": "mixture_reweighted"`` (one-component relocation
+  on an interval).
 
 The last line is what README.md's quick-start program prints.  The first
 line names numpy's version and the SIMD targets it found on this CPU,
@@ -48,8 +54,15 @@ JOBS = (1, 2)
 # the workloads observe m1 only, whose power is 1; these powers go through
 # numpy's power with other exponents, over more than one term
 P23 = {"name": "p23", "modes": [1, 2], "terms": [[1.0, [2, 0]], [-0.5, [1, 3]]]}
-OPERATOR_VARIANTS = (("kernel=uniform_survivor", {"kernel": "uniform_survivor"}),
-                     ("observable=p23", {"observables": [P23]}))
+# (workload, suite, tag, config overrides, --jobs values); None passes no --jobs
+VARIANTS = (
+    ("operator", "operator_limits", "kernel=uniform_survivor", {"kernel": "uniform_survivor"},
+     (None,)),
+    ("operator", "operator_limits", "observable=p23", {"observables": [P23]}, (None,)),
+    ("exit2d", "jumps", "comparison_c=25",
+     {"components": [{"weight": 1.0, "modes": {}, "comparison_c": 25}]}, JOBS),
+    ("operator", "jumps", "kernel=mixture_reweighted", {"kernel": "mixture_reweighted"}, JOBS),
+)
 
 # puts the tree argv[1] first on the path and checks that flemvi loads from it
 _PRELUDE = """\
@@ -150,16 +163,21 @@ def readme_sums(src, work):
             yield f"readme/{tag}/{name}", digest
 
 
-def operator_sums(src, work):
-    report = "report_operator_limits.json"
-    for tag, overrides in OPERATOR_VARIANTS:
-        config = os.path.join(work, f"operator_{tag}.json")
+def variant_sums(src, work):
+    for name, suite, tag, overrides, jobs_values in VARIANTS:
+        report = f"report_{suite}.json"
+        config = os.path.join(work, f"{name}_{tag}.json")
         with open(config, "w") as fh:
-            json.dump(dict(WORKLOADS["operator"].make_config(SEEDS[0]), **overrides), fh)
-        argv = ["verify", "--config", config, "--suite", "operator_limits"]
-        [(_, digest)] = cli_sums(src, argv, [report], work, os.path.join(work, f"operator_{tag}"),
-                                 ok_codes=(0, 1))
-        yield f"operator/{tag}/{report}", digest
+            json.dump(dict(WORKLOADS[name].make_config(SEEDS[0]), **overrides), fh)
+        for jobs in jobs_values:
+            argv = ["verify", "--config", config, "--suite", suite]
+            where = f"{name}/{tag}/"
+            if jobs is not None:
+                argv += ["--jobs", str(jobs)]
+                where += f"jobs={jobs}/"
+            [(_, digest)] = cli_sums(src, argv, [report], work,
+                                     os.path.join(work, where.replace("/", "_")), ok_codes=(0, 1))
+            yield where + report, digest
 
 
 def main(argv=None):
@@ -173,7 +191,7 @@ def main(argv=None):
     ok = True
     with tempfile.TemporaryDirectory() as work:
         sums = itertools.chain(workload_sums(src, work), readme_sums(src, work),
-                               operator_sums(src, work))
+                               variant_sums(src, work))
         for name, digest in sums:
             ok = ok and digest is not None
             print(f"{digest or 'FAILED'}  {name}", flush=True)
