@@ -140,7 +140,7 @@ def admissible_from_perturbation(basis, higher_coeffs, c=None):
     d = DensityMeasure(basis, raw / Z)
     axes = [np.linspace(a, b, 512 + 2)[1:-1] for a, b in zip(basis.domain.lo, basis.domain.hi)]
     rows = np.array(basis.mode_indices[:_last_mode(d.coeffs)]) - 1  # (k_top, dimension)
-    tables = [basis._axis_table(ax, int(rows[:, ax].max()) + 1, x) for ax, x in enumerate(axes)]
+    tables = [basis._axis_table(ax, np.arange(1, rows[:, ax].max() + 2), x) for ax, x in enumerate(axes)]
     step = 512 if len(axes) == 1 else 32  # first coordinates per chunk of at most 16k points
     parts = []  # per chunk, the ground mode and DensityMeasure.density's and .half_laplacian's series
     for s in range(0, 512, step):
@@ -239,6 +239,9 @@ class RelocationKernel:
     kind: KernelKind
     basis: SpectralBasis = None
     law: InitialLaw = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "kind", KernelKind(self.kind))  # ValueError if unknown
 
     @classmethod
     def uniform_survivor(cls):
@@ -341,56 +344,51 @@ def sample_relocation(kernel: RelocationKernel, positions, i, rng, terms=None):
     ``positions`` (n, d); the draw reads only the other n-1 atoms.
     ``terms``, if given, must equal ``mixture_terms(kernel, positions)``
     at those atoms (its column i is never read)."""
+    if not kernel.reads_others:
+        return sample_relocations(kernel, rng, 1)[0]
     _check_population(kernel, len(positions))
     if kernel.kind is KernelKind.UNIFORM_SURVIVOR:
         j = int(rng.integers(len(positions) - 1))
         return positions[j + (j >= i)].copy()
+    law = kernel.law
+    if terms is None:  # never evaluated at atom i, which may sit on the boundary
+        terms = _atom_terms(law, np.delete(positions, i, axis=0))
+    else:
+        terms = np.delete(terms, i, axis=2)
+    log_num, _ = _mixture_log_weights(law, terms)
+    alpha = np.exp(log_num - _logsumexp(log_num))
+    alpha = alpha / math.fsum(alpha)
+    m = int(rng.choice(len(alpha), p=alpha))
+    return law.components[m][1].sample(rng, 1)[0]
+
+
+def sample_relocations(kernel: RelocationKernel, rng, h):
+    """h draws of a kernel that reads no other atom, shape (h, d), with the draws and
+    bits of h ``sample_relocation`` calls.  A one-component mixture draws a block of rows
+    (at most 2**17 proposals) in one ``rng.random`` call: per row the choice's uniform,
+    P proposals of d uniforms and P acceptance uniforms; the first accepted proposal
+    wins.  The first row f that accepts none continues from the end of its first round
+    with ``AdmissibleDensity.sample``, and the next block starts after it."""
     if kernel.kind is KernelKind.GROUND_MODE:
-        return sample_ground_mode(kernel.basis, rng, 1)[0]
-    if kernel.kind is KernelKind.MIXTURE_REWEIGHTED:
-        law = kernel.law
-        if not kernel.reads_others:
-            alpha = np.ones(1)
-        else:
-            if terms is None:  # never evaluated at atom i, which may sit on the boundary
-                terms = _atom_terms(law, np.delete(positions, i, axis=0))
-            else:
-                terms = np.delete(terms, i, axis=2)
-            log_num, _ = _mixture_log_weights(law, terms)
-            alpha = np.exp(log_num - _logsumexp(log_num))
-            alpha = alpha / math.fsum(alpha)
-        m = int(rng.choice(len(alpha), p=alpha))
-        return law.components[m][1].sample(rng, 1)[0]
-    raise ValueError(f"unknown kernel kind {kernel.kind!r}")
-
-
-def sample_relocations(kernel: RelocationKernel, configs, hit_index, rng):
-    """``sample_relocation`` of atom hit_index[i] of each configuration i of a stack
-    (B, n, d) in turn, shape (B, d), with its draws and bits.  A one-component mixture
-    reads no other atom, so a block of rows (at most 2**17 proposals) is one ``rng.random``
-    call: per row the component choice's uniform, P proposals of d uniforms and their P
-    acceptance uniforms, the first accepted proposal winning.  A block where a row accepts
-    none is redrawn row by row from its saved state."""
-    B, d = len(configs), configs.shape[-1]
-    out = np.empty((B, d))
-    batched = kernel.kind is KernelKind.MIXTURE_REWEIGHTED and not kernel.reads_others
-    if batched:
-        ad = kernel.law.components[0][1]
-        P = _proposal_count(1, ad.basis, ad.c)
-    step = max(1, (1 << 17) // P if batched else B)
-    for s in range(0, B, step):
-        rows = range(s, min(s + step, B))
-        if batched:
-            state = rng.bit_generator.state
-            u = rng.random((len(rows), 1 + P * (d + 1)))
-            props = _ground_mode_points(ad.basis, u[:, 1:1 + P * d].reshape(-1, d))
-            ok = _accepted(u[:, 1 + P * d:].ravel(), props, ad.basis, ad.mu.density, ad.c).reshape(-1, P)
-            if ok.any(axis=1).all():
-                out[rows] = props.reshape(len(rows), P, d)[np.arange(len(rows)), ok.argmax(axis=1)]
-                continue
+        return sample_ground_mode(kernel.basis, rng, h)
+    [(_, ad)] = kernel.law.components  # more would read the other atoms
+    d = ad.basis.domain.dimension
+    P = _proposal_count(1, ad.basis, ad.c)
+    out = np.empty((h, d))
+    s = 0
+    while s < h:
+        rows = min(h - s, max(1, (1 << 17) // P))
+        state = rng.bit_generator.state
+        u = rng.random((rows, 1 + P * (d + 1)))
+        props = _ground_mode_points(ad.basis, u[:, 1:1 + P * d].reshape(-1, d))
+        ok = _accepted(u[:, 1 + P * d:].ravel(), props, ad.basis, ad.mu.density, ad.c).reshape(-1, P)
+        f = int(np.append(ok.any(axis=1), False).argmin())  # the first row accepting none, or rows
+        out[s:s + f] = props.reshape(rows, P, d)[np.arange(f), ok[:f].argmax(axis=1)]
+        if f < rows:
             rng.bit_generator.state = state
-        for i in rows:
-            out[i] = sample_relocation(kernel, configs[i], hit_index[i], rng)
+            rng.random((f + 1, 1 + P * (d + 1)))  # to the end of row f's first round
+            out[s + f] = ad.sample(rng, 1)[0]
+        s += min(f + 1, rows)  # a continued row included
     return out
 
 

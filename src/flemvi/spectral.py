@@ -148,11 +148,6 @@ class SpectralBasis:
             return pts.reshape(1, 2)
         return pts
 
-    def _axis_sin(self, j, axis, x):
-        a = self.domain.lo[axis]
-        L = self.domain.sides[axis]
-        return math.sqrt(2.0 / L) * np.sin(j * math.pi * (x - a) / L)
-
     def _axis_dsin(self, j, axis, x):
         a = self.domain.lo[axis]
         L = self.domain.sides[axis]
@@ -170,7 +165,7 @@ class SpectralBasis:
         pts = self._as_points(pts)
         out = np.ones(len(pts))
         for axis, j in enumerate(self.mode_indices[k - 1]):
-            out = out * self._axis_sin(j, axis, pts[:, axis])
+            out = out * self._axis_table(axis, [j], pts[:, axis])[0]
         return out
 
     def eigenfunction_gradient(self, k, pts):
@@ -179,7 +174,7 @@ class SpectralBasis:
         pts = self._as_points(pts)
         d = self.domain.dimension
         multi = self.mode_indices[k - 1]
-        sins = [self._axis_sin(j, ax, pts[:, ax]) for ax, j in enumerate(multi)]
+        sins = [self._axis_table(ax, [j], pts[:, ax])[0] for ax, j in enumerate(multi)]
         grad = np.empty((len(pts), d))
         for ax, j in enumerate(multi):
             g = self._axis_dsin(j, ax, pts[:, ax])
@@ -189,12 +184,12 @@ class SpectralBasis:
             grad[:, ax] = g
         return grad
 
-    def _axis_table(self, axis, j_max, x):
-        """_axis_sin for j = 1..j_max at once, shape (j_max, N); in-place
-        steps keep each entry's IEEE operations those of _axis_sin."""
+    def _axis_table(self, axis, js, x):
+        """The 1-D sine factors sqrt(2/L) sin(j pi (x - a) / L) of ``axis`` for each
+        j of ``js`` at its coordinates x, shape (len(js), N)."""
         a = self.domain.lo[axis]
         L = self.domain.sides[axis]
-        table = np.multiply.outer(np.arange(1, j_max + 1) * math.pi, x - a)
+        table = np.multiply.outer(np.multiply(js, math.pi), x - a)
         table /= L
         np.sin(table, out=table)
         table *= math.sqrt(2.0 / L)
@@ -207,7 +202,7 @@ class SpectralBasis:
         self._check_mode(k_top)
         pts = self._as_points(pts)
         rows = np.array(self.mode_indices[:k_top]) - 1  # (k_top, d) table rows
-        tables = [self._axis_table(ax, int(rows[:, ax].max()) + 1, pts[:, ax])
+        tables = [self._axis_table(ax, np.arange(1, rows[:, ax].max() + 2), pts[:, ax])
                   for ax in range(self.domain.dimension)]
         if len(tables) == 1:
             return tables[0]  # 1-D modes are j = 1..k_top in order

@@ -28,6 +28,7 @@ from .kernels import (
     _check_population,
     admissible_from_perturbation,
     sample_curvature_weighted,
+    sample_relocation,
     sample_relocations,
 )
 from .measures import (
@@ -475,7 +476,11 @@ def jump_increment_checks(law, f, n, M, dt, kernel, seed, jobs=1,
     def observe(rng, starts, masses, finals, hit_index, mask):
         # observing draws nothing, so all relocations can come first
         relocated = finals.copy()
-        relocated[mask] = sample_relocations(kernel, finals, hit_index, rng)
+        if kernel.reads_others:
+            for b, i in enumerate(hit_index):
+                relocated[b, i] = sample_relocation(kernel, finals[b], i, rng)
+        else:
+            relocated[mask] = sample_relocations(kernel, rng, len(finals))
         if not np.array_equal(relocated[~mask], finals[~mask]):
             raise AssertionError("relocation touched a surviving atom")
         _px, py, pz = pairs = np.stack([pair_many(f.mode_indices, pos, basis, m) for pos, m in

@@ -297,42 +297,93 @@ def test_sample_relocation_interior(perturbed_law, basis_1d, rng):
             assert basis_1d.domain.contains(y)
 
 
+def _one_point_relocation(kernel, rng):
+    """A relocation as ``sample_relocation`` drew it before it went through
+    ``sample_relocations``: one ground-mode point, or a one-component mixture's
+    choice uniform and then one rejection sample."""
+    if kernel.kind is KernelKind.GROUND_MODE:
+        return sample_ground_mode(kernel.basis, rng, 1)[0]
+    rng.choice(1, p=np.ones(1))
+    return kernel.law.components[0][1].sample(rng, 1)[0]
+
+
 @pytest.mark.parametrize("case, B, one_point", [
-    ("rectangle", 40, (0, 0)),  # every row accepts: one block draw
-    ("rectangle_c25", 40, (40, 40)),  # P = 64 and a row accepts none w.p. 0.23: fallback
-    ("interval_c7e4", 12, (1, 11)),  # P = 2**17, one row per block: some blocks fall back
-    ("two_components", 12, (12, 12)),  # reads the other atoms: row by row
-    ("two_components", 0, (0, 0)),
-    ("rectangle", 0, (0, 0)),
+    ("rectangle", 40, ()),  # every row accepts in its first round: one block draw
+    # P = 64 and a first round accepts none w.p. 0.23: the first row, two
+    # consecutive rows (the second starts a block) and the last row continue
+    ("rectangle_c25", 40, (0, 8, 17, 28, 34, 38, 39)),
+    ("interval_c7e4", 12, (0, 1, 3, 5, 7)),  # P = 2**17, one row per block
+    ("interval_ground", 40, ()),
+    ("rectangle_ground", 7, ()),
+    ("rectangle", 0, ()),
+    ("rectangle_ground", 0, ()),
+    ("rectangle", 1, ()),
+    ("rectangle_c25", 1, (0,)),
 ])
-def test_block_relocations_equal_one_point_draws(basis_1d, basis_2d, perturbed_law, monkeypatch,
+def test_block_relocations_equal_one_point_draws(basis_1d, basis_2d, monkeypatch,
                                                  case, B, one_point):
-    if case == "two_components":
-        law = perturbed_law
+    """B block draws equal B one-point draws, and only the rows ``one_point``,
+    whose first round accepts nothing, reach the one-point rejection sampler."""
+    basis = basis_1d if case.startswith("interval") else basis_2d
+    if case.endswith("ground"):
+        kernel = RelocationKernel.ground_mode(basis)
     else:
-        basis, c = {"rectangle": (basis_2d, None), "rectangle_c25": (basis_2d, 25.0),
-                    "interval_c7e4": (basis_1d, 7e4)}[case]
-        law = InitialLaw.single(admissible_from_perturbation(basis, {}, c=c))
-    kernel = RelocationKernel.mixture_reweighted(law)
-    setup = np.random.Generator(np.random.Philox(np.random.SeedSequence(5)))
-    lo, hi = np.array(law.basis.domain.lo), np.array(law.basis.domain.hi)
-    configs = lo + (hi - lo) * setup.uniform(0.05, 0.95, size=(B, 3, len(lo)))
-    hit = setup.integers(3, size=B)
-    configs[np.arange(B), hit] = lo  # the hit atom sits on the boundary
-    one, block = (np.random.Generator(np.random.Philox(np.random.SeedSequence(6))) for _ in range(2))
-    want = np.array([sample_relocation(kernel, configs[i], hit[i], one) for i in range(B)])
-    want = want.reshape(B, len(lo))
-    calls = []
+        c = {"rectangle": None, "rectangle_c25": 25.0, "interval_c7e4": 7e4}[case]
+        kernel = RelocationKernel.mixture_reweighted(
+            InitialLaw.single(admissible_from_perturbation(basis, {}, c=c)))
+    one, block = (np.random.Generator(np.random.Philox(np.random.SeedSequence(139)))
+                  for _ in range(2))
+    rounds = []  # the reference's ground-mode draws per row: one per round or point
+    original = kernels.sample_ground_mode
 
-    def counted(*args):
-        calls.append(args[2])
-        return sample_relocation(*args)
+    def counted_rounds(*args):
+        rounds[-1] += 1
+        return original(*args)
 
-    monkeypatch.setattr(kernels, "sample_relocation", counted)
-    got = sample_relocations(kernel, configs, hit, block)
-    assert np.array_equal(got, want)
+    monkeypatch.setattr(kernels, "sample_ground_mode", counted_rounds)
+    want = []
+    for _ in range(B):
+        rounds.append(0)
+        want.append(_one_point_relocation(kernel, one))
+    monkeypatch.undo()
+    assert tuple(np.flatnonzero(np.array(rounds, dtype=int) > 1)) == one_point
+    samples = []
+
+    def counted_sample(self, rng, size):
+        samples.append(size)
+        return _rejection_sample(rng, size, self.basis, self.mu.density, self.c)
+
+    monkeypatch.setattr(kernels.AdmissibleDensity, "sample", counted_sample)
+    got = sample_relocations(kernel, block, B)
+    assert got.shape == (B, basis.domain.dimension)
+    assert np.array_equal(got, np.array(want).reshape(got.shape))
     assert block.random() == one.random()  # the generator ends where B one-point draws leave it
-    assert one_point[0] <= len(calls) <= one_point[1]
+    assert samples == [1] * len(one_point)
+
+
+def test_one_point_relocations_share_the_block_sampler(basis_1d, perturbed_law, monkeypatch):
+    """A kernel that reads no other atom relocates through one ``sample_relocations``
+    row; one that reads them never calls it, nor can."""
+    two = RelocationKernel.mixture_reweighted(perturbed_law)
+    with pytest.raises(ValueError):
+        sample_relocations(two, np.random.default_rng(0), 3)
+    calls = []
+    monkeypatch.setattr(kernels, "sample_relocations",
+                        lambda *args: calls.append(args) or np.zeros((1, 1)))
+    positions = np.array([[0.5], [0.0], [1.5]])
+    single = RelocationKernel.mixture_reweighted(InitialLaw.single(perturbed_law.components[1][1]))
+    for kernel, delegates in ((RelocationKernel.ground_mode(basis_1d), True), (single, True),
+                              (two, False),
+                              (RelocationKernel.uniform_survivor(), False)):
+        calls.clear()
+        sample_relocation(kernel, positions, 1, np.random.default_rng(0))
+        assert [(k, h) for k, _, h in calls] == ([(kernel, 1)] if delegates else [])
+
+
+def test_an_unknown_kernel_kind_fails_at_construction(basis_1d):
+    with pytest.raises(ValueError, match="'survivor' is not a valid KernelKind"):
+        RelocationKernel("survivor", basis_1d)
+    assert RelocationKernel("ground_mode", basis_1d).kind is KernelKind.GROUND_MODE
 
 
 def test_mixture_relocation_follows_the_reweighted_law(basis_1d, rng):

@@ -277,6 +277,35 @@ def test_eigenfunction_matrix_prefix_equals_per_mode_stack(domain, K, N):
             basis.eigenfunction_matrix(pts, k)
 
 
+def _axis_sin(basis, j, axis, x):
+    """The per-axis sine factor by its own formula, as eigenfunction evaluated it
+    before it shared the stacked tables."""
+    a = basis.domain.lo[axis]
+    L = basis.domain.sides[axis]
+    return math.sqrt(2.0 / L) * np.sin(j * math.pi * (x - a) / L)
+
+
+@_MATRIX_DOMAINS
+@_MATRIX_SIZES
+def test_eigenfunctions_equal_the_per_axis_sine_formula(domain, K, N):
+    basis = SpectralBasis(domain, truncation_K=K)
+    pts = _random_points(domain, N, np.random.default_rng(N))
+    for k in range(1, K + 1):
+        multi = basis.mode_indices[k - 1]
+        sins = [_axis_sin(basis, j, ax, pts[:, ax]) for ax, j in enumerate(multi)]
+        expect = np.ones(N)
+        for s in sins:
+            expect = expect * s
+        assert np.array_equal(basis.eigenfunction(k, pts), expect)
+        grad = basis.eigenfunction_gradient(k, pts)
+        for ax, j in enumerate(multi):
+            g = basis._axis_dsin(j, ax, pts[:, ax])
+            for other, s in enumerate(sins):
+                if other != ax:
+                    g = g * s
+            assert np.array_equal(grad[:, ax], g)
+
+
 # -- the prefix series against the full-K formula -------------------------------
 
 def _reference_kahan_sum(terms):

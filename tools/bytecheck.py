@@ -21,10 +21,15 @@ output gets one ``sha256  name`` line:
   verify --suite operator_limits``;
 - at seed 64 and with ``--jobs`` 1 and 2, the report of ``flemvi verify
   --suite jumps`` for the ``exit2d`` workload config with its component's
-  ``"comparison_c"`` pinned at 25 (a one-point relocation draw then often
-  accepts none of its 64 proposals), and for the ``operator`` workload
+  ``"comparison_c"`` pinned at 25 (a relocation's first round of 64
+  proposals then often accepts none), and for the ``operator`` workload
   config with ``"kernel": "mixture_reweighted"`` (one-component relocation
-  on an interval).
+  on an interval);
+- at seed 64 and with ``--jobs`` 1 and 2, the reports of ``flemvi verify
+  --suite operator_limits`` and ``--suite jumps`` for the ``operator``
+  workload config with ``"kernel": "mixture_reweighted"`` and its
+  component's ``"comparison_c"`` pinned at 25, so that stepping's
+  one-point relocations also see first rounds that accept nothing.
 
 The last line is what README.md's quick-start program prints.  The first
 line names numpy's version and the SIMD targets it found on this CPU,
@@ -54,6 +59,9 @@ JOBS = (1, 2)
 # the workloads observe m1 only, whose power is 1; these powers go through
 # numpy's power with other exponents, over more than one term
 P23 = {"name": "p23", "modes": [1, 2], "terms": [[1.0, [2, 0]], [-0.5, [1, 3]]]}
+# a one-component mixture whose relocation rounds of 64 proposals accept none w.p. about 0.2
+C25_MIXTURE = {"kernel": "mixture_reweighted",
+               "components": [{"weight": 1.0, "modes": {}, "comparison_c": 25}]}
 # (workload, suite, tag, config overrides, --jobs values); None passes no --jobs
 VARIANTS = (
     ("operator", "operator_limits", "kernel=uniform_survivor", {"kernel": "uniform_survivor"},
@@ -62,6 +70,9 @@ VARIANTS = (
     ("exit2d", "jumps", "comparison_c=25",
      {"components": [{"weight": 1.0, "modes": {}, "comparison_c": 25}]}, JOBS),
     ("operator", "jumps", "kernel=mixture_reweighted", {"kernel": "mixture_reweighted"}, JOBS),
+    ("operator", "operator_limits", "kernel=mixture_reweighted,comparison_c=25", C25_MIXTURE,
+     JOBS),
+    ("operator", "jumps", "kernel=mixture_reweighted,comparison_c=25", C25_MIXTURE, JOBS),
 )
 
 # puts the tree argv[1] first on the path and checks that flemvi loads from it
