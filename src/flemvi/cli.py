@@ -28,7 +28,6 @@ from .kernels import (
 )
 from .measures import CylinderFunction
 from .simulator import (
-    ParticleConfig,
     config_hash,
     run,
     write_jump_log_csv,
@@ -249,10 +248,8 @@ def cmd_simulate(config, seed, out_dir):
     observables = config.build_observables()
     n = config.n_list[0]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    start = sample_initial_configuration(law, n, rng)
-    cfg0 = ParticleConfig(config.domain, start.positions, rng=rng)
-    result = run(cfg0, config.horizon, config.dt, kernel, observables,
-                 basis=basis, record_stride=config.record_stride)
+    result = run(sample_initial_configuration(law, n, rng), rng, config.horizon, config.dt,
+                 kernel, observables, basis=basis, record_stride=config.record_stride)
     meta = {"config_sha256": config.sha256, "seed": seed}
     os.makedirs(out_dir, exist_ok=True)
     write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), result, meta=meta)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import EmpiricalMeasure
 from .spectral import DensityMeasure, SpectralBasis, _last_mode, _series, _tensor_points, initial_decay_rate
 
 __all__ = [
@@ -120,12 +119,13 @@ def _rejection_sample(rng, size, basis, target, envelope_factor):
 
 def admissible_from_perturbation(basis, higher_coeffs, c=None):
     """Density proportional to the ground mode plus higher-mode terms, checked
-    admissible on a uniform interior grid; raises with the violation count.
+    admissible on a uniform interior grid.
 
     ``higher_coeffs`` maps mode indices >= 2 to amplitudes.  With c=None the
     smallest valid constant is found on the grid (with a tiny safety margin)
-    and rejected if it exceeds ``_C_CAP``.  The grid is 512 points per axis; its
-    eigenfunction table is built from one sine table per axis, in chunks.
+    and rejected if it exceeds ``_C_CAP``; a given c is checked against every
+    bound there, raising with the violation count.  The grid is 512 points per
+    axis; its eigenfunction table is built from one sine table per axis, in chunks.
     """
     raw = np.zeros(basis.K)
     raw[0] = 1.0
@@ -149,7 +149,8 @@ def admissible_from_perturbation(basis, higher_coeffs, c=None):
             H = (H[:, :, None] * tables[1][rows[:, 1], None, :]).reshape(len(rows), -1)
         parts.append((H[0], _series(d.coeffs, H), -_series(d.coeffs * basis.lambdas, H)))
     neg_lam1 = -basis.lambdas[0]
-    if c is None:  # the chunks' extrema reduce as the whole grid's (NaN included)
+    pinned = c is not None
+    if not pinned:  # the chunks' extrema reduce as the whole grid's (NaN included)
         if (np.min([(dens.min(), neglap.min()) for _, dens, neglap in parts], axis=0) <= 0.0).any():
             raise ValueError("density or its curvature loses positivity")
         c_min = max(np.max([((dens / h1).max(), (h1 / dens).max(), (neglap / (neg_lam1 * h1)).max(),
@@ -166,19 +167,20 @@ def admissible_from_perturbation(basis, higher_coeffs, c=None):
     mass = d.mass()
     if abs(mass - 1.0) > 1e-8:
         raise ValueError(f"density mass {mass!r} is not 1 within 1e-8")
-    slack = 1e-12
-    bad = np.concatenate([
-        (dens < h1 / c - slack)
-        | (dens > c * h1 + slack)
-        | (neglap < neg_lam1 * h1 / c - slack)
-        | (neglap > neg_lam1 * c * h1 + slack)
-        for h1, dens, neglap in parts])
-    if bad.any():
-        idx = np.flatnonzero(bad)
-        raise ValueError(
-            f"admissibility bounds violated at {len(idx)} of {len(bad)} grid "
-            f"points for c={c:g} (first at {tuple(_tensor_points(axes)[idx[0]])})"
-        )
+    if pinned:  # a found c holds every bound by its margin, so the scan could not fire
+        slack = 1e-12
+        bad = np.concatenate([
+            (dens < h1 / c - slack)
+            | (dens > c * h1 + slack)
+            | (neglap < neg_lam1 * h1 / c - slack)
+            | (neglap > neg_lam1 * c * h1 + slack)
+            for h1, dens, neglap in parts])
+        if bad.any():
+            idx = np.flatnonzero(bad)
+            raise ValueError(
+                f"admissibility bounds violated at {len(idx)} of {len(bad)} grid "
+                f"points for c={c:g} (first at {tuple(_tensor_points(axes)[idx[0]])})"
+            )
     K = -initial_decay_rate(d)
     if not K > 0.0:
         raise ValueError(f"curvature mass {K!r} is not positive")
@@ -233,7 +235,8 @@ class RelocationKernel:
     UNIFORM_SURVIVOR copies a uniformly chosen other atom; GROUND_MODE draws
     from the normalized ground mode regardless of the configuration;
     MIXTURE_REWEIGHTED draws from the configuration-reweighted mixture.
-    Kinds that need no basis or law ignore them.
+    GROUND_MODE needs the basis and MIXTURE_REWEIGHTED the law (ValueError
+    without it); a kind ignores what it does not need.
     """
 
     kind: KernelKind
@@ -242,6 +245,9 @@ class RelocationKernel:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", KernelKind(self.kind))  # ValueError if unknown
+        need = {KernelKind.GROUND_MODE: "basis", KernelKind.MIXTURE_REWEIGHTED: "law"}.get(self.kind)
+        if need and getattr(self, need) is None:
+            raise ValueError(f"{self.kind.value} relocation needs a {need}")
 
     @classmethod
     def uniform_survivor(cls):
@@ -392,14 +398,17 @@ def sample_relocations(kernel: RelocationKernel, rng, h):
     return out
 
 
-def sample_initial_configuration(law: InitialLaw, n: int, rng) -> EmpiricalMeasure:
-    """Exchangeable initial configuration: one mixture component for the
-    whole configuration, atoms i.i.d. from it."""
+def sample_initial_configuration(law: InitialLaw, n: int, rng):
+    """Exchangeable initial positions (n, d): one mixture component for the
+    whole configuration, atoms i.i.d. from it; raises ValueError if an atom
+    is not in the open domain."""
     if n < 1:
         raise ValueError("need at least one particle")
     m = law.pick_component(rng)
     atoms = law.components[m][1].sample(rng, n)
-    return EmpiricalMeasure(law.basis.domain, atoms)
+    if not np.all(law.basis.domain.contains_many(atoms)):
+        raise ValueError("start atom outside the open domain")
+    return atoms
 
 
 def sample_curvature_weighted(law: InitialLaw, n: int, B: int, rng):

@@ -25,7 +25,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.random  # numpy loads it lazily: load it here, not inside a verify call
@@ -34,11 +34,10 @@ from . import __version__
 from .geometry import Domain
 from .kernels import (InitialLaw, RelocationKernel, mixture_terms, sample_initial_configuration,
                       sample_relocation)
-from .measures import CylinderFunction, cylinder_value_many
+from .measures import CylinderFunction, EmpiricalMeasure, cylinder_value_many
 
 __all__ = [
     "JumpEvent",
-    "ParticleConfig",
     "TrajectoryResult",
     "run",
     "first_exit_batch",
@@ -61,23 +60,6 @@ class JumpEvent:
     jump_off: tuple
     target: tuple
     distance: float
-
-
-@dataclass(eq=False)
-class ParticleConfig:
-    """n particles in the domain, as interior positions (n, d), and the RNG
-    stream that moves them."""
-
-    domain: Domain
-    positions: np.ndarray
-    rng: np.random.Generator = field(kw_only=True)
-
-    def __post_init__(self):
-        self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float)).copy()
-        if self.positions.shape[1] != self.domain.dimension:
-            raise ValueError("atom coordinates do not match the domain dimension")
-        if not np.all(self.domain.contains_many(self.positions)):
-            raise ValueError("all particles must start interior")
 
 
 def _detect_hits(domain, pos, prop, dt, u_bridge):
@@ -211,22 +193,23 @@ class TrajectoryResult:
     values: np.ndarray  # (n_records, n_observables)
     jump_counts: np.ndarray  # cumulative, per record
     events: list
-    final: ParticleConfig
+    final: np.ndarray  # the positions (n, d) at T
 
 
-def run(cfg0: ParticleConfig, T, dt, kernel: RelocationKernel, observables,
-        basis, record_stride=1) -> TrajectoryResult:
-    """Run from time 0 to horizon T, recording cylinder observables of the
+def run(start, rng, T, dt, kernel: RelocationKernel, observables, basis,
+        record_stride=1) -> TrajectoryResult:
+    """Run the interior positions ``start`` (n, d) in ``basis.domain`` from time 0
+    to horizon T, drawing from ``rng``, and record cylinder observables of the
     empirical measure every ``record_stride`` steps (and at time 0).  It steps
-    a copy of ``cfg0.positions``, which stay as they were, but draws from and
-    advances ``cfg0.rng``, so a rerun needs a freshly seeded config.  ``final``
-    holds the positions at T and that same stream."""
+    a copy of ``start``, which stays as it was."""
     if T <= 0:
         raise ValueError("horizon must be positive")
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if type(record_stride) is not int or record_stride < 1:  # the CLI's rule: no bool, no float
+        raise ValueError(f"record_stride must be a positive integer, got {record_stride!r}")
     n_steps = int(round(T / dt))
-    pos = cfg0.positions.copy()
+    pos = EmpiricalMeasure(basis.domain, start).positions.copy()
     events = []
 
     def observe():
@@ -244,14 +227,14 @@ def run(cfg0: ParticleConfig, T, dt, kernel: RelocationKernel, observables,
             rows.append(observe())
             counts.append(len(events))
 
-    advance_steps(cfg0.domain, pos[None], n_steps, dt, kernel, [cfg0.rng], on_step=record)
+    advance_steps(basis.domain, pos[None], n_steps, dt, kernel, [rng], on_step=record)
     return TrajectoryResult(
         times=np.array(times),
         observable_names=[f.name for f in observables],
         values=np.array(rows),
         jump_counts=np.array(counts),
         events=events,
-        final=ParticleConfig(cfg0.domain, pos, rng=cfg0.rng),
+        final=pos,
     )
 
 
@@ -340,7 +323,7 @@ def _replica_starts(law: InitialLaw, n, sets, jobs):
     start drawn from the initial law with it, through one ``run_replicas`` call
     on ``jobs`` threads; returns the starts as one stack and the streams."""
     def worker(rng, _m):
-        return rng, sample_initial_configuration(law, n, rng).positions
+        return rng, sample_initial_configuration(law, n, rng)
 
     children = [child for M, seed in sets for child in _as_seedseq(seed).spawn(M)]
     rngs, starts = zip(*run_replicas(len(children), children, worker, jobs))

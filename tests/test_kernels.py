@@ -227,9 +227,16 @@ def test_pick_component_frequencies(perturbed_law, rng):
 
 
 def test_initial_configuration_exchangeable(perturbed_law, rng):
-    emp = sample_initial_configuration(perturbed_law, 12, rng)
-    assert emp.n == 12
-    assert np.all(perturbed_law.basis.domain.contains_many(emp.positions))
+    pos = sample_initial_configuration(perturbed_law, 12, rng)
+    assert pos.shape == (12, 1)
+    assert np.all(perturbed_law.basis.domain.contains_many(pos))
+
+
+def test_initial_configuration_on_the_boundary_raises(perturbed_law, rng, monkeypatch):
+    monkeypatch.setattr(kernels.AdmissibleDensity, "sample",
+                        lambda self, rng, size=1: np.zeros((size, 1)))
+    with pytest.raises(ValueError, match="outside the open domain"):
+        sample_initial_configuration(perturbed_law, 3, rng)
 
 
 # -- relocation kernels ------------------------------------------------------------
@@ -384,6 +391,18 @@ def test_an_unknown_kernel_kind_fails_at_construction(basis_1d):
     with pytest.raises(ValueError, match="'survivor' is not a valid KernelKind"):
         RelocationKernel("survivor", basis_1d)
     assert RelocationKernel("ground_mode", basis_1d).kind is KernelKind.GROUND_MODE
+
+
+def test_a_kernel_without_its_basis_or_law_fails_at_construction(basis_1d, stationary_law, rng):
+    with pytest.raises(ValueError, match="ground_mode relocation needs a basis"):
+        RelocationKernel("ground_mode")
+    with pytest.raises(ValueError, match="mixture_reweighted relocation needs a law"):
+        RelocationKernel("mixture_reweighted")
+    with pytest.raises(ValueError, match="mixture_reweighted relocation needs a law"):
+        RelocationKernel("mixture_reweighted", basis_1d)
+    assert RelocationKernel("uniform_survivor").law is None
+    law_only = RelocationKernel("mixture_reweighted", law=stationary_law)  # draws from the law alone
+    assert sample_relocation(law_only, np.array([[1.0], [2.0]]), 0, rng).shape == (1,)
 
 
 def test_mixture_relocation_follows_the_reweighted_law(basis_1d, rng):

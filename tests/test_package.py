@@ -87,3 +87,65 @@ print(code, sorted(m for m in set(sys.modules) - before
 def test_verify_call_imports_no_numpy_submodule_or_scipy():
     # numpy loads some submodules lazily; a verify call must not pay for them
     assert _run_python(_VERIFY_IMPORTS).split(" ", 1)[1].strip() == "[]"
+
+
+# a module imports only from modules of a lower layer; kernels and measures share one
+_LAYERS = (("geometry",), ("spectral",), ("kernels", "measures"), ("simulator",), ("verify",), ("cli",))
+
+
+def test_modules_import_only_from_lower_layers():
+    layer = {name: i for i, names in enumerate(_LAYERS) for name in names}
+    assert sorted(f"flemvi.{name}" for name in layer) == sorted(MODULES)
+    pkg = pathlib.Path(flemvi.__file__).parent
+    upward = [f"{name} imports .{node.module}"
+              for name in layer
+              for node in ast.walk(ast.parse((pkg / f"{name}.py").read_text()))
+              if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+              and layer[node.module] >= layer[name]]
+    assert not upward, upward
+
+
+_SIZES_SAMPLE = '''\
+import dataclasses
+from dataclasses import dataclass, field
+
+
+def f(a, b=1, *, c=2, d):
+    def inner(x=0):
+        return x
+    return lambda y=3: y
+
+
+@dataclass(frozen=True)
+class A:
+    z: int
+    x: int = 0
+    y: list = field(default_factory=list)
+
+
+@dataclasses.dataclass
+class B:
+    w: int = 1
+
+
+class C:
+    v: int = 5
+    u = 6
+
+    def m(self, k=7):
+        return k
+'''
+
+
+def test_sizes_counts_lines_and_the_documented_defaults(tmp_path):
+    # b, c, x (nested), A.x, A.y, B.w, k: not the lambda's y, C.v or C.u
+    (tmp_path / "flemvi").mkdir()
+    (tmp_path / "flemvi" / "__init__.py").write_text("")
+    (tmp_path / "flemvi" / "mod.py").write_text(_SIZES_SAMPLE)
+    tool = pathlib.Path(__file__).resolve().parents[1] / "tools" / "sizes.py"
+    out = subprocess.run([sys.executable, str(tool), str(tmp_path)], capture_output=True,
+                         text=True, check=True, timeout=60).stdout.splitlines()
+    lines = _SIZES_SAMPLE.count("\n")
+    assert out == ["     0 lines    0 defaults  __init__.py",
+                   f"{lines:6d} lines    7 defaults  mod.py",
+                   f"{lines:6d} lines    7 defaults  total"]

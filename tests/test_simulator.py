@@ -13,7 +13,6 @@ from flemvi.measures import (CylinderFunction, EmpiricalMeasure, cylinder_value,
 from flemvi.verify import convergence_experiment
 from flemvi.simulator import (
     JumpEvent,
-    ParticleConfig,
     _detect_hits,
     advance_steps,
     config_hash,
@@ -45,30 +44,28 @@ def _kernel(law):
 
 def test_step_determinism(stationary_law):
     kernel = _kernel(stationary_law)
-    a, b = (run(ParticleConfig(DOM, [[1.0], [2.0]], rng=_rng(3)), 0.5, 0.01, kernel, [],
-                stationary_law.basis) for _ in range(2))
-    np.testing.assert_array_equal(a.final.positions, b.final.positions)
+    a, b = (run([[1.0], [2.0]], _rng(3), 0.5, 0.01, kernel, [], stationary_law.basis)
+            for _ in range(2))
+    np.testing.assert_array_equal(a.final, b.final)
     assert a.times[-1] == b.times[-1]
     assert len(a.events) == len(b.events)
 
 
 def test_step_keeps_particles_interior(stationary_law):
     kernel = _kernel(stationary_law)
-    cfg = ParticleConfig(DOM, [[0.05], [3.1]], rng=_rng(7))
     # recording at every step pairs each state, which raises on an atom
     # outside the open interval
-    result = run(cfg, 1.0, 0.005, kernel, [CylinderFunction.constant(1.0)],
+    result = run([[0.05], [3.1]], _rng(7), 1.0, 0.005, kernel, [CylinderFunction.constant(1.0)],
                  basis=stationary_law.basis)
     assert len(result.times) == 201
-    assert np.all(DOM.contains_many(result.final.positions))
+    assert np.all(DOM.contains_many(result.final))
     assert len(result.events) > 0  # starting near the boundary must cause jumps
 
 
 def test_jump_events_well_formed(stationary_law):
     kernel = _kernel(stationary_law)
-    cfg = ParticleConfig(DOM, [[0.05], [1.0], [3.0]], rng=_rng(11))
     T, dt = 0.5, 0.005
-    result = run(cfg, T, dt, kernel, [CylinderFunction.constant(1.0)],
+    result = run([[0.05], [1.0], [3.0]], _rng(11), T, dt, kernel, [CylinderFunction.constant(1.0)],
                  basis=stationary_law.basis)
     assert len(result.events) > 0
     times = [ev.time for ev in result.events]
@@ -112,8 +109,7 @@ def _check_stacked_terms(law, n, n_steps, dt, monkeypatch):
     """Three replicas stepped as one stack against ``_reference_step`` run on
     each alone, which evaluates every relocation's weights from scratch."""
     kernel, domain, B = _kernel(law), law.basis.domain, 3
-    starts = np.stack([sample_initial_configuration(law, n, _rng(21 + b)).positions
-                       for b in range(B)])
+    starts = np.stack([sample_initial_configuration(law, n, _rng(21 + b)) for b in range(B)])
     ref_pos, ref_events, hits = starts.copy(), [[] for _ in range(B)], np.zeros((B, n_steps), int)
     for b in range(B):
         time, rng = 0.0, _rng(5 + b)
@@ -159,8 +155,7 @@ def _check_stacked_terms(law, n, n_steps, dt, monkeypatch):
 
 def test_run_recording_grid(stationary_law):
     kernel = _kernel(stationary_law)
-    cfg = ParticleConfig(DOM, [[1.0], [2.0]], rng=_rng(1))
-    result = run(cfg, 0.1, 0.001, kernel,
+    result = run([[1.0], [2.0]], _rng(1), 0.1, 0.001, kernel,
                  [CylinderFunction.coordinate(1)], basis=stationary_law.basis,
                  record_stride=10)
     assert len(result.times) == 11
@@ -169,42 +164,51 @@ def test_run_recording_grid(stationary_law):
     assert np.all(np.diff(result.jump_counts) >= 0)
 
 
-def test_particle_config_requires_its_stream():
+def test_run_requires_its_stream(stationary_law):
     # an unseeded default stream would break reproducibility
-    with pytest.raises(TypeError):
-        ParticleConfig(DOM, [[1.0]])
+    with pytest.raises(TypeError, match="rng"):
+        run([[1.0]], T=0.1, dt=0.01, kernel=_kernel(stationary_law), observables=[],
+            basis=stationary_law.basis)
 
 
-def test_particle_config_checks_the_dimension():
+def test_run_checks_the_start(stationary_law, basis_2d):
+    kernel_1d, kernel_2d = _kernel(stationary_law), RelocationKernel.ground_mode(basis_2d)
     with pytest.raises(ValueError, match="domain dimension"):
-        ParticleConfig(DOM, [[1.0, 2.0], [0.5, 1.5]], rng=_rng(1))
+        run([[1.0, 1.0], [0.5, 1.5]], _rng(1), 0.1, 0.01, kernel_1d, [], stationary_law.basis)
     with pytest.raises(ValueError, match="domain dimension"):
-        ParticleConfig(RECT, [[1.0], [0.5]], rng=_rng(1))
+        run([[1.0], [0.5]], _rng(1), 0.1, 0.01, kernel_2d, [], basis_2d)
+    with pytest.raises(ValueError, match="outside the open domain"):
+        run([[1.0], [PI]], _rng(1), 0.1, 0.01, kernel_1d, [], stationary_law.basis)
 
 
 def test_run_copies_the_state_but_advances_the_shared_stream(stationary_law):
     kernel, m1 = _kernel(stationary_law), [CylinderFunction.coordinate(1)]
 
-    def go(cfg):
-        return run(cfg, 0.1, 0.01, kernel, m1, stationary_law.basis)
+    def go(start, rng):
+        return run(start, rng, 0.1, 0.01, kernel, m1, stationary_law.basis)
 
-    cfg = ParticleConfig(DOM, [[1.0], [2.0]], rng=_rng(3))
-    first, second = go(cfg), go(cfg)
-    np.testing.assert_array_equal(cfg.positions, [[1.0], [2.0]])
+    start, rng = np.array([[1.0], [2.0]]), _rng(3)
+    first, second = go(start, rng), go(start, rng)
+    np.testing.assert_array_equal(start, [[1.0], [2.0]])
     assert first.times[0] == second.times[0] == 0.0
-    assert first.final.rng is cfg.rng and second.final.rng is cfg.rng
     assert first.values[-1, 0] != second.values[-1, 0]
-    fresh = go(ParticleConfig(DOM, [[1.0], [2.0]], rng=_rng(3)))
+    fresh = go(start, _rng(3))
     np.testing.assert_array_equal(fresh.values, first.values)
-    np.testing.assert_array_equal(fresh.final.positions, first.final.positions)
+    np.testing.assert_array_equal(fresh.final, first.final)
 
 
 def test_run_rejects_bad_horizon(stationary_law):
-    cfg = ParticleConfig(DOM, [[1.0]], rng=_rng(1))
     with pytest.raises(ValueError):
-        run(cfg, 0.0, 0.01, _kernel(stationary_law), [], stationary_law.basis)
+        run([[1.0]], _rng(1), 0.0, 0.01, _kernel(stationary_law), [], stationary_law.basis)
     with pytest.raises(ValueError):
-        run(cfg, 1.0, -0.01, _kernel(stationary_law), [], stationary_law.basis)
+        run([[1.0]], _rng(1), 1.0, -0.01, _kernel(stationary_law), [], stationary_law.basis)
+
+
+@pytest.mark.parametrize("stride", [0, -3, 2.5])
+def test_run_rejects_a_stride_that_is_not_a_positive_integer(stationary_law, stride):
+    with pytest.raises(ValueError, match="record_stride must be a positive integer"):
+        run([[1.0]], _rng(1), 0.1, 0.01, _kernel(stationary_law), [], stationary_law.basis,
+            record_stride=stride)
 
 
 # -- hit resolution ------------------------------------------------------------
@@ -509,7 +513,7 @@ def _one_replica_worker(law, n, n_steps, dt, kernel, jumps):
 
     def worker(rng, _m):
         start = sample_initial_configuration(law, n, rng)
-        pos = start.positions.copy()
+        pos = start.copy()
         seen = [cylinder_value(G2, EmpiricalMeasure(domain, pos), basis)]
 
         def on_step(_k, _t, events):
@@ -529,7 +533,7 @@ def test_semigroup_estimate_equals_one_replica_at_a_time(perturbed_law, kind):
     n, M, t, dt, seed = 6, 5, 0.3, 0.01, 61
     jumps = []
     worker = _one_replica_worker(perturbed_law, n, 30, dt, kernel, jumps)
-    vals = [seen[-1] * cylinder_value(psi, start, basis)
+    vals = [seen[-1] * cylinder_value(psi, EmpiricalMeasure(basis.domain, start), basis)
             for start, _pos, seen in run_replicas(M, seed, worker)]
     assert sum(jumps) > 5
     got = semigroup_estimate(perturbed_law, G2, psi, t, n, M, dt, kernel, seed)
@@ -575,9 +579,8 @@ def test_run_equals_the_reference_step(perturbed_law):
     kernel = _kernel(perturbed_law)
     basis = perturbed_law.basis
     f = [CylinderFunction.coordinate(1), G2]
-    start = sample_initial_configuration(perturbed_law, 12, _rng(73)).positions
-    result = run(ParticleConfig(DOM, start, rng=_rng(79)), 1.2, 0.02, kernel, f,
-                 basis=basis, record_stride=7)
+    start = sample_initial_configuration(perturbed_law, 12, _rng(73))
+    result = run(start, _rng(79), 1.2, 0.02, kernel, f, basis=basis, record_stride=7)
 
     pos, time, rng, events = start.copy(), 0.0, _rng(79), []
     rows, counts = [], []
@@ -596,7 +599,7 @@ def test_run_equals_the_reference_step(perturbed_law):
     assert result.events == events and result.times[-1] == time
     assert np.array_equal(result.values, np.array(rows))
     assert np.array_equal(result.jump_counts, counts)
-    assert np.array_equal(result.final.positions, pos)
+    assert np.array_equal(result.final, pos)
 
 
 # -- block observation against per-step observation -------------------------------
@@ -716,8 +719,7 @@ def test_config_hash_canonical():
 
 def test_artifact_writers(tmp_path, stationary_law):
     kernel = _kernel(stationary_law)
-    cfg = ParticleConfig(DOM, [[0.1], [3.0]], rng=_rng(9))
-    result = run(cfg, 0.2, 0.002, kernel, [CylinderFunction.coordinate(1)],
+    result = run([[0.1], [3.0]], _rng(9), 0.2, 0.002, kernel, [CylinderFunction.coordinate(1)],
                  basis=stationary_law.basis, record_stride=20)
     meta = {"config_sha256": "deadbeef", "seed": 9}
 
@@ -744,6 +746,6 @@ def test_artifact_writers(tmp_path, stationary_law):
 
 
 def test_initial_configuration_seeds_reproducible(stationary_law):
-    a = sample_initial_configuration(stationary_law, 6, _rng(31)).positions
-    b = sample_initial_configuration(stationary_law, 6, _rng(31)).positions
+    a = sample_initial_configuration(stationary_law, 6, _rng(31))
+    b = sample_initial_configuration(stationary_law, 6, _rng(31))
     np.testing.assert_array_equal(a, b)

@@ -465,7 +465,7 @@ def _ref_operator_estimate(law, mode, g, psi, x, n, M, dt, kernel, seed):
     starts through run_replicas, then advance_steps on their own stack."""
     basis = law.basis
     drawn = run_replicas(M, seed, lambda rng, _m: (
-        rng, sample_initial_configuration(law, n, rng).positions))
+        rng, sample_initial_configuration(law, n, rng)))
     rngs, pos = [rng for rng, _ in drawn], np.stack([p for _, p in drawn])
     if mode == "semigroup":
         weight = cylinder_value_many(psi, pos, basis)
