@@ -28,6 +28,7 @@ from .kernels import (
 )
 from .measures import CylinderFunction
 from .simulator import (
+    _step_count,
     config_hash,
     run,
     write_jump_log_csv,
@@ -160,10 +161,10 @@ class RunConfig:
         self.dt = _float(raw["dt"], "dt")
         _require(self.dt > 0, "dt must be positive")
         self.horizon = _float(raw["horizon"], "horizon")
-        steps = self.horizon / self.dt
-        _require(math.isfinite(steps) and round(steps) >= 1
-                 and math.isclose(steps, round(steps), rel_tol=1e-9),
-                 "horizon must be a positive whole multiple of dt")
+        try:
+            _step_count(self.horizon, self.dt)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         self.seed = _int(raw["seed"], "seed")
         _require(self.seed >= 0, "seed must be a nonnegative integer")
         self.output_dir = raw["output_dir"]

@@ -2,13 +2,14 @@
 Brownian-bridge correction, instantaneous relocation, and Monte Carlo
 estimators for the process semigroup and resolvent.
 
-Determinism contract: every replica owns a counter-based RNG stream spawned
-from the master seed by replica index, and every cross-replica reduction is
-an ordered compensated sum — so results are bit-identical for any worker
-count.  Within a step each replica's RNG consumption is fixed (one Gaussian
-block, one bridge-uniform block) regardless of outcomes, so paths are
-reproducible, and the same whether a replica steps alone or stacked with
-others.
+Determinism contract: every stepped replica owns a counter-based RNG stream
+spawned from the master seed by replica index, an exit-side batch of up to
+``verify._BATCH`` (128) configurations shares one, and every cross-replica
+reduction is an ordered compensated sum — so results are bit-identical for
+any worker count.  Within a step a replica draws one Gaussian block and one
+bridge-uniform block, then its relocations, whose draws depend on its hits;
+so paths are reproducible, and the same whether a replica steps alone or
+stacked with others.
 
 Exit detection: a step is declared a boundary hit if the straight segment
 leaves the open box, or, for an interior segment, if a per-face Brownian
@@ -130,12 +131,11 @@ def _detect_hits(domain, pos, prop, dt, u_bridge):
 _TOWARDS = np.array([-1.0, 1.0])  # sign of a step towards the lo, hi face
 
 
-def _step_inplace(domain, positions, time, dt, kernel, rngs):
+def _step_inplace(domain, positions, dt, kernel, rngs):
     """Advance a stack of independent configurations (B, n, d) one step,
-    mutating ``positions``; returns the new time and each replica's jumps
-    as (index, hit point, target) triples.  Replica b draws its Gaussian
-    block, its bridge-uniform block and then its relocations from
-    ``rngs[b]``.
+    mutating ``positions``; returns each replica's jumps as (index, hit
+    point, target) triples.  Replica b draws its Gaussian block, its
+    bridge-uniform block and then its relocations from ``rngs[b]``.
 
     Relocation happens at the step's end, replica by replica: hit particles
     are processed in ascending index, each drawing its target from the other
@@ -158,7 +158,6 @@ def _step_inplace(domain, positions, time, dt, kernel, rngs):
     # hit rows keep their pre-step positions until relocated
     np.copyto(positions, prop, where=~hit_mask[..., None])
 
-    new_time = time + dt
     jumps = [[] for _ in range(B)]
     rows = np.flatnonzero(hit_mask.any(axis=1))
     terms = mixture_terms(kernel, positions, rows) if len(rows) else None
@@ -171,7 +170,17 @@ def _step_inplace(domain, positions, time, dt, kernel, rngs):
                 own[..., i] = mixture_terms(kernel, target[None])[..., 0]
             work[i] = target
             jumps[b].append((i, hit_points[b, i], target))
-    return new_time, jumps
+    return jumps
+
+
+def _step_count(T, dt):
+    """The number of steps of size dt to horizon T; raises ValueError unless T
+    is a positive whole multiple of dt (within relative 1e-9)."""
+    steps = T / dt
+    if not (T > 0 and math.isfinite(steps) and round(steps) >= 1
+            and math.isclose(steps, round(steps), rel_tol=1e-9)):
+        raise ValueError("horizon must be a positive whole multiple of dt")
+    return int(round(steps))
 
 
 def advance_steps(domain, positions, n_steps, dt, kernel, rngs, on_step=None):
@@ -181,7 +190,8 @@ def advance_steps(domain, positions, n_steps, dt, kernel, rngs, on_step=None):
     b's (index, hit point, target) triples of that step."""
     time = 0.0
     for k in range(n_steps):
-        time, jumps = _step_inplace(domain, positions, time, dt, kernel, rngs)
+        jumps = _step_inplace(domain, positions, dt, kernel, rngs)
+        time += dt
         if on_step is not None:
             on_step(k, time, jumps)
 
@@ -202,13 +212,11 @@ def run(start, rng, T, dt, kernel: RelocationKernel, observables, basis,
     to horizon T, drawing from ``rng``, and record cylinder observables of the
     empirical measure every ``record_stride`` steps (and at time 0).  It steps
     a copy of ``start``, which stays as it was."""
-    if T <= 0:
-        raise ValueError("horizon must be positive")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if type(record_stride) is not int or record_stride < 1:  # the CLI's rule: no bool, no float
         raise ValueError(f"record_stride must be a positive integer, got {record_stride!r}")
-    n_steps = int(round(T / dt))
+    n_steps = _step_count(T, dt)
     pos = EmpiricalMeasure(basis.domain, start).positions.copy()
     events = []
 
@@ -344,7 +352,7 @@ def _stacked_estimates(law: InitialLaw, n, dt, kernel: RelocationKernel, jobs, e
         if M < 2:
             raise ValueError("need at least two replicas for a standard error")
     basis = law.basis
-    steps = [int(math.ceil(12.0 / x / dt)) if kind == "resolvent" else int(round(x / dt))
+    steps = [int(math.ceil(12.0 / x / dt)) if kind == "resolvent" else _step_count(x, dt)
              for kind, _g, _psi, x, _M, _seed in estimators]
     order = sorted(range(len(estimators)), key=steps.__getitem__)
     pos, rngs = _replica_starts(law, n, [estimators[e][4:] for e in order], jobs)

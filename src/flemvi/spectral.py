@@ -7,7 +7,7 @@ acting on cylinder observables.
 Everything is closed-form-plus-quadrature: sine eigenbases make every series
 coefficient exact, and integrals use a composite Gauss-Legendre rule (256
 nodes per axis) so quadrature error sits far below the stated tolerances.
-Series are accumulated with compensated summation.
+A density's series is added in mode order, one eigenfunction row at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .geometry import Domain
 __all__ = [
     "SpectralBasis",
     "DensityMeasure",
-    "kahan_sum",
     "survival_split",
     "initial_decay_rate",
     "flow",
@@ -40,37 +39,21 @@ _QUAD_PANELS = 8
 _QUAD_NODES_PER_PANEL = 32  # 8 x 32 = 256 nodes per axis
 
 
-def kahan_sum(terms, zero_terms=0):
-    """Kahan-compensated sum of ``terms`` along their first axis, then up to
-    ``zero_terms`` zero terms while they change it (see ``_series``)."""
-    terms = np.asarray(terms, dtype=float)
-    total = np.zeros(terms.shape[1:])
-    comp = np.zeros_like(total)
-    for k, term in enumerate(list(terms) + [0.0] * zero_terms):
-        y = term - comp
-        t = total + y
-        c = (t - total) - y
-        if k >= len(terms) and np.array_equal(t, total) and np.array_equal(c, comp):
-            break
-        total, comp = t, c
-    return total if total.ndim else float(total)
-
-
 def _last_mode(coeffs):
     """1-based index of the last nonzero coefficient (1 if there is none)."""
     return int(max(np.flatnonzero(coeffs), default=0)) + 1
 
 
 def _series(coeffs, H):
-    """``kahan_sum(coeffs[:, None] * H_K)`` bit for bit for full-K ``coeffs``, from a
-    table ``H`` of at least k_top = ``_last_mode(coeffs)`` rows: k_top terms, then up
-    to K - k_top zero-term steps.  Exact: a zero term of either sign makes the same
-    step as ``y = -comp``, as ``total`` is never -0.0 and ``comp`` is -0.0 only by
-    cancellation, which gives +0.0.  That step is a fixed map per element, so once it
-    leaves ``(total, comp)`` unchanged all later ones do; a NaN element never stops
-    early and runs at most K - k_top steps.  Plain truncation changes some values."""
-    k_top = _last_mode(coeffs)
-    return kahan_sum(coeffs[:k_top, None] * H[:k_top], zero_terms=len(coeffs) - k_top)
+    """The series of ``coeffs`` over a table ``H`` of at least k_top =
+    ``_last_mode(coeffs)`` eigenfunction rows, added in mode order k = 1..k_top one
+    row at a time, so that a column has the same bits whatever the table's width
+    (numpy's reductions sum a one-column table pairwise, BLAS in a CPU-dependent
+    order)."""
+    total = coeffs[0] * H[0]
+    for k in range(1, _last_mode(coeffs)):
+        total += coeffs[k] * H[k]
+    return total
 
 
 def _axis_rule(a, b):

@@ -45,6 +45,7 @@ from .simulator import (
     _as_seedseq,
     _replica_starts,
     _stacked_estimates,
+    _step_count,
     advance_steps,
     first_exit_batch,
     mean_and_stderr,
@@ -611,6 +612,7 @@ def convergence_experiment(law, t, n_list, M, dt, kernel, seed, jobs=1,
     basis = law.basis
     if max(modes) > basis.K:
         raise ValueError("observable mode beyond the basis truncation")
+    n_steps = _step_count(t, dt)
     targets = {
         kk: math.fsum(w * flow(ad.mu, t).pair(kk) for w, ad in law.components)
         for kk in modes
@@ -618,7 +620,7 @@ def convergence_experiment(law, t, n_list, M, dt, kernel, seed, jobs=1,
 
     def estimate(n, sub):
         pos, rngs = _replica_starts(law, n, [(M, sub)], jobs)
-        advance_steps(basis.domain, pos, int(round(t / dt)), dt, kernel, rngs)
+        advance_steps(basis.domain, pos, n_steps, dt, kernel, rngs)
         vals = pair_many(modes, pos, basis)
         return [mean_and_stderr(vals[:, j]) for j in range(len(modes))]
 

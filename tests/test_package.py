@@ -58,6 +58,14 @@ def _run_python(code):
                           env=env, check=True, timeout=120).stdout
 
 
+def test_readme_quick_start_prints_its_documented_output():
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = text.index("```python\n", text.index("## Quick start")) + len("```python\n")
+    block = text[start:text.index("```", start)]
+    [documented] = [line[len("# -> "):] for line in block.splitlines() if line.startswith("# -> ")]
+    assert _run_python(block).strip() == documented.split(" (", 1)[0]
+
+
 def test_cli_import_leaves_out_scipy_stats():
     # scipy alone took about 225 ms of every CLI call's start-up; the runtime needs numpy only
     code = "import sys, flemvi.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

@@ -10,7 +10,7 @@ from flemvi.kernels import (InitialLaw, RelocationKernel, admissible_from_pertur
                             mixture_terms, sample_initial_configuration, sample_relocation)
 from flemvi.measures import (CylinderFunction, EmpiricalMeasure, cylinder_value,
                              cylinder_value_many, pair)
-from flemvi.verify import convergence_experiment
+from flemvi.verify import convergence_experiment, operator_limit_checks
 from flemvi.simulator import (
     JumpEvent,
     _detect_hits,
@@ -202,6 +202,20 @@ def test_run_rejects_bad_horizon(stationary_law):
         run([[1.0]], _rng(1), 0.0, 0.01, _kernel(stationary_law), [], stationary_law.basis)
     with pytest.raises(ValueError):
         run([[1.0]], _rng(1), 1.0, -0.01, _kernel(stationary_law), [], stationary_law.basis)
+
+
+@pytest.mark.parametrize("T", [0.004, 0.025])  # no step, and a count Python rounds down
+def test_a_horizon_off_the_step_grid_raises(stationary_law, T):
+    law, kernel, one = stationary_law, _kernel(stationary_law), CylinderFunction.constant(1.0)
+    calls = [
+        lambda: run([[1.0]], _rng(1), T, 0.01, kernel, [], law.basis),
+        lambda: semigroup_estimate(law, one, one, T, 2, 4, 0.01, kernel, seed=1),
+        lambda: operator_limit_checks(law, [("semigroup", one, one, T, 4, 1)], [2], 0.01, kernel),
+        lambda: convergence_experiment(law, T, [2, 4], 4, 0.01, kernel, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="horizon must be a positive whole multiple of dt"):
+            call()
 
 
 @pytest.mark.parametrize("stride", [0, -3, 2.5])

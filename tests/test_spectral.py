@@ -7,17 +7,19 @@ from flemvi.geometry import interval, rectangle
 from flemvi.spectral import (
     DensityMeasure,
     SpectralBasis,
+    _last_mode,
+    _series,
     curvature_mass_routes,
     diffusion_part,
     flow,
     flow_generator,
     initial_decay_rate,
-    kahan_sum,
     replenishment_part,
     survival_split,
 )
 from flemvi.measures import CylinderFunction
 from flemvi.kernels import InitialLaw, _atom_terms, admissible_from_perturbation
+from flemvi.verify import standard_density_set
 
 PI = math.pi
 
@@ -230,14 +232,6 @@ def test_curvature_mass_stationary_value(basis_1d):
     assert lhs == pytest.approx(-0.5, abs=1e-12)
 
 
-def test_kahan_sum_matches_fsum():
-    rng = np.random.default_rng(0)
-    terms = rng.standard_normal((50, 3)) * 10.0 ** rng.integers(-8, 8, size=(50, 3))
-    out = kahan_sum(terms)
-    expect = [math.fsum(terms[:, j]) for j in range(3)]
-    np.testing.assert_allclose(out, expect, rtol=1e-15, atol=1e-300)
-
-
 def _random_points(domain, N, rng):
     lo, hi = np.array(domain.lo), np.array(domain.hi)
     return lo + (hi - lo) * rng.random((N, domain.dimension))
@@ -306,26 +300,27 @@ def test_eigenfunctions_equal_the_per_axis_sine_formula(domain, K, N):
             assert np.array_equal(grad[:, ax], g)
 
 
-# -- the prefix series against the full-K formula -------------------------------
+# -- the series in mode order -----------------------------------------------------
 
-def _reference_kahan_sum(terms):
-    """Kahan sum over the first axis, exactly as the full-K series ran it."""
-    total = np.zeros(terms.shape[1:])
-    comp = np.zeros_like(total)
-    for term in terms:
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+def _reference_mode_order_sum(coeffs, H):
+    """Per column, the terms of the carried modes 1..k_top added in mode order
+    as Python floats."""
+    k_top = int(max(np.flatnonzero(coeffs), default=0)) + 1
+    out = np.empty(H.shape[1])
+    for j in range(H.shape[1]):
+        total = float(coeffs[0] * H[0, j])
+        for k in range(1, k_top):
+            total = total + float(coeffs[k] * H[k, j])
+        out[j] = total
+    return out
 
 
 def _reference_density(mu, H):
-    return _reference_kahan_sum(mu.coeffs[:, None] * H)
+    return _reference_mode_order_sum(mu.coeffs, H)
 
 
 def _reference_half_laplacian(mu, H):
-    return _reference_kahan_sum((mu.coeffs * mu.basis.lambdas)[:, None] * H)
+    return _reference_mode_order_sum(mu.coeffs * mu.basis.lambdas, H)
 
 
 def _reference_atom_terms(law, H):
@@ -356,17 +351,10 @@ def test_prefix_series_equals_full_k_series(domain):
     basis = SpectralBasis(domain, truncation_K=16)
     pts = _random_points(domain, 400, rng)
     H = _per_mode_stack(basis, pts)
-    truncation_differs = 0
     for _ in range(40):
         mu = DensityMeasure(basis, _random_sparse_coeffs(basis.K, rng))
         assert _same_bits(mu.density(pts), _reference_density(mu, H))
         assert _same_bits(mu.half_laplacian(pts), _reference_half_laplacian(mu, H))
-        k_top = int(np.flatnonzero(mu.coeffs)[-1]) + 1
-        plain = _reference_kahan_sum(mu.coeffs[:k_top, None] * H[:k_top])
-        truncation_differs += int(np.sum(plain != _reference_density(mu, H)))
-    # plain truncation at the last nonzero mode moves some of these values, so
-    # the prefix series above would fail without its trailing zero-term steps
-    assert truncation_differs > 0
     zero = DensityMeasure(basis, np.zeros(basis.K))
     assert _same_bits(zero.density(pts), _reference_density(zero, H))
     assert _same_bits(zero.half_laplacian(pts), _reference_half_laplacian(zero, H))
@@ -384,3 +372,44 @@ def test_atom_terms_equal_full_k_series(domain, modes):
     law = InitialLaw(tuple((1.0, admissible_from_perturbation(basis, m)) for m in modes))
     pts = _random_points(domain, 300, np.random.default_rng(7))
     assert _same_bits(_atom_terms(law, pts), _reference_atom_terms(law, _per_mode_stack(basis, pts)))
+
+
+@pytest.mark.parametrize("domain", [interval(0.0, PI), rectangle(0.0, PI, 0.0, 1.5)])
+def test_series_columns_equal_one_column_calls(domain):
+    # numpy's add.reduce sums a one-column table of eight or more rows pairwise
+    # and a wider one row by row; a column's bits must not depend on the width
+    rng = np.random.default_rng(11)
+    basis = SpectralBasis(domain, truncation_K=16)
+    pts = _random_points(domain, 200, rng)
+    H = basis.eigenfunction_matrix(pts)
+    coeffs = rng.standard_normal(basis.K)  # k_top = 16
+    columns = [_series(coeffs, H[:, [j]]) for j in range(len(pts))]
+    assert _same_bits(_series(coeffs, H), np.concatenate(columns))
+
+
+def _gamma(n):
+    u = 2.0**-53  # unit roundoff of float64
+    return n * u / (1.0 - n * u)
+
+
+@pytest.mark.parametrize("domain,K", [
+    (interval(0.0, PI), 16),
+    (interval(0.0, PI), 64),
+    (rectangle(0.0, PI, 0.0, 1.5), 16),
+])
+def test_series_within_the_recursive_summation_bound(domain, K):
+    # adding m terms in order errs by at most gamma_{m-1} times the sum of their
+    # magnitudes (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2)
+    rng = np.random.default_rng(K)
+    basis = SpectralBasis(domain, truncation_K=K)
+    pts = _random_points(domain, 200, rng)
+    H = basis.eigenfunction_matrix(pts)
+    coeff_sets = [ad.mu.coeffs for ad in standard_density_set(basis)]
+    coeff_sets += [rng.standard_normal(K) for _ in range(4)]
+    for coeffs in coeff_sets:
+        for c in (coeffs, coeffs * basis.lambdas):
+            k_top = _last_mode(c)
+            terms = c[:k_top, None] * H[:k_top]
+            exact = np.array([math.fsum(col) for col in terms.T])
+            bound = _gamma(k_top - 1) * np.array([math.fsum(col) for col in np.abs(terms).T])
+            assert np.all(np.abs(_series(c, H) - exact) <= bound)
