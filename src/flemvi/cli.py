@@ -159,7 +159,6 @@ class RunConfig:
         self.replicas = _int(raw["replicas"], "replicas")
         _require(self.replicas >= 2, "replicas must be >= 2")
         self.dt = _float(raw["dt"], "dt")
-        _require(self.dt > 0, "dt must be positive")
         self.horizon = _float(raw["horizon"], "horizon")
         try:
             _step_count(self.horizon, self.dt)

@@ -9,8 +9,8 @@ make every limit-side integral an exact finite sum plus quadrature.
 The configuration-dependent kernel builds, for a relocating particle, the
 mixture over components reweighted by the likelihood of the *other* particle
 positions and by the mean curvature ratio of those positions; the result is
-renormalized to integrate to exactly one, with the pre-normalization mass
-kept as a diagnostic (it tends to one as n grows).
+renormalized to integrate to exactly one (its pre-normalization mass tends
+to one as n grows).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "admissible_from_perturbation",
     "sample_ground_mode",
     "sample_initial_configuration",
-    "reweighted_mixture",
     "sample_relocation",
     "sample_relocations",
     "mixture_terms",
@@ -39,6 +38,7 @@ __all__ = [
 ]
 
 _MAX_PROPOSALS = 10**6
+_U = 2.0**-53  # the unit roundoff of a double
 _C_CAP = 10.0  # largest comparison constant admissible_from_perturbation finds
 
 
@@ -90,11 +90,6 @@ def _proposal_count(want, basis, envelope_factor):
     return min(max(64, int(want * envelope_factor * basis.unit_integrals[0] * 1.2)), 1 << 17)
 
 
-def _accepted(u, props, basis, target, envelope_factor):
-    """Which of the proposals the acceptance uniforms u accept."""
-    return u * (envelope_factor * basis.eigenfunction(1, props)) < target(props)
-
-
 def _rejection_sample(rng, size, basis, target, envelope_factor):
     """Draw from ``target`` (a density up to scale) under the envelope
     envelope_factor times the ground mode, proposing from it normalized."""
@@ -110,7 +105,7 @@ def _rejection_sample(rng, size, basis, target, envelope_factor):
             )
         props = sample_ground_mode(basis, rng, batch)
         used += batch
-        accept = _accepted(rng.random(batch), props, basis, target, envelope_factor)
+        accept = rng.random(batch) * (envelope_factor * basis.eigenfunction(1, props)) < target(props)
         take = props[accept][:want]
         out[got : got + len(take)] = take
         got += len(take)
@@ -289,12 +284,11 @@ def _atom_terms(law: InitialLaw, pts):
     return terms
 
 
-def mixture_terms(kernel: RelocationKernel, pts, rows=slice(None)):
+def mixture_terms(kernel: RelocationKernel, pts):
     """The per-atom terms of ``kernel``'s component weights (see ``sample_relocation``)
-    at the points ``pts[rows]`` (..., d), shape (2, components, ...), from one
+    at the points ``pts`` (..., d), shape (2, components, ...), from one
     ``_atom_terms`` call; None, with pts unread, when its draw does not use them."""
     if kernel.kind is KernelKind.MIXTURE_REWEIGHTED and kernel.reads_others:
-        pts = pts[rows]
         terms = _atom_terms(kernel.law, pts.reshape(-1, pts.shape[-1]))
         return terms.reshape(terms.shape[:2] + pts.shape[:-1])
     return None
@@ -316,65 +310,126 @@ def _logsumexp(a):
 
 
 def _mixture_log_weights(law: InitialLaw, terms):
-    """Per-component logs of w_m * L_m * prod_j d_m(z_j) (mixture numerator)
-    and of w_m * K_m * prod_j d_m(z_j) (mass denominator), from the other
-    atoms' ``_atom_terms``."""
+    """Per-component logs of w_m * L_m * prod_j d_m(z_j), the relocation mixture's
+    unnormalized weights, from the other atoms' ``_atom_terms``."""
     n = terms.shape[2] + 1
     logs, ratios = terms.tolist()  # fsum reads a list of floats fastest
     log_num = np.empty(len(law.components))
-    log_den = np.empty(len(law.components))
-    for m, (w, ad) in enumerate(law.components):
-        log_prod = math.fsum(logs[m])
-        likelihood = math.fsum(ratios[m]) / n
-        log_num[m] = math.log(w) + math.log(likelihood) + log_prod
-        log_den[m] = math.log(w) + math.log(ad.curvature_mass) + log_prod
-    return log_num, log_den
+    for m, (w, _) in enumerate(law.components):
+        log_num[m] = math.log(w) + math.log(math.fsum(ratios[m]) / n) + math.fsum(logs[m])
+    return log_num
 
 
-def reweighted_mixture(law: InitialLaw, others):
-    """Renormalized relocation density as a DensityMeasure, plus the
-    pre-normalization mass diagnostic (tends to 1 as n grows)."""
-    others = np.atleast_2d(np.asarray(others, dtype=float))
-    log_num, log_den = _mixture_log_weights(law, _atom_terms(law, others))
-    alpha = np.exp(log_num - _logsumexp(log_num))
-    alpha = alpha / math.fsum(alpha)
-    rho = float(math.exp(_logsumexp(log_num) - _logsumexp(log_den)))
-    coeffs = np.zeros(law.basis.K)
-    for a_m, (_, ad) in zip(alpha, law.components):
-        coeffs += a_m * ad.mu.coeffs
-    return DensityMeasure(law.basis, coeffs), rho
+def _choice_cdf(law, terms, i):
+    """The cdf of each row's component choice, shape (C, R), from numpy sums of the
+    terms ``terms`` (2, C, R, n) of its atoms but atom i[r]'s, and a bound (R,) on its
+    distance from the cdf that ``rng.choice`` builds from the exact weights of
+    ``_mixture_log_weights`` on those n - 1 atoms.
+
+    Let u = 2**-53, g = n u / (1 - n u), and for a component m of a row let L and R
+    be the exact sums of the others' log-densities and curvature ratios, S and T n
+    times the largest magnitude of each kind of term in the row, and x = log w +
+    log(R / n) + L.  numpy's sum of the row's n terms, less atom i's, takes at most
+    n roundings, so L' and R' are within g S and E = g T of L and R (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, eq. 4.4 for any order, and
+    lemma 3.3), and |log(R' / R)| <= E / (R' - E) when R' > E.  The exact path rounds
+    its correctly rounded fsums, both paths round their logs (taken to be within two
+    ulps), divisions and additions, which moves either path's x by less than
+    16 u (|log w| + |log(R' / n)| + |L'| + 1); so the two paths' log weights differ
+    by at most e = g S + E / (R' - E) + that, and a row takes the largest e over m.
+    Moving every log weight by at most e moves every exact cdf entry by at most
+    expm1(2 e).  Each path's exponentials, normalisation, cumulative sum and
+    division by its last entry add at most 8 u (max |x| + C + 2) (the log-sum-exp's
+    error is common to every component and cancels in the normalisation).  The
+    bound is expm1(2 e) + 32 u (max |x'| + C + 4), infinite unless R' - E > 2**-960,
+    which keeps R / n and its roundings in the normal range for any n below 2**60;
+    a non-finite value makes the cdf or the bound NaN."""
+    n, C = terms.shape[-1], terms.shape[1]
+    g = n * _U / (1 - n * _U)
+    L, R = terms.sum(axis=-1) - terms[:, :, np.arange(len(i)), i]
+    S, T = n * np.maximum(terms.max(axis=-1), -terms.min(axis=-1))
+    logw = np.log(law.weights)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        y = np.log(R / n)
+        x = logw + y + L
+        gap = np.maximum(R - g * T - 2.0**-960, 0.0)  # 0 where the bound is void
+        e = (g * S + g * T / gap + 16 * _U * (np.abs(logw) + np.abs(y) + np.abs(L) + 1)).max(axis=0)
+        cdf = np.cumsum(np.exp(x - x.max(axis=0)), axis=0)
+        return cdf / cdf[-1], np.expm1(2 * e) + 32 * _U * (np.abs(x).max(axis=0) + C + 4)
 
 
-def sample_relocation(kernel: RelocationKernel, positions, i, rng, terms=None):
-    """Draw the reappearance point of atom i given the configuration
-    ``positions`` (n, d); the draw reads only the other n-1 atoms.
-    ``terms``, if given, must equal ``mixture_terms(kernel, positions)``
-    at those atoms (its column i is never read)."""
-    if not kernel.reads_others:
-        return sample_relocations(kernel, rng, 1)[0]
-    _check_population(kernel, len(positions))
+def _choose(law, terms, i, rngs):
+    """Each row's component, shape (R,), as ``rng.choice`` draws it from rngs[r] with
+    the weights of ``_mixture_log_weights`` on the row's terms ``terms`` (2, C, R, n)
+    but atom i[r]'s: one uniform u, then the number of cdf entries at most u.  Where u
+    lies farther than ``_choice_cdf``'s bound from each of its entries that count is
+    certain; otherwise the row's stream is reset and the exact weights draw it."""
+    states = [rng.bit_generator.state for rng in rngs]
+    u = np.array([rng.random() for rng in rngs])
+    cdf, bound = _choice_cdf(law, terms, i)
+    comp = (cdf <= u).sum(axis=0)
+    for r in np.flatnonzero(~(np.abs(u - cdf) > bound).all(axis=0)):
+        log_num = _mixture_log_weights(law, np.delete(terms[:, :, r], i[r], axis=2))
+        alpha = np.exp(log_num - _logsumexp(log_num))
+        rngs[r].bit_generator.state = states[r]
+        comp[r] = rngs[r].choice(len(alpha), p=alpha / math.fsum(alpha))
+    return comp
+
+
+def _first_round(law, comp, u, P):
+    """Row r's first rejection round for component comp[r], from one eigenfunction table:
+    u[r] holds P[r] ground-mode proposals of d uniforms, then their acceptance uniforms.
+    Returns each row's first accepted proposal (R, d) and whether it has one, with the
+    bits of ``AdmissibleDensity.sample``."""
+    d = law.basis.domain.dimension
+    props = _ground_mode_points(law.basis, np.concatenate([v[:p * d] for v, p in zip(u, P)]).reshape(-1, d))
+    au = np.concatenate([v[p * d:] for v, p in zip(u, P)])
+    H = law.basis.eigenfunction_matrix(props, max(_last_mode(ad.mu.coeffs) for _, ad in law.components))
+    own = np.repeat(comp, P)  # each proposal's component
+    dens = np.choose(own, [_series(ad.mu.coeffs, H) for _, ad in law.components])
+    ok = au * (np.array([ad.c for _, ad in law.components])[own] * H[0]) < dens
+    start = np.cumsum(P) - P
+    first = np.minimum.reduceat(np.where(ok, np.arange(len(ok)), len(ok)), start)
+    return props[np.minimum(first, len(ok) - 1)], first < start + P
+
+
+def sample_relocation(kernel: RelocationKernel, positions, i, rngs, terms=None):
+    """Relocate atom i[r] of each configuration positions[r] (R, n, d) from rngs[r],
+    reading only its other n-1 atoms; shape (R, d).  A row draws what it would alone:
+    a mixture row spends its choice's uniform (``_choose``), one rejection round of its
+    component (``_first_round``, all rows at once) and continues with
+    ``AdmissibleDensity.sample`` only if that round accepts nothing.  ``terms``, if
+    given, must equal ``mixture_terms(kernel, positions)`` but in columns i, which
+    never change a draw."""
+    R, n, d = positions.shape
+    if kernel.kind is KernelKind.GROUND_MODE:
+        return _ground_mode_points(kernel.basis, np.array([rng.random(d) for rng in rngs]))
+    _check_population(kernel, n)
     if kernel.kind is KernelKind.UNIFORM_SURVIVOR:
-        j = int(rng.integers(len(positions) - 1))
-        return positions[j + (j >= i)].copy()
-    law = kernel.law
-    if terms is None:  # never evaluated at atom i, which may sit on the boundary
-        terms = _atom_terms(law, np.delete(positions, i, axis=0))
-    else:
-        terms = np.delete(terms, i, axis=2)
-    log_num, _ = _mixture_log_weights(law, terms)
-    alpha = np.exp(log_num - _logsumexp(log_num))
-    alpha = alpha / math.fsum(alpha)
-    m = int(rng.choice(len(alpha), p=alpha))
-    return law.components[m][1].sample(rng, 1)[0]
+        j = np.array([rng.integers(n - 1) for rng in rngs])
+        return positions[np.arange(R), j + (j >= i)]
+    law, i = kernel.law, np.asarray(i)
+    if kernel.reads_others:
+        if terms is None:  # atom i may sit on a wall: only the others are evaluated
+            keep = np.arange(n) != i[:, None]
+            terms = np.zeros((2, len(law.components), R, n))
+            terms[:, :, keep] = _atom_terms(law, positions[keep])
+        comp = _choose(law, terms, i, rngs)
+    else:  # rng.choice among one component still spends a uniform
+        comp = np.array([0 * rng.random() for rng in rngs], dtype=int)
+    P = np.array([_proposal_count(1, law.basis, ad.c) for _, ad in law.components])[comp]
+    out, ok = _first_round(law, comp, [rng.random(p * (d + 1)) for rng, p in zip(rngs, P)], P)
+    for r in np.flatnonzero(~ok):  # its later rounds continue the row's stream
+        out[r] = law.components[comp[r]][1].sample(rngs[r], 1)[0]
+    return out
 
 
 def sample_relocations(kernel: RelocationKernel, rng, h):
-    """h draws of a kernel that reads no other atom, shape (h, d), with the draws and
-    bits of h ``sample_relocation`` calls.  A one-component mixture draws a block of rows
-    (at most 2**17 proposals) in one ``rng.random`` call: per row the choice's uniform,
-    P proposals of d uniforms and P acceptance uniforms; the first accepted proposal
-    wins.  The first row f that accepts none continues from the end of its first round
-    with ``AdmissibleDensity.sample``, and the next block starts after it."""
+    """h draws of a kernel that reads no other atom, shape (h, d), with the draws and bits
+    of h one-row ``sample_relocation`` calls on ``rng``.  A one-component mixture draws a
+    block of rows (at most 2**17 proposals) in one ``rng.random`` call: per row the choice's
+    uniform and a ``_first_round`` row.  The first row f that accepts none continues from
+    the end of its first round with ``AdmissibleDensity.sample``; the next block follows."""
     if kernel.kind is KernelKind.GROUND_MODE:
         return sample_ground_mode(kernel.basis, rng, h)
     [(_, ad)] = kernel.law.components  # more would read the other atoms
@@ -386,10 +441,9 @@ def sample_relocations(kernel: RelocationKernel, rng, h):
         rows = min(h - s, max(1, (1 << 17) // P))
         state = rng.bit_generator.state
         u = rng.random((rows, 1 + P * (d + 1)))
-        props = _ground_mode_points(ad.basis, u[:, 1:1 + P * d].reshape(-1, d))
-        ok = _accepted(u[:, 1 + P * d:].ravel(), props, ad.basis, ad.mu.density, ad.c).reshape(-1, P)
-        f = int(np.append(ok.any(axis=1), False).argmin())  # the first row accepting none, or rows
-        out[s:s + f] = props.reshape(rows, P, d)[np.arange(f), ok[:f].argmax(axis=1)]
+        got, ok = _first_round(kernel.law, np.zeros(rows, int), u[:, 1:], np.full(rows, P))
+        f = int(np.append(ok, False).argmin())  # the first row accepting none, or rows
+        out[s:s + f] = got[:f]
         if f < rows:
             rng.bit_generator.state = state
             rng.random((f + 1, 1 + P * (d + 1)))  # to the end of row f's first round

@@ -133,16 +133,16 @@ _TOWARDS = np.array([-1.0, 1.0])  # sign of a step towards the lo, hi face
 
 def _step_inplace(domain, positions, dt, kernel, rngs):
     """Advance a stack of independent configurations (B, n, d) one step,
-    mutating ``positions``; returns each replica's jumps as (index, hit
-    point, target) triples.  Replica b draws its Gaussian block, its
-    bridge-uniform block and then its relocations from ``rngs[b]``.
+    mutating ``positions``; returns its jumps as arrays (replica, index, hit
+    point, target), replica by replica in ascending index.  Replica b draws its
+    Gaussian block, its bridge-uniform block and then its relocations from ``rngs[b]``.
 
-    Relocation happens at the step's end, replica by replica: hit particles
-    are processed in ascending index, each drawing its target from the other
-    n-1 particles' current positions (post-step for non-hit, already-relocated
-    for earlier hits, pre-step for pending later hits).  The kernel's per-atom
-    terms are evaluated in one call for every replica with a hit, and a
-    relocated row's are refreshed only if a later hit of its replica reads them.
+    Relocation happens at the step's end, rank by rank: one ``sample_relocation``
+    call relocates the r-th hit (in ascending index) of every replica that has one
+    from its other n-1 particles' current positions (post-step for non-hit,
+    already-relocated for earlier hits, pre-step for pending later hits).  The
+    kernel's per-atom terms are evaluated in one call for every replica with a hit,
+    and a rank's relocated columns are refreshed in one call if a later rank reads them.
     """
     B, n, d = positions.shape
     prop = np.empty((B, n, d))
@@ -158,24 +158,26 @@ def _step_inplace(domain, positions, dt, kernel, rngs):
     # hit rows keep their pre-step positions until relocated
     np.copyto(positions, prop, where=~hit_mask[..., None])
 
-    jumps = [[] for _ in range(B)]
+    hb, hi = np.nonzero(hit_mask)  # replica by replica, each replica's hits in ascending index
     rows = np.flatnonzero(hit_mask.any(axis=1))
-    terms = mixture_terms(kernel, positions, rows) if len(rows) else None
-    for r, b in enumerate(rows):
-        work, rng, own = positions[b], rngs[b], None if terms is None else terms[:, :, r]
-        hits = np.flatnonzero(hit_mask[b])
-        for i in hits:
-            target = sample_relocation(kernel, work, i, rng, own)
-            if own is not None and i != hits[-1]:  # a later hit reads column i
-                own[..., i] = mixture_terms(kernel, target[None])[..., 0]
-            work[i] = target
-            jumps[b].append((i, hit_points[b, i], target))
-    return jumps
+    terms = mixture_terms(kernel, positions[rows]) if len(rows) else None
+    t, rank = np.searchsorted(rows, hb), np.arange(len(hb)) - np.searchsorted(hb, hb)
+    for r in range(rank.max(initial=-1) + 1):
+        at = np.flatnonzero(rank == r)
+        b, i = hb[at], hi[at]
+        positions[b, i] = sample_relocation(kernel, positions[b], i, [rngs[k] for k in b],
+                                            None if terms is None else terms.take(t[at], axis=2))
+        at = at[rank[np.minimum(at + 1, len(hb) - 1)] == r + 1]  # the columns a later rank reads
+        if terms is not None and len(at):
+            terms[:, :, t[at], hi[at]] = mixture_terms(kernel, positions[hb[at], hi[at]])
+    return hb, hi, hit_points[hb, hi], positions[hb, hi]  # each hit is relocated once
 
 
 def _step_count(T, dt):
-    """The number of steps of size dt to horizon T; raises ValueError unless T
-    is a positive whole multiple of dt (within relative 1e-9)."""
+    """The number of steps of size dt to horizon T; raises ValueError unless dt
+    is positive and T a positive whole multiple of dt (within relative 1e-9)."""
+    if not dt > 0:
+        raise ValueError("dt must be positive")
     steps = T / dt
     if not (T > 0 and math.isfinite(steps) and round(steps) >= 1
             and math.isclose(steps, round(steps), rel_tol=1e-9)):
@@ -186,8 +188,8 @@ def _step_count(T, dt):
 def advance_steps(domain, positions, n_steps, dt, kernel, rngs, on_step=None):
     """In-place multi-step advance of a (B, n, d) stack with one stream per
     replica, its clock starting at 0.  ``on_step(k, time, jumps)``, if given,
-    observes the state after step k (0-based); ``jumps[b]`` are replica
-    b's (index, hit point, target) triples of that step."""
+    observes the state after step k (0-based); ``jumps`` are the step's
+    (replica, index, hit point, target) arrays of ``_step_inplace``."""
     time = 0.0
     for k in range(n_steps):
         jumps = _step_inplace(domain, positions, dt, kernel, rngs)
@@ -212,11 +214,9 @@ def run(start, rng, T, dt, kernel: RelocationKernel, observables, basis,
     to horizon T, drawing from ``rng``, and record cylinder observables of the
     empirical measure every ``record_stride`` steps (and at time 0).  It steps
     a copy of ``start``, which stays as it was."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    n_steps = _step_count(T, dt)
     if type(record_stride) is not int or record_stride < 1:  # the CLI's rule: no bool, no float
         raise ValueError(f"record_stride must be a positive integer, got {record_stride!r}")
-    n_steps = _step_count(T, dt)
     pos = EmpiricalMeasure(basis.domain, start).positions.copy()
     events = []
 
@@ -229,7 +229,7 @@ def run(start, rng, T, dt, kernel: RelocationKernel, observables, basis,
         events.extend(JumpEvent(time, int(i), tuple(float(v) for v in y),
                                 tuple(float(v) for v in target),
                                 float(np.linalg.norm(target - y)))
-                      for i, y, target in jumps[0])
+                      for i, y, target in zip(*jumps[1:]))  # one replica
         if (k + 1) % record_stride == 0 or k == n_steps - 1:
             times.append(time)
             rows.append(observe())
@@ -352,8 +352,9 @@ def _stacked_estimates(law: InitialLaw, n, dt, kernel: RelocationKernel, jobs, e
         if M < 2:
             raise ValueError("need at least two replicas for a standard error")
     basis = law.basis
-    steps = [int(math.ceil(12.0 / x / dt)) if kind == "resolvent" else _step_count(x, dt)
-             for kind, _g, _psi, x, _M, _seed in estimators]
+    # a resolvent's count is 12/beta rounded up to whole steps, once _step_count has checked dt
+    steps = [_step_count(dt, dt) * math.ceil(12.0 / x / dt) if kind == "resolvent"
+             else _step_count(x, dt) for kind, _g, _psi, x, _M, _seed in estimators]
     order = sorted(range(len(estimators)), key=steps.__getitem__)
     pos, rngs = _replica_starts(law, n, [estimators[e][4:] for e in order], jobs)
     at = np.cumsum([0] + [estimators[e][4] for e in order])  # each estimator's first row

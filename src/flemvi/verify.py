@@ -479,7 +479,7 @@ def jump_increment_checks(law, f, n, M, dt, kernel, seed, jobs=1,
         relocated = finals.copy()
         if kernel.reads_others:
             for b, i in enumerate(hit_index):
-                relocated[b, i] = sample_relocation(kernel, finals[b], i, rng)
+                relocated[b, i] = sample_relocation(kernel, finals[b][None], [i], [rng])[0]
         else:
             relocated[mask] = sample_relocations(kernel, rng, len(finals))
         if not np.array_equal(relocated[~mask], finals[~mask]):

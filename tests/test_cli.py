@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from flemvi import kernels
 from flemvi.cli import SUITES, ConfigError, RunConfig, load_config, main
 
 PI = math.pi
@@ -357,6 +358,32 @@ def test_verify_jumps_byte_identical_across_jobs(cfg_file, tmp_path):
     main(["verify", "--config", path, "--suite", "jumps", "--jobs", "3",
           "--out", str(b)])
     assert (a / "report_jumps.json").read_bytes() == (b / "report_jumps.json").read_bytes()
+
+
+def test_convergence_report_keeps_its_bytes_when_every_choice_is_exact(tmp_path, monkeypatch):
+    """With the certified choice's bound infinite, every component choice of the
+    two-component ladder config (the benchmark's ``ladder`` workload) runs the
+    exact weights, and its convergence report keeps every byte."""
+    ladder = {"domain": {"kind": "interval", "bounds": [0.0, PI]}, "truncation": 16,
+              "components": [{"weight": 0.6, "modes": {}}, {"weight": 0.4, "modes": {"2": 0.05}}],
+              "kernel": "mixture_reweighted", "n_list": [50, 200, 800], "replicas": 16,
+              "dt": 1e-3, "horizon": 0.03, "observables": [{"name": "m1", "modes": [1],
+                                                            "terms": [[1.0, [1]]]}],
+              "seed": 64, "output_dir": "out"}
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps(ladder))
+    assert main(["verify", "--config", str(path), "--suite", "convergence",
+                 "--out", str(tmp_path / "certified")]) in (0, 1)
+    exact, choice_cdf, weights = [], kernels._choice_cdf, kernels._mixture_log_weights
+    monkeypatch.setattr(kernels, "_choice_cdf", lambda law, terms, i: (
+        choice_cdf(law, terms, i)[0], np.full(len(i), np.inf)))
+    monkeypatch.setattr(kernels, "_mixture_log_weights",
+                        lambda *args: exact.append(1) or weights(*args))
+    assert main(["verify", "--config", str(path), "--suite", "convergence",
+                 "--out", str(tmp_path / "exact")]) in (0, 1)
+    assert len(exact) > 100
+    name = "report_convergence.json"
+    assert (tmp_path / "certified" / name).read_bytes() == (tmp_path / "exact" / name).read_bytes()
 
 
 @pytest.mark.parametrize("suite", ["operator_limits", "convergence"])

@@ -11,7 +11,6 @@ from flemvi.kernels import (
     admissible_from_perturbation,
     _logsumexp,
     _rejection_sample,
-    reweighted_mixture,
     sample_curvature_weighted,
     sample_ground_mode,
     sample_initial_configuration,
@@ -186,9 +185,9 @@ def test_ground_mode_draws_never_land_on_a_wall(basis_1d, basis_2d):
         domain = basis.domain
         kernel = RelocationKernel.ground_mode(basis)
         direct = sample_ground_mode(basis, _ZeroUniforms(), 4)
-        relocated = sample_relocation(kernel, np.full((3, domain.dimension), 1.0), 1,
-                                      _ZeroUniforms())
-        for pts in (direct, relocated[None]):
+        relocated = sample_relocation(kernel, np.full((1, 3, domain.dimension), 1.0), [1],
+                                      [_ZeroUniforms()])
+        for pts in (direct, relocated):
             assert np.all(domain.contains_many(pts))
             assert np.all(pts > np.asarray(domain.lo))
         # a nonzero uniform maps as the plain inversion does, bit for bit
@@ -273,24 +272,6 @@ def test_logsumexp_matches_scipy():
     assert not differ, differ[:3]
 
 
-def test_reweighted_mixture_is_probability(perturbed_law, basis_1d, rng):
-    others = rng.uniform(0.3, 2.8, size=(9, 1))
-    mixed, rho = reweighted_mixture(perturbed_law, others)
-    assert mixed.mass() == pytest.approx(1.0, abs=1e-10)
-    assert rho > 0
-    dens = mixed.density(np.linspace(0.0, PI, 258)[1:-1])
-    assert np.all(dens > -1e-12)
-
-
-def test_single_component_relocation_is_the_component(stationary_law, rng):
-    #  with one mixture component the reweighting has nothing to reweight
-    others = rng.uniform(0.3, 2.8, size=(5, 1))
-    mixed, _rho = reweighted_mixture(stationary_law, others)
-    np.testing.assert_allclose(
-        mixed.coeffs, stationary_law.components[0][1].mu.coeffs, atol=1e-14
-    )
-
-
 def test_sample_relocation_interior(perturbed_law, basis_1d, rng):
     # atom 4 sits on the boundary; the draw must never read it
     positions = np.insert(rng.uniform(0.3, 2.8, size=(9, 1)), 4, [0.0], axis=0)
@@ -300,7 +281,7 @@ def test_sample_relocation_interior(perturbed_law, basis_1d, rng):
         RelocationKernel.mixture_reweighted(perturbed_law),
     ):
         for _ in range(25):
-            y = sample_relocation(kernel, positions, 4, rng)
+            y = sample_relocation(kernel, positions[None], [4], [rng])[0]
             assert basis_1d.domain.contains(y)
 
 
@@ -369,22 +350,89 @@ def test_block_relocations_equal_one_point_draws(basis_1d, basis_2d, monkeypatch
 
 
 def test_one_point_relocations_share_the_block_sampler(basis_1d, perturbed_law, monkeypatch):
-    """A kernel that reads no other atom relocates through one ``sample_relocations``
-    row; one that reads them never calls it, nor can."""
+    """A mixture's relocations, stacked rows of configurations or a block of one
+    stream, evaluate their first rounds in one ``_first_round`` call; the other
+    kernels never do, and a law that reads the other atoms has no block draw."""
     two = RelocationKernel.mixture_reweighted(perturbed_law)
     with pytest.raises(ValueError):
         sample_relocations(two, np.random.default_rng(0), 3)
-    calls = []
-    monkeypatch.setattr(kernels, "sample_relocations",
-                        lambda *args: calls.append(args) or np.zeros((1, 1)))
-    positions = np.array([[0.5], [0.0], [1.5]])
+    rounds, first_round = [], kernels._first_round
+    monkeypatch.setattr(kernels, "_first_round",
+                        lambda *args: rounds.append(len(args[1])) or first_round(*args))
+    positions = np.array([[[0.5], [0.0], [1.5]]] * 2)  # atom 1 on the wall is never read
     single = RelocationKernel.mixture_reweighted(InitialLaw.single(perturbed_law.components[1][1]))
-    for kernel, delegates in ((RelocationKernel.ground_mode(basis_1d), True), (single, True),
-                              (two, False),
-                              (RelocationKernel.uniform_survivor(), False)):
-        calls.clear()
-        sample_relocation(kernel, positions, 1, np.random.default_rng(0))
-        assert [(k, h) for k, _, h in calls] == ([(kernel, 1)] if delegates else [])
+    for kernel, want in ((RelocationKernel.ground_mode(basis_1d), []), (single, [2]), (two, [2]),
+                         (RelocationKernel.uniform_survivor(), [])):
+        rounds.clear()
+        rngs = [np.random.default_rng(s) for s in (0, 1)]
+        assert sample_relocation(kernel, positions, [1, 1], rngs).shape == (2, 1)
+        assert rounds == want
+    rounds.clear()
+    assert sample_relocations(single, np.random.default_rng(0), 5).shape == (5, 1)
+    assert rounds == [5]
+
+
+def _choice_case(basis_1d, C, seed):
+    """A law of C components with random weights, and for 50 rows of 2 to 41 atoms
+    their terms (2, C, 50, n) and a hit index each."""
+    gen = np.random.default_rng(seed)
+    modes = ({}, {2: 0.05}, {3: 0.05}, {2: -0.05})[:C]
+    law = InitialLaw(tuple((gen.uniform(0.1, 1.0), admissible_from_perturbation(basis_1d, m))
+                           for m in modes))
+    atoms = gen.uniform(0.05, PI - 0.05, size=(50 * int(gen.integers(2, 42)), 1))
+    terms = kernels._atom_terms(law, atoms).reshape(2, C, 50, -1)
+    return law, terms, gen.integers(terms.shape[-1], size=50)
+
+
+def _exact_choices(law, terms, i, rngs):
+    """``rng.choice`` on the exact weights of ``_mixture_log_weights``, row by row."""
+    out = []
+    for r, rng in enumerate(rngs):
+        log_num = kernels._mixture_log_weights(law, np.delete(terms[:, :, r], i[r], axis=2))
+        alpha = np.exp(log_num - _logsumexp(log_num))
+        out.append(int(rng.choice(len(alpha), p=alpha / math.fsum(alpha))))
+    return out
+
+
+@pytest.mark.parametrize("C", [1, 2, 3, 4])
+def test_certified_choice_equals_the_exact_choice(basis_1d, C):
+    """The certified choice draws the index and leaves the stream where
+    ``rng.choice`` on the exact weights does."""
+    for seed in range(8):
+        law, terms, i = _choice_case(basis_1d, C, 100 * C + seed)
+        ours = [np.random.Generator(np.random.Philox(seed * 50 + r)) for r in range(50)]
+        exact = [np.random.Generator(np.random.Philox(seed * 50 + r)) for r in range(50)]
+        assert kernels._choose(law, terms, i, ours).tolist() == _exact_choices(law, terms, i, exact)
+        assert [g.random() for g in ours] == [g.random() for g in exact]
+
+
+def test_an_uncertain_choice_takes_the_exact_path(basis_1d, monkeypatch):
+    """A uniform within half the bound of a cdf entry, or a non-finite term, sends
+    the row to the exact weights, which then draw what ``rng.choice`` draws."""
+    law = InitialLaw(((0.6, admissible_from_perturbation(basis_1d, {})),
+                      (0.4, admissible_from_perturbation(basis_1d, {2: 0.05}))))
+    u = np.random.Generator(np.random.Philox(3)).random()
+    # five atoms, the hit's (index 2) left out; in row 0 the first cdf entry
+    # 1 / (1 + exp(x1 - x0)) sits at u, and row 1 has a NaN among the others
+    terms = np.full((2, 2, 2, 5), 1.0)
+    terms[0, 0, 0] = 0.0
+    terms[0, 1, 0] = (math.log((1 - u) / u) - math.log(0.4 / 0.6)) / 4
+    terms[:, :, :, 2] = -3.0
+    terms[1, 0, 1, 3] = np.nan
+    i = np.array([2, 2])
+    cdf, bound = kernels._choice_cdf(law, terms, i)
+    assert abs(cdf[0, 0] - u) < bound[0] / 2 < 1e-12 and np.isnan(cdf[:, 1]).all()
+    exact_calls, weights = [], kernels._mixture_log_weights
+    monkeypatch.setattr(kernels, "_mixture_log_weights",
+                        lambda *args: exact_calls.append(1) or weights(*args))
+    ours, exact = ([np.random.Generator(np.random.Philox(3))] for _ in range(2))
+    assert kernels._choose(law, terms[:, :, :1], i[:1], ours).tolist() == \
+        _exact_choices(law, terms[:, :, :1], i[:1], exact)
+    assert ours[0].random() == exact[0].random()
+    assert len(exact_calls) == 2  # ours and the reference's
+    with pytest.raises(ValueError, match="contain NaN"):  # as rng.choice on the exact weights
+        kernels._choose(law, terms[:, :, 1:], i[1:], [np.random.Generator(np.random.Philox(3))])
+    assert len(exact_calls) == 3
 
 
 def test_an_unknown_kernel_kind_fails_at_construction(basis_1d):
@@ -402,13 +450,14 @@ def test_a_kernel_without_its_basis_or_law_fails_at_construction(basis_1d, stati
         RelocationKernel("mixture_reweighted", basis_1d)
     assert RelocationKernel("uniform_survivor").law is None
     law_only = RelocationKernel("mixture_reweighted", law=stationary_law)  # draws from the law alone
-    assert sample_relocation(law_only, np.array([[1.0], [2.0]]), 0, rng).shape == (1,)
+    assert sample_relocation(law_only, np.array([[[1.0], [2.0]]]), [0], [rng]).shape == (1, 1)
 
 
 def test_mixture_relocation_follows_the_reweighted_law(basis_1d, rng):
-    """The reappearance point of an interior atom is drawn from the
-    reweighted mixture eta of ``reweighted_mixture``, not from the mixture
-    with the law's own component weights."""
+    """The reappearance point of an interior atom is drawn from the reweighted
+    mixture eta, whose weights are proportional to w_m times the others' summed
+    curvature ratios and likelihood, not from the mixture with the law's own
+    component weights."""
     from scipy import stats
 
     law = InitialLaw(((1.0, admissible_from_perturbation(basis_1d, {2: 0.1})),
@@ -416,9 +465,12 @@ def test_mixture_relocation_follows_the_reweighted_law(basis_1d, rng):
     kernel = RelocationKernel.mixture_reweighted(law)
     others = rng.uniform(0.2, 1.2, size=(30, 1))  # crowded on one side
     positions = np.vstack([[[1.5]], others])
-    terms = kernels.mixture_terms(kernel, positions)
-    draws = [sample_relocation(kernel, positions, 0, rng, terms)[0] for _ in range(4000)]
-    eta, _rho = reweighted_mixture(law, others)
+    terms = kernels.mixture_terms(kernel, positions[None])
+    draws = [sample_relocation(kernel, positions[None], [0], [rng], terms)[0, 0] for _ in range(4000)]
+    logs, ratios = kernels._atom_terms(law, others)
+    alpha = law.weights * ratios.sum(axis=1) * np.exp(logs.sum(axis=1))
+    eta = DensityMeasure(basis_1d, sum(a * ad.mu.coeffs for a, (_, ad) in
+                                       zip(alpha / alpha.sum(), law.components)))
     plain = DensityMeasure(basis_1d, sum(w * ad.mu.coeffs for w, ad in law.components))
     assert stats.kstest(draws, eta.cdf_1d).pvalue > 1e-4
     assert stats.kstest(draws, plain.cdf_1d).pvalue < 1e-6
@@ -428,7 +480,7 @@ def test_uniform_survivor_copies_a_survivor(rng):
     kernel = RelocationKernel.uniform_survivor()
     positions = np.array([[0.5], [0.0], [1.5], [2.5]])
     for _ in range(20):
-        y = sample_relocation(kernel, positions, 1, rng)
+        y = sample_relocation(kernel, positions[None], [1], [rng])[0]
         assert any(np.allclose(y, o) for o in positions[[0, 2, 3]])
 
 

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from flemvi import __version__, simulator
+from flemvi import __version__, kernels, simulator
 from flemvi.geometry import interval, rectangle
-from flemvi.kernels import (InitialLaw, RelocationKernel, admissible_from_perturbation,
-                            mixture_terms, sample_initial_configuration, sample_relocation)
+from flemvi.kernels import (InitialLaw, KernelKind, RelocationKernel, admissible_from_perturbation,
+                            mixture_terms, sample_ground_mode, sample_initial_configuration,
+                            sample_relocation)
 from flemvi.measures import (CylinderFunction, EmpiricalMeasure, cylinder_value,
                              cylinder_value_many, pair)
 from flemvi.verify import convergence_experiment, operator_limit_checks
@@ -78,9 +79,25 @@ def test_jump_events_well_formed(stationary_law):
         assert ev.distance >= 0.0
 
 
+def _reference_relocation(kernel, positions, i, rng):
+    """One relocation as the per-hit loop drew it: a ground-mode point, a
+    uniformly chosen other atom, or a mixture component by ``rng.choice`` on the
+    exact weights of the other atoms, then one rejection sample of it."""
+    if kernel.kind is KernelKind.GROUND_MODE:
+        return sample_ground_mode(kernel.basis, rng, 1)[0]
+    if kernel.kind is KernelKind.UNIFORM_SURVIVOR:
+        j = int(rng.integers(len(positions) - 1))
+        return positions[j + (j >= i)].copy()
+    law = kernel.law
+    log_num = kernels._mixture_log_weights(law, kernels._atom_terms(law, np.delete(positions, i, axis=0)))
+    alpha = np.exp(log_num - kernels._logsumexp(log_num))
+    m = int(rng.choice(len(alpha), p=alpha / math.fsum(alpha)))
+    return law.components[m][1].sample(rng, 1)[0]
+
+
 def _reference_step(domain, positions, time, dt, kernel, rng):
-    """One step of one configuration with the scalar hit resolver that
-    evaluates every relocation's weights from scratch."""
+    """One step of one configuration with the scalar hit resolver and one
+    relocation per hit, each evaluating its weights from scratch."""
     n, d = positions.shape
     prop = positions + rng.normal(0.0, math.sqrt(dt), size=(n, d))
     u_bridge = rng.random((n, d, 2))
@@ -88,7 +105,7 @@ def _reference_step(domain, positions, time, dt, kernel, rng):
     work = np.where(hit_mask[:, None], positions, prop)
     events = []
     for i in np.flatnonzero(hit_mask):
-        target = sample_relocation(kernel, work, i, rng)
+        target = _reference_relocation(kernel, work, i, rng)
         work[i] = target
         y = hit_points[i]
         events.append(JumpEvent(time + dt, int(i), tuple(float(v) for v in y),
@@ -101,15 +118,40 @@ def _reference_step(domain, positions, time, dt, kernel, rng):
 def test_per_step_mixture_terms_match_from_scratch(perturbed_law, basis_2d, monkeypatch):
     law_2d = InitialLaw(((0.6, admissible_from_perturbation(basis_2d, {})),
                          (0.4, admissible_from_perturbation(basis_2d, {2: 0.05}))))
-    for law, n, dt in ((perturbed_law, 200, 0.01), (law_2d, 20, 0.01)):
-        _check_stacked_terms(law, n, 30, dt, monkeypatch)
+    for law, n, dt, most in ((perturbed_law, 200, 0.01, 3), (law_2d, 20, 0.01, 2)):
+        _check_stacked_step(_kernel(law), law, n, 30, dt, most, monkeypatch)
 
 
-def _check_stacked_terms(law, n, n_steps, dt, monkeypatch):
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["ground_mode", "uniform_survivor", "comparison_c=25"])
+def test_rank_pass_matches_the_per_hit_loop(basis_1d, basis_2d, monkeypatch, dim, kind):
+    """Kernels that use no terms take the same rank pass; with c = 25 a row's
+    first round of 64 proposals accepts none w.p. about 0.2 and continues."""
+    basis = basis_1d if dim == 1 else basis_2d
+    law = InitialLaw.single(admissible_from_perturbation(basis, {}))
+    kernel = {"ground_mode": RelocationKernel.ground_mode(basis),
+              "uniform_survivor": RelocationKernel.uniform_survivor(),
+              "comparison_c=25": _kernel(InitialLaw.single(admissible_from_perturbation(
+                  basis, {}, c=25.0)))}[kind]
+    continued = []
+    sample = kernels.AdmissibleDensity.sample
+    monkeypatch.setattr(kernels.AdmissibleDensity, "sample",
+                        lambda self, rng, size: continued.append(size) or sample(self, rng, size))
+    hits = _check_stacked_step(kernel, law, 60 if dim == 1 else 20, 30, 0.01, 2, monkeypatch)
+    extra = len(continued) - 3  # beyond the three starts
+    if kind == "comparison_c=25":  # the reference samples once per hit, the pass only to continue
+        assert extra > hits.sum()
+    else:
+        assert extra == 0
+
+
+def _check_stacked_step(kernel, law, n, n_steps, dt, most, monkeypatch):
     """Three replicas stepped as one stack against ``_reference_step`` run on
-    each alone, which evaluates every relocation's weights from scratch."""
-    kernel, domain, B = _kernel(law), law.basis.domain, 3
+    each alone, which relocates hit by hit; some replica has ``most`` or more
+    hits in one step."""
+    domain, B = law.basis.domain, 3
     starts = np.stack([sample_initial_configuration(law, n, _rng(21 + b)) for b in range(B)])
+    uses_terms = mixture_terms(kernel, starts) is not None
     ref_pos, ref_events, hits = starts.copy(), [[] for _ in range(B)], np.zeros((B, n_steps), int)
     for b in range(B):
         time, rng = 0.0, _rng(5 + b)
@@ -117,17 +159,21 @@ def _check_stacked_terms(law, n, n_steps, dt, monkeypatch):
             time, events = _reference_step(domain, ref_pos[b], time, dt, kernel, rng)
             ref_events[b] += events
             hits[b, k] = len(events)
-    assert (hits.max(axis=0) >= 2).any()  # a replica with two or more hits in a step
+    assert (hits.max(axis=0) >= most).any()  # a replica with ``most`` or more hits in a step
     assert (hits.sum(axis=0) == 0).any()  # a step without a hit
 
-    # every relocation's terms equal a fresh evaluation on its other particles
-    used, calls = [], []
+    # every pass relocates one hit per replica, and every row's terms equal a
+    # fresh evaluation on its other particles
+    passes, calls = [], []
 
-    def checked(kernel_, positions, i, rng_, terms=None):
-        others = np.delete(positions, i, axis=0)
-        assert np.array_equal(np.delete(terms, i, axis=2), mixture_terms(kernel_, others))
-        used.append(terms is not None)
-        return sample_relocation(kernel_, positions, i, rng_, terms)
+    def checked(kernel_, positions, i, rngs_, terms=None):
+        assert len({id(r) for r in rngs_}) == len(rngs_) == len(positions) == len(i)
+        assert (terms is not None) == uses_terms
+        for r in range(len(i) if uses_terms else 0):
+            others = np.delete(positions[r], i[r], axis=0)
+            assert np.array_equal(np.delete(terms[:, :, r], i[r], axis=2), mixture_terms(kernel_, others))
+        passes.append(len(i))
+        return sample_relocation(kernel_, positions, i, rngs_, terms)
 
     def counted(*args):
         calls.append(args)
@@ -138,19 +184,22 @@ def _check_stacked_terms(law, n, n_steps, dt, monkeypatch):
     pos, jumps = starts.copy(), [[] for _ in range(B)]
 
     def record(_k, _t, new):
-        for b in range(B):
-            jumps[b].extend(new[b])
+        for b, i, y, z in zip(*new):
+            jumps[b].append((i, y, z))
 
     advance_steps(domain, pos, n_steps, dt, kernel, [_rng(5 + b) for b in range(B)],
                   on_step=record)
-    assert len(used) == hits.sum() and all(used)
-    # one call per step with a hit, plus one refresh per hit that a later
-    # hit of its replica reads: none after a replica's last hit of the step
-    assert len(calls) == np.count_nonzero(hits.sum(axis=0)) + np.maximum(hits - 1, 0).sum()
+    # one pass per rank: as many per step as its most hits in one replica
+    assert len(passes) == hits.max(axis=0).sum() and sum(passes) == hits.sum()
+    # one term call per step with a hit, plus one refresh per rank that a later
+    # rank reads: none after the step's last rank
+    refreshes = np.maximum(hits.max(axis=0) - 1, 0).sum() if uses_terms else 0
+    assert len(calls) == np.count_nonzero(hits.sum(axis=0)) + refreshes
     assert np.array_equal(pos, ref_pos)
     for b in range(B):
         assert [(int(i), tuple(y), tuple(z)) for i, y, z in jumps[b]] == \
             [(ev.index, ev.jump_off, ev.target) for ev in ref_events[b]]
+    return hits
 
 
 def test_run_recording_grid(stationary_law):
@@ -216,6 +265,20 @@ def test_a_horizon_off_the_step_grid_raises(stationary_law, T):
     for call in calls:
         with pytest.raises(ValueError, match="horizon must be a positive whole multiple of dt"):
             call()
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.01])
+@pytest.mark.parametrize("call", ["run", "semigroup", "resolvent", "convergence"])
+def test_a_step_that_is_not_positive_raises(stationary_law, call, dt):
+    law, kernel, one = stationary_law, _kernel(stationary_law), CylinderFunction.constant(1.0)
+    calls = {
+        "run": lambda: run([[1.0]], _rng(1), 0.1, dt, kernel, [], law.basis),
+        "semigroup": lambda: semigroup_estimate(law, one, one, 0.1, 2, 4, dt, kernel, seed=1),
+        "resolvent": lambda: resolvent_estimate(law, one, 3.0, 2, 4, dt, kernel, seed=1),
+        "convergence": lambda: convergence_experiment(law, 0.1, [2, 4], 4, dt, kernel, 1),
+    }
+    with pytest.raises(ValueError, match="dt must be positive"):
+        calls[call]()
 
 
 @pytest.mark.parametrize("stride", [0, -3, 2.5])
@@ -700,12 +763,13 @@ def test_block_observation_of_a_constant_still_checks_the_domain(basis_2d, monke
         steps.append(len(args[1]))
         return real_step(*args)
 
-    def on_wall(kernel_, positions, i, rng, terms=None):
-        target = sample_relocation(kernel_, positions, i, rng, terms)
-        if len(steps) > 300 and not placed and any(rng is v for v in victims):
-            placed.append(len(steps))
-            return np.array(basis_2d.domain.lo)
-        return target
+    def on_wall(kernel_, positions, i, rngs, terms=None):
+        targets = sample_relocation(kernel_, positions, i, rngs, terms)
+        for r, rng in enumerate(rngs):
+            if len(steps) > 300 and not placed and any(rng is v for v in victims):
+                placed.append(len(steps))
+                targets[r] = basis_2d.domain.lo
+        return targets
 
     monkeypatch.setattr(simulator, "_replica_starts", starts)
     monkeypatch.setattr(simulator, "_step_inplace", step)

@@ -266,7 +266,7 @@ def _ref_jump_increment_checks(law, f, n, M, dt, kernel, seed, k=3.0):
             hit, mask = hit_index[i], _one_hot(n, hit_index[i])
             fx = _ref_value(f, starts[i], None, basis)
             fy = _ref_value(f, finals[i], mask, basis)
-            target = sample_relocation(kernel, finals[i], hit, rng)
+            target = sample_relocation(kernel, finals[i][None], [hit], [rng])[0]
             z_pos = finals[i].copy()
             z_pos[hit] = target
             fz = _ref_value(f, z_pos, None, basis)

@@ -29,7 +29,11 @@ output gets one ``sha256  name`` line:
   --suite operator_limits`` and ``--suite jumps`` for the ``operator``
   workload config with ``"kernel": "mixture_reweighted"`` and its
   component's ``"comparison_c"`` pinned at 25, so that stepping's
-  one-point relocations also see first rounds that accept nothing.
+  one-point relocations also see first rounds that accept nothing;
+- at seed 64 and with ``--jobs`` 1 and 2, the report of ``flemvi verify
+  --suite convergence`` for the ``exit2d`` workload config (a stepped 2-D
+  stack) with a second component ``{"2": 0.05}``, with survivor-copy
+  relocation, and with ground-mode relocation.
 
 The last line is what README.md's quick-start program prints.  The first
 line names numpy's version and the SIMD targets it found on this CPU,
@@ -73,6 +77,10 @@ VARIANTS = (
     ("operator", "operator_limits", "kernel=mixture_reweighted,comparison_c=25", C25_MIXTURE,
      JOBS),
     ("operator", "jumps", "kernel=mixture_reweighted,comparison_c=25", C25_MIXTURE, JOBS),
+    ("exit2d", "convergence", "components=2",
+     {"components": [{"weight": 0.6, "modes": {}}, {"weight": 0.4, "modes": {"2": 0.05}}]}, JOBS),
+    ("exit2d", "convergence", "kernel=uniform_survivor", {"kernel": "uniform_survivor"}, JOBS),
+    ("exit2d", "convergence", "kernel=ground_mode", {"kernel": "ground_mode"}, JOBS),
 )
 
 # puts the tree argv[1] first on the path and checks that flemvi loads from it
