@@ -1,23 +1,29 @@
 """The n-particle process: Brownian increments, boundary-hit detection with
-Brownian-bridge correction, instantaneous relocation, and Monte Carlo
-estimators for the process semigroup and resolvent.
+Brownian-bridge correction, instantaneous relocation, exact first exits, and
+Monte Carlo estimators for the process semigroup and resolvent.
 
 Determinism contract: every stepped replica owns a counter-based RNG stream
 spawned from the master seed by replica index, an exit-side batch of up to
-``verify._BATCH`` (128) configurations shares one, and every cross-replica
+``verify._BATCH`` (128) configurations shares one (spawning one a
+configuration for relocations that read the other atoms), and every cross-replica
 reduction is an ordered compensated sum — so results are bit-identical for
 any worker count.  Within a step a replica draws one Gaussian block and one
 bridge-uniform block, then its relocations, whose draws depend on its hits;
 so paths are reproducible, and the same whether a replica steps alone or
 stacked with others.
 
-Exit detection: a step is declared a boundary hit if the straight segment
-leaves the open box, or, for an interior segment, if a per-face Brownian
-bridge test fires — the bridge crossing probability for a face at gaps a
-(before) and b (after) over a step of size dt is exp(-2ab/dt).  The hit
-point is the segment-boundary intersection (bridge fires: the segment point
-at fraction a/(a+b), clamped onto the face).  Without the bridge term the
-hit rate is undercounted at order sqrt(dt).
+Exit detection while stepping: a step is declared a boundary hit if the
+straight segment leaves the open box, or, for an interior segment, if a
+per-face Brownian bridge test fires — the bridge crossing probability for a
+face at gaps a (before) and b (after) over a step of size dt is
+exp(-2ab/dt).  The hit point is the segment-boundary intersection (bridge
+fires: the segment point at fraction a/(a+b), clamped onto the face).
+Without the bridge term the hit rate is undercounted at order sqrt(dt).
+
+First exits (``first_exit_batch``, the exit side) take no steps: on a box a
+configuration's coordinates are independent killed 1-D motions, so its exit
+time, exit wall and positions at that time are drawn exactly from their
+closed-form laws.
 """
 
 from __future__ import annotations
@@ -246,52 +252,287 @@ def run(start, rng, T, dt, kernel: RelocationKernel, observables, basis,
     )
 
 
-_MAX_EXIT_STEPS = 10**7  # first_exit_batch gives up on configurations this slow
 _BLOCK = 4096  # atom coordinates a resolvent observes per cylinder_value_many call
 
 
-def first_exit_batch(domain: Domain, starts, dt, rng):
-    """Vectorized first-exit for a stack of independent configurations.
+# -- exact first exit on a box --------------------------------------------------------
+#
+# Between hits the atoms are independent Brownian motions, so on a box each coordinate is
+# a 1-D motion killed at the ends of its side (0, L), independently of the others.  At gap
+# x from the lower wall, with lambda_k = (k pi / L)^2 / 2 and erfc sums by images:
+#   S(t) = sum_{k odd} 4/(k pi) sin(k pi x / L) exp(-lambda_k t)           (survival)
+#   1 - S(t) = sum_{k>=0} (-1)^k [erfc((kL + x)/sqrt(2t)) + erfc((kL + L - x)/sqrt(2t))]
+# The killed kernel, the flux at each wall and the bridge's non-exit probability have the
+# same two forms.  Image sums serve t < L^2/16 and eigen sums t from L^2/16 on; there each
+# term left out of a sum is below e^-45 of its first.
 
-    ``starts`` has shape (B, n, d).  Each configuration diffuses without
-    relocation until one of its particles hits the boundary; finished
-    configurations are retired from the working arrays.  Returns
-    (finals (B,n,d), hit_index (B,), taus (B,)): finals[b, hit_index[b]] is
-    the boundary hit point, the other rows are interior (later hitters in
-    the same step stay at their pre-step positions — at tau they had not
-    exited yet), and tau is the within-step interpolated hit time.
+# W. J. Cody's rational Chebyshev approximations to erf and erfc (Math. Comp. 23, 1969),
+# with the coefficients of his CALERF, highest power first: numerator and denominator in
+# x^2 for |x| <= 0.46875, in |x| up to 4, and in 1/x^2 above.
+_CODY = tuple(np.array(c) for c in (
+    ((1.85777706184603153e-1, 3.16112374387056560e00, 1.13864154151050156e02,
+      3.77485237685302021e02, 3.20937758913846947e03),
+     (1.0, 2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
+      2.84423683343917062e03)),
+    ((2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00,
+      6.61191906371416295e01, 2.98635138197400131e02, 8.81952221241769090e02,
+      1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03),
+     (1.0, 1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
+      1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
+      3.43936767414372164e03, 1.23033935480374942e03)),
+    ((1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
+      1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4),
+     (1.0, 2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
+      6.05183413124413191e-2, 2.33520497626869185e-3)),
+))
+
+
+def _erfc(x):
+    """erfc of each element of x, by Cody's approximations in his operation order:
+    exp(-x^2) is exp(-s^2) exp(-(|x| - s)(|x| + s)) with s = |x| rounded down to a sixteenth,
+    and erfc is 0 from |x| = 26.543 on."""
+    shape = np.shape(x)
+    x = np.ravel(x).astype(float)
+    y = np.abs(x)
+    band = (y > 0.46875).astype(np.intp) + (y > 4.0)
+    out = np.empty(x.shape)
+    for b, coeffs in enumerate(_CODY):
+        at = np.flatnonzero(band == b)
+        if not len(at):
+            continue
+        yb = y[at]
+        w = yb * yb if b == 0 else yb if b == 1 else 1.0 / (yb * yb)
+        acc = coeffs[:, :1] * w  # numerator and denominator, by Horner
+        for k in range(1, coeffs.shape[1] - 1):
+            acc += coeffs[:, k:k + 1]
+            acc *= w
+        acc += coeffs[:, -1:]
+        num, den = acc
+        if b == 0:
+            out[at] = 1.0 - x[at] * num / den
+            continue
+        r = num / den if b == 1 else (5.6418958354775628695e-1 - w * num / den) / yb
+        yc = np.minimum(yb, 26.543)  # from there on erfc is 0
+        s = np.trunc(yc * 16.0) / 16.0
+        r = np.exp(-s * s) * np.exp(-(yc - s) * (yc + s)) * r
+        r[yb >= 26.543] = 0.0
+        out[at] = np.where(x[at] < 0.0, 2.0 - r, r)
+    return out.reshape(shape)
+
+
+def _exp(a):
+    """exp(a), taken as 0 where a < -708: numpy's exp is slow where its result is subnormal."""
+    return np.exp(a, out=np.zeros(np.shape(a)), where=a >= -708.0)
+
+
+_ODD = np.arange(1, 15, 2)[:, None]  # the eigen sums' odd modes, k <= 13
+_MODES = np.arange(1, 13)[:, None]  # the killed kernel's and the flux's modes, k <= 12
+
+
+def _exit_residual(t, x, L, u):
+    """g(t) and dg/dt for coordinates at gap x from the lower wall of (0, L), where g is
+    log P(T <= t) - log(1 - u) by images for t < L^2/16 and log u - log S(t) from it on: g
+    increases in t and vanishes at the exit time T with S(T) = u.  Elementwise."""
+    g, dg = np.empty(t.shape), np.empty(t.shape)
+    img = t < L * L / 16.0
+    ti, xi, Li = t[img], x[img], L[img]
+    near = np.minimum(xi, Li - xi)  # the sums are symmetric in x and L - x
+    # near + kL and (k + 1)L - near over sqrt(2t), k = 0, 1, 2, with the image signs
+    # (3L - near is left out)
+    z = np.stack([near, Li - near, Li + near, 2.0 * Li - near, 2.0 * Li + near]) \
+        / np.sqrt(2.0 * ti)
+    sign = np.array([1.0, 1.0, -1.0, -1.0, 1.0])[:, None]
+    p = (sign * _erfc(z)).sum(axis=0)
+    with np.errstate(divide="ignore"):
+        g[img] = np.log(p) - np.log1p(-u[img])
+    dg[img] = (sign * z * _exp(-z * z)).sum(axis=0) / (math.sqrt(math.pi) * ti * p)
+    te, xe, Le = t[~img], x[~img], L[~img]
+    a = _ODD * (math.pi / Le)
+    terms = np.sin(a * xe) * _exp(-0.5 * a * a * te) / _ODD
+    s = terms.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # s is 0 only far beyond any T
+        g[~img] = np.log(u[~img]) - np.log(s * (4.0 / math.pi))
+        dg[~img] = 0.5 * (a * a * terms).sum(axis=0) / s
+    return g, dg
+
+
+_NEWTON_STEPS = 4
+
+
+def _exit_times(x, L, u, lo, hi):
+    """The exit times T with S(T) = u of coordinates at gap x in (0, L), given bounds
+    lo <= T <= hi, by a fixed schedule of safeguarded Newton steps, elementwise, so that
+    a coordinate's T has the same bits in any batch.  A coordinate with g(L^2/16) >= 0 is
+    on the image side: it steps in z = d/sqrt(2t), d its nearest wall gap, from the z with
+    erfc(z) = 1 - u by Winitzki's approximation.  The others step in t from L^2/16 on.  A
+    step that leaves the bracket is replaced by its midpoint."""
+    star = L * L / 16.0
+    g, dg = _exit_residual(star, x, L, u)
+    img = g >= 0.0
+    lo, hi = np.where(img, lo, star), np.where(img, np.minimum(star, hi), hi)
+    ell = np.log1p(-u) + np.log1p(u)  # log(1 - erf^2) at erf = u
+    c = 2.0 / (math.pi * 0.147) + 0.5 * ell
+    z2 = np.sqrt(c * c - ell / 0.147) - c
+    near = np.minimum(x, L - x)
+    with np.errstate(divide="ignore"):
+        t = np.where(img, near * near / (2.0 * z2), star - g / dg)
+    for _ in range(_NEWTON_STEPS):
+        t = np.where((t >= lo) & (t <= hi), t, 0.5 * (lo + hi))
+        g, dg = _exit_residual(t, x, L, u)
+        lo, hi = np.where(g < 0.0, t, lo), np.where(g > 0.0, t, hi)
+        # on the image side, z + g/(dg/dz) with dg/dz = -2 t dg/z
+        t = np.where(img, t / (1.0 + 0.5 * g / (t * dg)) ** 2, t - g / dg)
+    return np.where((t >= lo) & (t <= hi), t, 0.5 * (lo + hi))
+
+
+def _lower_wall_share(t, x, L):
+    """For coordinates at gap x in (0, L) that exit at time t, the share of the lower
+    wall's flux in the total: by images about the nearest wall (three terms a wall,
+    relative to the nearest wall's first) or by the eigen sums."""
+    out = np.empty(t.shape)
+    img = t < L * L / 16.0
+    ti, xi, Li = t[img], x[img], L[img]
+    near = np.minimum(xi, Li - xi)
+    far = Li - near
+    f_near = near - (2.0 * Li - near) * _exp(-2.0 * Li * far / ti) \
+        + (2.0 * Li + near) * _exp(-2.0 * Li * (Li + near) / ti)
+    f_far = far * _exp(-0.5 * (far - near) * Li / ti) \
+        - (Li + near) * _exp(-0.5 * Li * (Li + 2.0 * near) / ti) \
+        + (3.0 * Li - near) * _exp(-1.5 * Li * (3.0 * Li - 2.0 * near) / ti)
+    out[img] = np.where(xi <= Li - xi, f_near, f_far) / (f_near + f_far)
+    # fluxes k sin(k pi x / L) e^{-(lambda_k - lambda_1) t}, the odd k at both walls
+    te, xe, Le = t[~img], x[~img], L[~img]
+    a = _MODES * (math.pi / Le)
+    terms = _MODES * np.sin(a * xe) * _exp(-0.5 * (a * a - (math.pi / Le) ** 2) * te)
+    out[~img] = 0.5 * terms.sum(axis=0) / terms[::2].sum(axis=0)
+    return out
+
+
+def _bridge_stays(ax, bx, ay, by, L, t):
+    """The probability that a Brownian bridge over time t between points at gaps (ax, bx)
+    and (ay, by) from the lower and upper end of (0, L) stays inside, t < L^2/16: the
+    image sum over k of e^{-2kL(kL + y - x)/t} - e^{-2(kL + x)(kL + y)/t}."""
+    lower = ax <= bx  # 1 minus the nearest wall's term, to full relative precision
+    gx, gy = np.where(lower, ax, bx), np.where(lower, ay, by)
+    hx, hy = np.where(lower, bx, ax), np.where(lower, by, ay)
+    e = _exp(-2.0 / t * np.stack([hx * hy, L * (ay + bx), L * (by + ax),
+                                    (L + ax) * (L + ay), (L + bx) * (L + by)]))
+    return -np.expm1(-2.0 * gx * gy / t) - e[0] + e[1] + e[2] - e[3] - e[4]
+
+
+def _killed_proposals(x, lo, hi, t, z, v):
+    """One proposal per element and whether it is accepted, for ``_killed_draws``."""
+    L = hi - lo
+    ax, bx = x - lo, hi - x
+    y = x + np.sqrt(t) * z
+    eig = t >= L * L / 16.0
+    ray = np.flatnonzero(~eig & (np.minimum(ax, bx) ** 2 < t))
+    eig = np.flatnonzero(eig)
+    w = 2.0 * np.sqrt(-t[ray] * np.log1p(-v[ray, 0]))  # Rayleigh of scale sqrt(2t)
+    y[ray] = np.where(ax[ray] <= bx[ray], lo[ray] + w, hi[ray] - w)
+    y[eig] = lo[eig] + L[eig] / math.pi * np.arccos(1.0 - 2.0 * v[eig, 0])  # the ground mode
+    ay, by = y - lo, hi - y
+    ok = (ay > 0.0) & (by > 0.0)
+    # from the free Gaussian: the bridge's non-exit probability, which is 1 in floating
+    # point unless a wall's exponent is above -40
+    test = ok & (2.0 * np.minimum(ax * ay, bx * by) <= 40.0 * t)
+    test[ray] = test[eig] = False
+    at = np.flatnonzero(test)
+    ok[at] = v[at, 1] < _bridge_stays(ax[at], bx[at], ay[at], by[at], L[at], t[at])
+    # Rayleigh: p e^{r w - w^2/4}/(2 r w), r and w the near gaps over sqrt(t)
+    at = ray[ok[ray]]
+    gx, gy = np.minimum(ax[at], bx[at]), np.where(ax[at] <= bx[at], ay[at], by[at])
+    ok[at] = v[at, 1] * 2.0 * gx * gy < t[at] * _exp((gx * gy - 0.25 * gy * gy) / t[at]) \
+        * _bridge_stays(ax[at], bx[at], ay[at], by[at], L[at], t[at])
+    # the ground mode: sum_k sin(k thx) sin(k thy) E_k <= M sin(thx) sin(thy), M = sum_k k^2 E_k
+    at = eig[ok[eig]]
+    La, thx, thy = L[at], math.pi * ax[at] / L[at], math.pi * ay[at] / L[at]
+    E = _exp(-0.5 * (_MODES ** 2 - 1) * (math.pi / La) ** 2 * t[at])
+    ok[at] = v[at, 1] * (_MODES ** 2 * E).sum(axis=0) * np.sin(thx) * np.sin(thy) \
+        < (np.sin(_MODES * thx) * np.sin(_MODES * thy) * E).sum(axis=0)
+    return y, ok
+
+
+def _killed_draws(x, lo, hi, t, rng):
+    """For coordinates at x in (lo, hi) (arrays of one length), their positions at time t
+    given that they have not left by then: draws from the killed kernel q(t, x, .)/S(t|x),
+    by rejection.  Each round, the k coordinates still open draw m proposals each (m = 1
+    in the first round, 16 after) from ``rng.standard_normal((k, m))`` and then
+    ``rng.random((k, m, 2))`` in order, and keep their first accepted one.  A proposal is
+
+    - for t >= L^2/16, a point of the ground mode of (lo, hi), accepted with the eigen
+      sums' ratio of q to it over their bound;
+    - within sqrt(t) of a wall, that wall's gap from a Rayleigh law of scale sqrt(2t);
+    - otherwise x + sqrt(t) z, accepted with the bridge's non-exit probability.
+
+    Each accepts at least about a quarter of its proposals."""
+    y, ok = _killed_proposals(x, lo, hi, t, rng.standard_normal(len(x)),
+                              rng.random((len(x), 2)))
+    todo, m = np.flatnonzero(~ok), 16
+    while len(todo):
+        k = len(todo)
+        z, v = rng.standard_normal((k, m)), rng.random((k, m, 2))
+        got, take = _killed_proposals(*(np.repeat(a[todo], m) for a in (x, lo, hi, t)),
+                                      z.reshape(-1), v.reshape(-1, 2))
+        got, take = got.reshape(k, m), take.reshape(k, m)
+        done = take.any(axis=1)
+        y[todo[done]] = got[done, take[done].argmax(axis=1)]
+        todo = todo[~done]
+    return y
+
+
+def first_exit_batch(domain: Domain, starts, dt, rng):
+    """Exact first exit for a stack of independent configurations (B, n, d) in the open
+    box ``domain``: each diffuses without relocation until one of its atoms reaches the
+    boundary.  Returns (finals (B, n, d), hit_index (B,), taus (B,)): taus[b] is the exit
+    time, finals[b, hit_index[b]] the hit point on the boundary, and the other atoms are
+    interior, where they are at taus[b].  The draw is exact in distribution; dt does not
+    change it.  Raises ValueError unless every start is inside the open box.
+
+    A configuration's coordinates are independent 1-D motions, so tau is the smallest of
+    its n*d exit times.  The draws, in order:
+
+    1. ``rng.random((B, n, d))``: each coordinate's survival uniform u (0 taken as
+       2^-54); its exit time T solves S(T) = u.  With a its nearest wall gap,
+       a^2/(2 log(2/(1 - u))) <= T <= 2a^2/(pi u^2), from erfc z <= exp(-z^2) and
+       erf z <= 2z/sqrt(pi).  T1, the smallest upper bound, bounds tau, so T is solved
+       (``_exit_times``) only where the lower bound is at most T1 and u is at least
+       S(T1), and for the coordinate of T1.
+    2. ``rng.random(B)``: the smallest T's wall, the lower one where the uniform is below
+       the lower wall's share of the flux at tau.
+    3. The other coordinates' positions at tau, in (b, i, j) order (``_killed_draws``).
     """
-    pos = np.asarray(starts, dtype=float).copy()
-    if pos.ndim != 3:
-        raise ValueError("starts must have shape (B, n, d)")
+    pos = np.array(starts, dtype=float)
+    if pos.ndim != 3 or pos.shape[-1] != domain.dimension:
+        raise ValueError(f"starts must have shape (B, n, {domain.dimension})")
+    if not np.all(domain.contains_many(pos)):
+        raise ValueError("start atom outside the open domain")
     B, n, d = pos.shape
-    sqrt_dt = math.sqrt(dt)
-    finals = np.empty_like(pos)
-    hit_index = np.full(B, -1, dtype=int)
-    taus = np.full(B, np.nan)
-    alive = np.arange(B)
-    for k in range(_MAX_EXIT_STEPS):
-        if len(alive) == 0:
-            return finals, hit_index, taus
-        A = len(alive)
-        prop = pos + rng.normal(0.0, sqrt_dt, size=(A, n, d))
-        u_bridge = rng.random((A, n, d, 2))
-        hit, theta, points = _detect_hits(domain, pos, prop, dt, u_bridge)
-        rows = np.flatnonzero(hit.any(axis=1))  # finished configurations
-        if len(rows):
-            # each finished configuration's first hitter in the step wins
-            winner = np.argmin(np.where(hit[rows], theta[rows], np.inf), axis=1)
-            b = alive[rows]
-            taus[b] = k * dt + theta[rows, winner] * dt
-            fin = np.where(hit[rows][..., None], pos[rows], prop[rows])
-            fin[np.arange(len(rows)), winner] = points[rows, winner]
-            finals[b] = fin
-            hit_index[b] = winner
-            keep = np.ones(A, dtype=bool)
-            keep[rows] = False
-            prop, alive = prop[keep], alive[keep]
-        pos = prop
-    raise RuntimeError(f"{len(alive)} configurations never exited in {_MAX_EXIT_STEPS} steps")
+    pos = pos.reshape(B, n * d)
+    lo, hi = np.tile(domain.lo, (B, n)), np.tile(domain.hi, (B, n))
+    x, L = pos - lo, hi - lo
+    u = np.maximum(rng.random((B, n, d)).reshape(B, n * d), 2.0**-54)
+    near = np.minimum(x, L - x)
+    bound = near * near / (2.0 * np.log(2.0 / (1.0 - u)))
+    cap = 2.0 * near * near / (math.pi * u * u)
+    rows, first = np.arange(B), cap.argmin(axis=1)
+    T1 = cap[rows, first]
+    b, j = np.nonzero(bound <= T1[:, None])
+    keep = (_exit_residual(T1[b], x[b, j], L[b, j], u[b, j])[0] >= 0.0) | (j == first[b])
+    at = b[keep], j[keep]
+    T = np.full(pos.shape, np.inf)
+    T[at] = _exit_times(x[at], L[at], u[at], bound[at], cap[at])
+    win = T.argmin(axis=1)
+    taus = T[rows, win]
+    lower = rng.random(B) < _lower_wall_share(taus, x[rows, win], L[rows, win])
+    finals = pos.copy()
+    other = np.ones(pos.size, dtype=bool)
+    other[rows * (n * d) + win] = False
+    other = np.flatnonzero(other)
+    finals.flat[other] = _killed_draws(pos.flat[other], lo.flat[other], hi.flat[other],
+                                       taus[other // (n * d)], rng)
+    finals[rows, win] = np.where(lower, lo[rows, win], hi[rows, win])
+    return finals.reshape(B, n, d), win // d, taus
 
 
 def _as_seedseq(seed):

@@ -401,7 +401,8 @@ def _exit_side(law, n, M, dt, seed, jobs, observe):
     """Values of M exit-side samples: batches of up to _BATCH configurations,
     one ``run_replicas`` stream each, concatenated in order.  A batch draws its
     starts and their total masses from the curvature-weighted law and diffuses
-    them without relocation to the first boundary hit (``first_exit_batch``);
+    them without relocation to the first boundary hit (``first_exit_batch``,
+    exact: dt does not change it);
     ``observe(rng, starts, masses, finals, hit_index, mask)`` returns its values
     (or rows), drawing any further numbers from ``rng``; ``mask`` marks the
     boundary atoms of ``finals``."""
@@ -475,11 +476,11 @@ def jump_increment_checks(law, f, n, M, dt, kernel, seed, jobs=1,
     domain = basis.domain
 
     def observe(rng, starts, masses, finals, hit_index, mask):
-        # observing draws nothing, so all relocations can come first
+        # observing draws nothing, so all relocations can come first; a law that reads
+        # the other atoms relocates configuration b from the b-th of rng.spawn(B)
         relocated = finals.copy()
         if kernel.reads_others:
-            for b, i in enumerate(hit_index):
-                relocated[b, i] = sample_relocation(kernel, finals[b][None], [i], [rng])[0]
+            relocated[mask] = sample_relocation(kernel, finals, hit_index, rng.spawn(len(finals)))
         else:
             relocated[mask] = sample_relocations(kernel, rng, len(finals))
         if not np.array_equal(relocated[~mask], finals[~mask]):

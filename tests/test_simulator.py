@@ -463,90 +463,170 @@ def test_first_exit_batch_multi_particle():
         assert DOM.contains(finals[b, other])
 
 
-def test_first_exit_batch_gives_up_after_its_step_guard(monkeypatch):
-    # from the middle of (0, pi), steps of sqrt(1e-6) cannot reach a face in 3 steps
-    monkeypatch.setattr(simulator, "_MAX_EXIT_STEPS", 3)
-    with pytest.raises(RuntimeError, match="4 configurations never exited in 3 steps"):
-        first_exit_batch(DOM, np.full((4, 1, 1), PI / 2), 1e-6, _rng(5))
+def test_first_exit_batch_does_not_depend_on_dt():
+    starts = np.tile(np.array([[0.3, 0.2], [2.0, 1.3]]), (50, 1, 1))
+    a = first_exit_batch(RECT, starts, 1e-3, _rng(31))
+    b = first_exit_batch(RECT, starts, 0.5, _rng(31))
+    for x, y in zip(a, b):
+        assert np.array_equal(x, y)
 
 
-def _reference_first_exit_batch(domain, starts, dt, rng, max_steps=10**7):
-    """``first_exit_batch`` as it was before the stacked resolver: the bridge
-    test inline, then the scalar resolver once per finished configuration."""
-    pos = np.asarray(starts, dtype=float).copy()
-    B, n, d = pos.shape
-    lo = np.asarray(domain.lo)
-    hi = np.asarray(domain.hi)
-    sqrt_dt = math.sqrt(dt)
-    finals = np.empty_like(pos)
-    hit_index = np.full(B, -1, dtype=int)
-    taus = np.full(B, np.nan)
-    alive = np.arange(B)
-    for k in range(max_steps):
-        if len(alive) == 0:
-            return finals, hit_index, taus
-        A = len(alive)
-        incr = rng.normal(0.0, sqrt_dt, size=(A, n, d))
-        prop = pos + incr
-        u_bridge = rng.random((A, n, d, 2))
-        inside = np.all((prop > lo) & (prop < hi), axis=-1)  # (A, n)
-        with np.errstate(over="ignore"):
-            p_lo = np.exp(-2.0 * (pos - lo) * np.maximum(prop - lo, 0.0) / dt)
-            p_hi = np.exp(-2.0 * (hi - pos) * np.maximum(hi - prop, 0.0) / dt)
-        fire = (u_bridge[..., 0] < p_lo) | (u_bridge[..., 1] < p_hi)
-        hit = ~inside | (inside & fire.any(axis=-1))  # (A, n)
-        cfg_hit = hit.any(axis=1)
-        if cfg_hit.any():
-            for a in np.flatnonzero(cfg_hit):
-                mask, theta, pts = _scalar_detect_hits(domain, pos[a], prop[a], dt, u_bridge[a])
-                hits = np.flatnonzero(mask)
-                winner = int(hits[np.argmin(theta[hits])])
-                b = alive[a]
-                taus[b] = k * dt + float(theta[winner]) * dt
-                fin = np.where(mask[:, None], pos[a], prop[a])
-                fin[winner] = pts[winner]
-                finals[b] = fin
-                hit_index[b] = winner
-            keep = ~cfg_hit
-            pos = prop[keep]
-            alive = alive[keep]
-        else:
-            pos = prop
-    raise RuntimeError(f"{len(alive)} configurations never exited in {max_steps} steps")
+@pytest.mark.parametrize("bad", [-0.5, 4.0, 0.0, PI, np.nan])
+def test_first_exit_batch_rejects_starts_outside_the_open_box(bad):
+    with pytest.raises(ValueError, match="outside the open domain"):
+        first_exit_batch(DOM, np.array([[[1.0], [bad]]]), 1e-3, _rng(3))
 
 
-@pytest.mark.parametrize("domain,n", [(DOM, 1), (DOM, 5), (RECT, 1), (RECT, 6)],
-                         ids=["1d-n1", "1d-n5", "2d-n1", "2d-n6"])
-def test_first_exit_batch_matches_per_configuration_loop(domain, n):
-    lo, hi = np.array(domain.lo), np.array(domain.hi)
-    starts = lo + (hi - lo) * _rng(43).uniform(0.02, 0.98, size=(300, n, domain.dimension))
-    for dt in (1e-3, 1e-2):
-        got = first_exit_batch(domain, starts, dt, _rng(47))
-        ref = _reference_first_exit_batch(domain, starts, dt, _rng(47))
-        for a, b in zip(got, ref):
-            assert np.array_equal(a, b)
+def test_first_exit_batch_checks_the_shape():
+    with pytest.raises(ValueError, match="shape"):
+        first_exit_batch(RECT, np.full((2, 3, 1), 0.5), 1e-3, _rng(3))
 
 
-def test_first_exit_2d_corner_dt_halving():
-    """The exit law from near a rectangle corner, where two faces compete
-    and the bridge correction matters most, moves by less than the 3-sigma
-    band of its own sampling error when dt halves."""
-    B, start = 20000, np.array([[0.1, 0.1]])
-    runs = []
-    for dt in (2e-3, 1e-3):
-        finals, hit_index, taus = first_exit_batch(
-            RECT, np.tile(start, (B, 1, 1)), dt, _rng(20260805))
-        y = finals[:, 0]
-        faces = np.stack([y[:, 0] == RECT.lo[0], y[:, 0] == RECT.hi[0],
-                          y[:, 1] == RECT.lo[1], y[:, 1] == RECT.hi[1]], axis=1)
-        assert np.all(hit_index == 0) and np.all(faces.any(axis=1))
-        freq = faces.mean(axis=0)
-        runs.append((freq, np.sqrt(freq * (1.0 - freq) / B),
-                     float(taus.mean()), float(taus.std(ddof=1)) / math.sqrt(B)))
-    (fa, sa, ta, ua), (fb, sb, tb, ub) = runs
-    assert min(fa[0], fa[2], fb[0], fb[2]) > 0.4  # the two near faces share the exits
-    assert np.all(np.abs(fa - fb) <= 3.0 * np.maximum(np.hypot(sa, sb), 1e-9))
-    assert abs(ta - tb) <= 3.0 * max(math.hypot(ua, ub), 1e-9)
+def test_erfc_port_matches_scipy():
+    """Within (16 + x^2) ulp of scipy's erfc on [-6, 27], at Cody's range breakpoints and
+    next to them; scipy's own exp(-x^2) rounding grows like x^2 ulp, and erfc is 0 from
+    26.543 on, where scipy's value is subnormal."""
+    from scipy.special import erfc
+
+    edges = np.array([0.46875, 4.0, 26.543])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 30.0)])
+    x = np.concatenate([np.linspace(-6.0, 27.0, 33001), edges, -edges[edges < 6.0], [0.0]])
+    got, want = simulator._erfc(x), erfc(x)
+    big = np.abs(x) >= 26.543
+    assert np.all(got[big & (x > 0)] == 0.0) and np.all(want[big & (x > 0)] < 1e-307)
+    ulp = np.abs(got - want)[~big] / np.spacing(want[~big])
+    assert np.all(ulp <= 16.0 + x[~big] ** 2)
+
+
+def _exit_cdf(t, x, L, K=40):
+    """P(T <= t) of the exit time T from x in (0, L), by images with scipy's erfc."""
+    from scipy.special import erfc
+
+    k, s = np.arange(K)[:, None], np.sqrt(2.0 * np.atleast_1d(t))[None, :]
+    return np.sum((-1.0) ** k * (erfc((k * L + x) / s) + erfc((k * L + L - x) / s)), axis=0)
+
+
+def _lower_exit_cdf(t, x, L, K=40):
+    """P(T <= t, through the lower wall): the lower wall's flux integrated, by images."""
+    from scipy.special import erfc
+
+    a = x + 2.0 * L * np.arange(-K, K + 1)[:, None]
+    return np.sum(np.sign(a) * erfc(np.abs(a) / np.sqrt(2.0 * np.atleast_1d(t))[None, :]), axis=0)
+
+
+def _flux(t, x, L, K=40):
+    """The flux into the lower and the upper wall at time t from x in (0, L), by images."""
+    def lower(x):
+        a = x + 2.0 * L * np.arange(-K, K + 1)
+        return np.sum(a * np.exp(-a * a / (2.0 * t))) / math.sqrt(2.0 * PI * t ** 3)
+    return lower(x), lower(L - x)
+
+
+def test_exit_time_ks_against_the_survival_sums():
+    """tau is the smallest coordinate exit time: from one atom on (0, pi), and from two
+    atoms on the rectangle, where P(tau > t) is the product of the four survivals."""
+    from scipy.stats import kstest
+
+    _f, _h, taus = first_exit_batch(DOM, np.full((4000, 1, 1), 1.0), 1e-3, _rng(41))
+    assert kstest(taus, lambda t: _exit_cdf(t, 1.0, PI)).pvalue > 0.01
+    start = np.array([[0.3, 0.7], [2.0, 1.2]])
+    _f, _h, taus = first_exit_batch(RECT, np.tile(start, (4000, 1, 1)), 1e-3, _rng(42))
+
+    def cdf(t):
+        surv = [1.0 - _exit_cdf(t, x, L) for x, L in zip(start.ravel(), RECT.sides * 2)]
+        return 1.0 - np.prod(surv, axis=0)
+
+    assert kstest(taus, cdf).pvalue > 0.01
+
+
+def test_exit_wall_against_the_flux_split():
+    """From x = 1 on (0, pi): the lower wall takes 1 - x/pi of the exits, and the exit
+    times through it follow the lower flux, so the wall is split by the flux at each tau;
+    the split itself matches the flux by images at fixed t on both sides of L^2/16."""
+    from scipy.stats import kstest
+
+    finals, _h, taus = first_exit_batch(DOM, np.full((6000, 1, 1), 1.0), 1e-3, _rng(43))
+    lower = finals[:, 0, 0] == 0.0
+    assert np.all(lower | (finals[:, 0, 0] == PI))
+    p = 1.0 - 1.0 / PI
+    assert abs(lower.mean() - p) <= 3.0 * math.sqrt(p * (1.0 - p) / len(lower))
+    assert kstest(taus[lower], lambda t: _lower_exit_cdf(t, 1.0, PI) / p).pvalue > 0.01
+    for t in (0.05, 0.3, 0.6, 2.0):
+        for x in (0.2, 1.0, 1.6, 3.0):
+            lo, hi = _flux(t, x, PI)
+            share = simulator._lower_wall_share(np.array([t]), np.array([x]), np.array([PI]))
+            assert share[0] == pytest.approx(lo / (lo + hi), rel=1e-12, abs=1e-300)
+
+
+def _killed_cdf(t, x, L, K=40):
+    """The law of a coordinate at time t from x in (0, L) given that it has not left:
+    the killed kernel by images, integrated by Simpson's rule on a fine grid."""
+    from scipy.integrate import cumulative_simpson
+
+    y = np.linspace(0.0, L, 20001)
+    k = 2.0 * L * np.arange(-K, K + 1)[:, None]
+    q = np.sum(np.exp(-(y + k - x) ** 2 / (2.0 * t)) - np.exp(-(-y + k - x) ** 2 / (2.0 * t)),
+               axis=0)
+    c = cumulative_simpson(q, x=y, initial=0.0)
+    return lambda v: np.interp(v, y, c / c[-1])
+
+
+@pytest.mark.parametrize("x,t,L", [(1.0, 0.01, PI), (0.12, 0.01, PI), (0.02, 0.01, PI),
+                                   (1.499, 0.04, 1.5), (1.4, 0.05, 1.5), (0.3, 0.5, 1.5),
+                                   (0.05, 3.0, PI)],
+                         ids=["gaussian", "gaussian-near", "rayleigh", "rayleigh-upper",
+                              "rayleigh-far", "ground-mode", "ground-mode-late"])
+def test_killed_draws_ks_against_the_killed_kernel(x, t, L):
+    """Each proposal of ``_killed_draws``: the free Gaussian, the Rayleigh law near a wall
+    and the ground mode for t >= L^2/16."""
+    from scipy.stats import kstest
+
+    N = 4000
+    y = simulator._killed_draws(np.full(N, 0.5 + x), np.full(N, 0.5), np.full(N, 0.5 + L),
+                                np.full(N, t), _rng(44))
+    assert np.all((y > 0.5) & (y < 0.5 + L))
+    assert kstest(y - 0.5, _killed_cdf(t, x, L)).pvalue > 0.01
+
+
+def test_first_exit_2d_corner_flux_split():
+    """From (0.1, 0.1) in the rectangle, each face takes the flux into it integrated over
+    time against the other axis's survival."""
+    from scipy.integrate import quad
+
+    B, start = 20000, (0.1, 0.1)
+    finals, hit_index, _taus = first_exit_batch(RECT, np.tile(start, (B, 1, 1)), 1e-3,
+                                                _rng(20260805))
+    y = finals[:, 0]
+    faces = np.stack([y[:, 0] == RECT.lo[0], y[:, 0] == RECT.hi[0],
+                      y[:, 1] == RECT.lo[1], y[:, 1] == RECT.hi[1]], axis=1)
+    assert np.all(hit_index == 0) and np.all(faces.sum(axis=1) == 1)
+    want = []
+    for ax in (0, 1):
+        L, other = RECT.sides[ax], RECT.sides[1 - ax]
+        for wall in (0, 1):
+            want.append(quad(lambda t: _flux(t, start[ax], L)[wall]
+                             * (1.0 - _exit_cdf(t, start[1 - ax], other)[0]),
+                             0.0, 60.0, limit=400, points=[0.01, 0.1, 1.0])[0])
+    assert sum(want) == pytest.approx(1.0, abs=1e-6)
+    freq = faces.mean(axis=0)
+    assert np.all(np.abs(freq - want) <= 3.0 * np.sqrt(np.array(want) * (1 - np.array(want)) / B)
+                  + 1e-9)
+
+
+def test_exit_times_have_the_same_bits_alone_or_in_a_batch():
+    gen = np.random.default_rng(45)
+    L = gen.choice([PI, 1.5], 128)
+    x = L * gen.uniform(1e-6, 1.0 - 1e-6, 128)
+    u = np.maximum(gen.random(128), 2.0**-54)
+    near = np.minimum(x, L - x)
+    lo, hi = near ** 2 / (2.0 * np.log(2.0 / (1.0 - u))), 2.0 * near ** 2 / (PI * u ** 2)
+    batch = simulator._exit_times(x, L, u, lo, hi)
+    alone = [simulator._exit_times(*(v[i:i + 1] for v in (x, L, u, lo, hi)))[0]
+             for i in range(128)]
+    assert np.array_equal(batch, alone)
+    assert np.all((lo <= batch) & (batch <= hi))
+    g, _dg = simulator._exit_residual(batch, x, L, u)
+    assert np.all(np.abs(g) < 1e-12)
 
 
 # -- estimators ----------------------------------------------------------------------
