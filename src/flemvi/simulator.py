@@ -16,9 +16,10 @@ Exit detection while stepping: a step is declared a boundary hit if the
 straight segment leaves the open box, or, for an interior segment, if a
 per-face Brownian bridge test fires — the bridge crossing probability for a
 face at gaps a (before) and b (after) over a step of size dt is
-exp(-2ab/dt).  The hit point is the segment-boundary intersection (bridge
-fires: the segment point at fraction a/(a+b), clamped onto the face).
-Without the bridge term the hit rate is undercounted at order sqrt(dt).
+exp(-2ab/dt); without it the hit rate is undercounted at order sqrt(dt).
+Relocation does not read where a hitter hit, so stepping finds only who hit;
+``run`` alone resolves where, for its jump log: the segment-boundary
+intersection (bridge fires: the point a/(a+b) along it, clamped onto the face).
 
 First exits (``first_exit_batch``, the exit side) take no steps: on a box a
 configuration's coordinates are independent killed 1-D motions, so its exit
@@ -69,28 +70,19 @@ class JumpEvent:
     distance: float
 
 
-def _detect_hits(domain, pos, prop, dt, u_bridge):
-    """Classify each particle's step, for positions of any leading shape
-    (..., n, d) with bridge uniforms of shape (..., n, d, 2).
-
-    Returns (hit_mask, theta, hit_points): theta is the within-step hit
-    fraction, hit_points the boundary location; both are NaN where
-    hit_mask is unset.  Faces are ordered lo0, hi0, lo1, hi1.  A segment
-    that leaves the box hits the first face it meets, by the IEEE
-    operations of ``Domain.project_to_boundary``, with theta re-read on its
-    first moving axis.  An interior segment hits the first most probable
-    fired bridge face, at the segment point a/(a+b) moved onto that face.
-    """
+def _faces(domain, pos, prop, dt, u_bridge):
+    """Per face (lo0, hi0, lo1, hi1, ...) of steps of any leading shape (..., n, d), bridge
+    uniforms (..., n, d, 2): gaps before and after, whether the step ends outside, the
+    bridge crossing probability and whether the bridge fires, each (..., 2d)."""
     lead, d = pos.shape[:-1], pos.shape[-1]
 
-    def gaps(x):  # x - lo and hi - x per face, shape (..., 2d)
+    def gaps(x):  # x - lo and hi - x per face
         g = np.empty(lead + (d, 2))
         np.subtract(x, domain.lo, out=g[..., 0])
         np.subtract(domain.hi, x, out=g[..., 1])
         return g.reshape(lead + (2 * d,))
 
     gap_p, gap_q = gaps(pos), gaps(prop)
-    out = gap_q <= 0.0
     # the bridge test only counts where both ends are interior, which the
     # exit split guarantees; below -746 the exponential is 0 and is skipped,
     # the exponent failing u < p as 0 would
@@ -98,40 +90,37 @@ def _detect_hits(domain, pos, prop, dt, u_bridge):
     p_cross *= -2.0 * gap_p
     p_cross /= dt
     np.exp(p_cross, out=p_cross, where=p_cross > -746.0)
-    fire = u_bridge.reshape(p_cross.shape) < p_cross
+    return gap_p, gap_q, gap_q <= 0.0, p_cross, u_bridge.reshape(p_cross.shape) < p_cross
+
+
+def _detect_hits(domain, pos, prop, dt, u_bridge):
+    """The hit mask (...) of steps from ``pos`` to ``prop`` (..., n, d), bridge uniforms
+    (..., n, d, 2): a step hits if it ends outside the open box or a face's bridge fires."""
+    _, _, out, _, fire = _faces(domain, pos, prop, dt, u_bridge)
     hit = out | fire
     hit_mask = hit[..., 0].copy()
-    for j in range(1, 2 * d):  # ors beat numpy's reduction over a short axis
+    for j in range(1, hit.shape[-1]):  # ors beat numpy's reduction over a short axis
         hit_mask |= hit[..., j]
+    return hit_mask
 
-    theta = np.full(lead, np.nan)
-    hit_points = np.full(pos.shape, np.nan)
-    rows = np.flatnonzero(hit_mask)
-    if len(rows) == 0:
-        return hit_mask, theta, hit_points
-    at = np.arange(len(rows))
-    p = pos.reshape(-1, d)[rows]
-    seg = prop.reshape(-1, d)[rows] - p
-    exits = out.reshape(-1, 2 * d)[rows].any(axis=-1)
-    a, b = gap_p.reshape(-1, 2 * d)[rows], gap_q.reshape(-1, 2 * d)[rows]
+
+def _hit_points(domain, p, q, dt, u):
+    """Where k hitting steps from p to q (k, d), bridge uniforms u (k, d, 2), met the
+    boundary.  A segment that leaves the box hits the first face it meets, by the IEEE
+    operations of ``Domain.project_to_boundary``.  An interior segment hits the first most
+    probable fired bridge face, at the segment point a/(a+b) moved onto that face."""
+    a, b, out, p_cross, fire = _faces(domain, p, q, dt, u)
+    exits, at, seg = out.any(axis=-1), np.arange(len(p)), q - p
     # where the segment meets each face ahead: (lo-p)/seg = a/-seg, (hi-p)/seg = a/seg
     ahead = (seg[..., None] * _TOWARDS).reshape(a.shape)
     t = np.divide(a, ahead, out=np.full(a.shape, np.inf), where=ahead > 0.0)
-    key = np.where(exits[:, None], -t, np.where(fire.reshape(-1, 2 * d)[rows],
-                                                p_cross.reshape(-1, 2 * d)[rows], -1.0))
-    face = key.argmax(axis=-1)
+    face = np.where(exits[:, None], -t, np.where(fire, p_cross, -1.0)).argmax(axis=-1)
     a, b, t = a[at, face], b[at, face], t[at, face]
     th = np.where(exits, np.minimum(np.maximum(t, 0.0), 1.0),
                   np.divide(a, a + b, out=np.zeros_like(a), where=a + b > 0.0))
     y = p + th[:, None] * seg
     y[at, face // 2] = np.array([domain.lo, domain.hi]).T.reshape(-1)[face]
-    # an exit's theta is re-read on its first moving axis
-    ax = (seg != 0.0).argmax(axis=-1)
-    move = seg[at, ax]
-    moved = np.divide(y[at, ax] - p[at, ax], move, out=np.zeros_like(move), where=move != 0.0)
-    theta.reshape(-1)[rows] = np.minimum(np.maximum(np.where(exits, moved, th), 0.0), 1.0)
-    hit_points.reshape(-1, d)[rows] = y
-    return hit_mask, theta, hit_points
+    return y
 
 
 _TOWARDS = np.array([-1.0, 1.0])  # sign of a step towards the lo, hi face
@@ -139,9 +128,9 @@ _TOWARDS = np.array([-1.0, 1.0])  # sign of a step towards the lo, hi face
 
 def _step_inplace(domain, positions, dt, kernel, rngs):
     """Advance a stack of independent configurations (B, n, d) one step,
-    mutating ``positions``; returns its jumps as arrays (replica, index, hit
-    point, target), replica by replica in ascending index.  Replica b draws its
-    Gaussian block, its bridge-uniform block and then its relocations from ``rngs[b]``.
+    mutating ``positions``; returns its jumps as arrays (replica, index, pre-step position,
+    proposal, bridge uniforms, target), replica by replica in ascending index.  Replica b
+    draws its Gaussian block, its bridge-uniform block and then its relocations from ``rngs[b]``.
 
     Relocation happens at the step's end, rank by rank: one ``sample_relocation``
     call relocates the r-th hit (in ascending index) of every replica that has one
@@ -160,11 +149,12 @@ def _step_inplace(domain, positions, dt, kernel, rngs):
     # increment, which leaves the sum below unchanged
     prop *= math.sqrt(dt)
     prop += positions
-    hit_mask, _theta, hit_points = _detect_hits(domain, positions, prop, dt, u_bridge)
+    hit_mask = _detect_hits(domain, positions, prop, dt, u_bridge)
     # hit rows keep their pre-step positions until relocated
     np.copyto(positions, prop, where=~hit_mask[..., None])
 
     hb, hi = np.nonzero(hit_mask)  # replica by replica, each replica's hits in ascending index
+    moves = positions[hb, hi], prop[hb, hi], u_bridge[hb, hi]  # what _hit_points reads
     rows = np.flatnonzero(hit_mask.any(axis=1))
     terms = mixture_terms(kernel, positions[rows]) if len(rows) else None
     t, rank = np.searchsorted(rows, hb), np.arange(len(hb)) - np.searchsorted(hb, hb)
@@ -176,7 +166,7 @@ def _step_inplace(domain, positions, dt, kernel, rngs):
         at = at[rank[np.minimum(at + 1, len(hb) - 1)] == r + 1]  # the columns a later rank reads
         if terms is not None and len(at):
             terms[:, :, t[at], hi[at]] = mixture_terms(kernel, positions[hb[at], hi[at]])
-    return hb, hi, hit_points[hb, hi], positions[hb, hi]  # each hit is relocated once
+    return hb, hi, *moves, positions[hb, hi]  # each hit is relocated once
 
 
 def _step_count(T, dt):
@@ -194,8 +184,8 @@ def _step_count(T, dt):
 def advance_steps(domain, positions, n_steps, dt, kernel, rngs, on_step=None):
     """In-place multi-step advance of a (B, n, d) stack with one stream per
     replica, its clock starting at 0.  ``on_step(k, time, jumps)``, if given,
-    observes the state after step k (0-based); ``jumps`` are the step's
-    (replica, index, hit point, target) arrays of ``_step_inplace``."""
+    observes the state after step k (0-based); ``jumps`` are the step's (replica, index,
+    pre-step position, proposal, bridge uniforms, target) arrays of ``_step_inplace``."""
     time = 0.0
     for k in range(n_steps):
         jumps = _step_inplace(domain, positions, dt, kernel, rngs)
@@ -232,10 +222,12 @@ def run(start, rng, T, dt, kernel: RelocationKernel, observables, basis,
     times, rows, counts = [0.0], [observe()], [0]
 
     def record(k, time, jumps):
+        _b, hi, p, q, u, targets = jumps  # one replica
+        hit_points = _hit_points(basis.domain, p, q, dt, u) if len(hi) else ()
         events.extend(JumpEvent(time, int(i), tuple(float(v) for v in y),
                                 tuple(float(v) for v in target),
                                 float(np.linalg.norm(target - y)))
-                      for i, y, target in zip(*jumps[1:]))  # one replica
+                      for i, y, target in zip(hi, hit_points, targets))
         if (k + 1) % record_stride == 0 or k == n_steps - 1:
             times.append(time)
             rows.append(observe())
@@ -497,7 +489,9 @@ def first_exit_batch(domain: Domain, starts, dt, rng):
        a^2/(2 log(2/(1 - u))) <= T <= 2a^2/(pi u^2), from erfc z <= exp(-z^2) and
        erf z <= 2z/sqrt(pi).  T1, the smallest upper bound, bounds tau, so T is solved
        (``_exit_times``) only where the lower bound is at most T1 and u is at least
-       S(T1), and for the coordinate of T1.
+       S(T1), and for the coordinate of T1.  A T1 below 1e-280 L^2 (L the longest side;
+       a start within about 1e-140 L of a wall) is taken as tau = 0: that coordinate
+       exits at its nearest wall and the others stay at their starts.
     2. ``rng.random(B)``: the smallest T's wall, the lower one where the uniform is below
        the lower wall's share of the flux at tau.
     3. The other coordinates' positions at tau, in (b, i, j) order (``_killed_draws``).
@@ -517,18 +511,21 @@ def first_exit_batch(domain: Domain, starts, dt, rng):
     cap = 2.0 * near * near / (math.pi * u * u)
     rows, first = np.arange(B), cap.argmin(axis=1)
     T1 = cap[rows, first]
-    b, j = np.nonzero(bound <= T1[:, None])
+    now = T1 < 1e-280 * L.max(initial=0.0) ** 2  # solving for T there would overflow
+    b, j = np.nonzero((bound <= T1[:, None]) & ~now[:, None])
     keep = (_exit_residual(T1[b], x[b, j], L[b, j], u[b, j])[0] >= 0.0) | (j == first[b])
     at = b[keep], j[keep]
     T = np.full(pos.shape, np.inf)
     T[at] = _exit_times(x[at], L[at], u[at], bound[at], cap[at])
+    T[rows[now], first[now]] = 0.0
     win = T.argmin(axis=1)
-    taus = T[rows, win]
-    lower = rng.random(B) < _lower_wall_share(taus, x[rows, win], L[rows, win])
+    taus, xw, Lw = T[rows, win], x[rows, win], L[rows, win]
+    share = (xw <= Lw - xw).astype(float)  # at tau = 0, the nearest wall's
+    share[~now] = _lower_wall_share(taus[~now], xw[~now], Lw[~now])
+    lower = rng.random(B) < share
     finals = pos.copy()
-    other = np.ones(pos.size, dtype=bool)
-    other[rows * (n * d) + win] = False
-    other = np.flatnonzero(other)
+    # the others, in rows whose tau is not 0 (there they stay at their starts)
+    other = np.flatnonzero((np.arange(n * d) != win[:, None]) & ~now[:, None])
     finals.flat[other] = _killed_draws(pos.flat[other], lo.flat[other], hi.flat[other],
                                        taus[other // (n * d)], rng)
     finals[rows, win] = np.where(lower, lo[rows, win], hi[rows, win])
@@ -545,15 +542,17 @@ def run_replicas(M, seed, worker, jobs=1):
     Philox streams seeded by M children of ``seed`` (or by ``seed``, a list of
     M SeedSequences); results come back in replica order for any ``jobs``."""
     children = seed if isinstance(seed, list) else _as_seedseq(seed).spawn(M)
+    jobs = max(1, jobs or 1)
 
-    def task(m):
-        rng = np.random.Generator(np.random.Philox(children[m]))
-        return worker(rng, m)
+    def share(c):  # one task a thread: replicas c, c + jobs, c + 2 jobs, ...
+        return [worker(np.random.Generator(np.random.Philox(children[m])), m)
+                for m in range(c, M, jobs)]
 
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(task, range(M)))
-    return [task(m) for m in range(M)]
+    if jobs == 1:
+        return share(0)
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        shares = list(pool.map(share, range(jobs)))
+    return [shares[m % jobs][m // jobs] for m in range(M)]
 
 
 def mean_and_stderr(values):

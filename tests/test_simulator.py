@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -101,7 +102,7 @@ def _reference_step(domain, positions, time, dt, kernel, rng):
     n, d = positions.shape
     prop = positions + rng.normal(0.0, math.sqrt(dt), size=(n, d))
     u_bridge = rng.random((n, d, 2))
-    hit_mask, _theta, hit_points = _scalar_detect_hits(domain, positions, prop, dt, u_bridge)
+    hit_mask, hit_points = _scalar_detect_hits(domain, positions, prop, dt, u_bridge)
     work = np.where(hit_mask[:, None], positions, prop)
     events = []
     for i in np.flatnonzero(hit_mask):
@@ -184,7 +185,8 @@ def _check_stacked_step(kernel, law, n, n_steps, dt, most, monkeypatch):
     pos, jumps = starts.copy(), [[] for _ in range(B)]
 
     def record(_k, _t, new):
-        for b, i, y, z in zip(*new):
+        hb, hi, p, q, u, targets = new
+        for b, i, y, z in zip(hb, hi, simulator._hit_points(domain, p, q, dt, u), targets):
             jumps[b].append((i, y, z))
 
     advance_steps(domain, pos, n_steps, dt, kernel, [_rng(5 + b) for b in range(B)],
@@ -310,14 +312,10 @@ def _scalar_detect_hits(domain, pos, prop, dt, u_bridge):
     bridge_hit = inside & (fire_lo.any(axis=1) | fire_hi.any(axis=1))
 
     hit_mask = ~inside | bridge_hit
-    theta = np.full(n, np.nan)
     hit_points = np.full((n, d), np.nan)
     for i in np.flatnonzero(hit_mask):
         if not inside[i]:
             y = domain.project_to_boundary(pos[i], prop[i])
-            seg = prop[i] - pos[i]
-            ax = int(np.argmax(np.abs(seg) > 0)) if np.any(seg) else 0
-            th = (y[ax] - pos[i][ax]) / seg[ax] if seg[ax] != 0.0 else 0.0
         else:
             # among fired faces pick the most probable crossing
             best_p, best = -1.0, None
@@ -330,22 +328,23 @@ def _scalar_detect_hits(domain, pos, prop, dt, u_bridge):
             th = a / (a + b) if a + b > 0 else 0.0
             y = pos[i] + th * (prop[i] - pos[i])
             y[ax] = face
-        theta[i] = min(max(th, 0.0), 1.0)
         hit_points[i] = y
-    return hit_mask, theta, hit_points
+    return hit_mask, hit_points
 
 
 def _assert_resolver_matches(domain, pos, prop, dt, u_bridge):
-    """``_detect_hits`` on a (B, n, d) block equals the scalar resolver on
-    each configuration, NaN where no hit, bit for bit."""
-    hit, theta, points = _detect_hits(domain, pos, prop, dt, u_bridge)
-    assert hit.shape == pos.shape[:-1] and points.shape == pos.shape
+    """``_detect_hits``' mask on a (B, n, d) block, and ``_hit_points`` on the
+    masked rows, equal the scalar resolver on each configuration, bit for bit;
+    returns the mask and the points, NaN where no hit."""
+    hit = _detect_hits(domain, pos, prop, dt, u_bridge)
+    assert hit.shape == pos.shape[:-1]
+    points = np.full(pos.shape, np.nan)
+    points[hit] = simulator._hit_points(domain, pos[hit], prop[hit], dt, u_bridge[hit])
     for b in range(len(pos)):
         ref = _scalar_detect_hits(domain, pos[b], prop[b], dt, u_bridge[b])
         assert np.array_equal(hit[b], ref[0])
-        assert np.array_equal(theta[b], ref[1], equal_nan=True)
-        assert np.array_equal(points[b], ref[2], equal_nan=True)
-    return hit
+        assert np.array_equal(points[b], ref[1], equal_nan=True)
+    return hit, points
 
 
 @pytest.mark.parametrize("domain", [DOM, RECT], ids=["1d", "2d"])
@@ -359,13 +358,13 @@ def test_detect_hits_matches_scalar_resolver(domain, dt):
     pos = np.clip(pos, lo + 1e-9, hi - 1e-9)
     prop = pos + rng.normal(0.0, 3.0 * math.sqrt(dt), size=(B, n, d))
     u_bridge = rng.random((B, n, d, 2))
-    hit = _assert_resolver_matches(domain, pos, prop, dt, u_bridge)
+    hit, _ = _assert_resolver_matches(domain, pos, prop, dt, u_bridge)
     exits = ~domain.contains_many(prop)
     assert exits.sum() > 50 and (hit & ~exits).sum() > 50
     # leading shapes other than (B, n, d) resolve the same rows
     flat = _detect_hits(domain, pos.reshape(-1, d), prop.reshape(-1, d), dt,
                         u_bridge.reshape(-1, d, 2))
-    assert np.array_equal(flat[0], hit.reshape(-1))
+    assert np.array_equal(flat, hit.reshape(-1))
 
 
 def test_detect_hits_crafted_cases():
@@ -392,21 +391,57 @@ def test_detect_hits_crafted_cases():
     pos = np.array([[c[0]] for c in cases])
     prop = np.array([[c[1]] for c in cases])
     u_bridge = np.array([[c[2].reshape(2, 2)] for c in cases])
-    hit = _assert_resolver_matches(dom, pos, prop, 0.01, u_bridge)
+    hit, points = _assert_resolver_matches(dom, pos, prop, 0.01, u_bridge)
     assert hit[:, 0].tolist() == [True] * 9 + [False]
-    _, theta, points = _detect_hits(dom, pos, prop, 0.01, u_bridge)
     np.testing.assert_array_equal(points[0, 0], [0.0, 0.0])  # first axis on a tie
     np.testing.assert_array_equal(points[7, 0], [0.0, 1.0])  # lo0 before hi0
-    assert theta[4, 0] == pytest.approx(1.0 / 3.0)
 
     # both faces of the narrow axis fire; the nearer one is more probable
     narrow = rectangle(0.0, 1.0, 0.0, 0.04)
     pos = np.array([[[0.5, 0.015]], [[0.5, 0.03]]])
     prop = np.array([[[0.5, 0.02]], [[0.5, 0.025]]])
     u_bridge = np.tile(np.array([[1.0, 1.0], [0.0, 0.0]]), (2, 1, 1, 1))
-    _assert_resolver_matches(narrow, pos, prop, 0.01, u_bridge)
-    _, _, points = _detect_hits(narrow, pos, prop, 0.01, u_bridge)
+    _, points = _assert_resolver_matches(narrow, pos, prop, 0.01, u_bridge)
     assert points[0, 0, 1] == 0.0 and points[1, 0, 1] == 0.04
+
+
+def test_only_the_jump_log_resolves_hit_points(perturbed_law, basis_2d, monkeypatch):
+    """Stepping decides who hit, and only ``run`` resolves where: the estimators step
+    through hits without calling ``_hit_points``, and ``run``'s 2-D jump log, with exits
+    and bridge fires, holds the scalar resolver's hit points."""
+    steps, detect, resolve = [], simulator._detect_hits, simulator._hit_points
+
+    def spied(domain, pos, prop, dt, u_bridge):
+        hit = detect(domain, pos, prop, dt, u_bridge)
+        steps.append((pos.copy(), prop.copy(), u_bridge.copy(), hit))
+        return hit
+
+    def refused(*_args):
+        raise AssertionError("hit points resolved outside the jump log")
+
+    monkeypatch.setattr(simulator, "_detect_hits", spied)
+    monkeypatch.setattr(simulator, "_hit_points", refused)
+    law, kernel = perturbed_law, _kernel(perturbed_law)
+    semigroup_estimate(law, G2, CylinderFunction.coordinate(2), 0.2, 6, 4, 0.01, kernel, seed=1)
+    resolvent_estimate(law, G2, 6.0, 5, 4, 0.01, kernel, seed=2)
+    convergence_experiment(law, 0.2, [3, 6], 4, 0.01, kernel, 3)
+    assert sum(int(hit.sum()) for *_, hit in steps) > 20
+
+    monkeypatch.setattr(simulator, "_hit_points", resolve)
+    steps.clear()
+    dom, dt = basis_2d.domain, 0.02
+    start = sample_initial_configuration(InitialLaw.single(admissible_from_perturbation(
+        basis_2d, {})), 12, _rng(83))
+    result = run(start, _rng(89), 0.6, dt, RelocationKernel.ground_mode(basis_2d), [], basis_2d)
+    want, exits, fires = [], 0, 0
+    for pos, prop, u_bridge, hit in steps:
+        ref_hit, ref_points = _scalar_detect_hits(dom, pos[0], prop[0], dt, u_bridge[0])
+        assert np.array_equal(hit[0], ref_hit)
+        out = ~dom.contains_many(prop[0])
+        exits, fires = exits + int((hit[0] & out).sum()), fires + int((hit[0] & ~out).sum())
+        want += [tuple(y) for y in ref_points[ref_hit]]
+    assert exits > 5 and fires > 5
+    assert [ev.jump_off for ev in result.events] == want
 
 
 # -- replica engine ---------------------------------------------------------------
@@ -475,6 +510,23 @@ def test_first_exit_batch_does_not_depend_on_dt():
 def test_first_exit_batch_rejects_starts_outside_the_open_box(bad):
     with pytest.raises(ValueError, match="outside the open domain"):
         first_exit_batch(DOM, np.array([[[1.0], [bad]]]), 1e-3, _rng(3))
+
+
+def test_first_exit_batch_at_a_start_on_the_edge_of_a_wall():
+    """A start at gap 1e-300 from a wall underflows the exit-time bounds: its row exits at
+    once, at that atom's nearest wall, with no numpy warning; its other atoms, one of them
+    as near a wall, stay at their starts, and the row without such a start exits later."""
+    dom = rectangle(-1.0, 0.0, 0.0, 1.5)  # its upper wall in x at 0, so -1e-300 is in it
+    starts = np.array([[[-0.5, 1e-300], [-1e-300, 0.7]],
+                       [[-1e-300, 0.7], [-0.6, 0.2]],
+                       [[-0.5, 0.7], [-0.2, 1.0]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        finals, hit_index, taus = first_exit_batch(dom, starts, 1e-3, _rng(3))
+    assert taus[:2].tolist() == [0.0, 0.0] and taus[2] > 0.0
+    assert hit_index[:2].tolist() == [0, 0]
+    np.testing.assert_array_equal(finals[0], [[-0.5, 0.0], [-1e-300, 0.7]])
+    np.testing.assert_array_equal(finals[1], [[0.0, 0.7], [-0.6, 0.2]])
 
 
 def test_first_exit_batch_checks_the_shape():
