@@ -321,14 +321,14 @@ _ODD = np.arange(1, 15, 2)[:, None]  # the eigen sums' odd modes, k <= 13
 _MODES = np.arange(1, 13)[:, None]  # the killed kernel's and the flux's modes, k <= 12
 
 
-def _exit_residual(t, x, L, u):
-    """g(t) and dg/dt for coordinates at gap x from the lower wall of (0, L), where g is
+def _exit_residual(t, x, y, L, u):
+    """g(t) and dg/dt for coordinates at gaps x, y from the lower, upper wall of (0, L), where g is
     log P(T <= t) - log(1 - u) by images for t < L^2/16 and log u - log S(t) from it on: g
     increases in t and vanishes at the exit time T with S(T) = u.  Elementwise."""
     g, dg = np.empty(t.shape), np.empty(t.shape)
     img = t < L * L / 16.0
-    ti, xi, Li = t[img], x[img], L[img]
-    near = np.minimum(xi, Li - xi)  # the sums are symmetric in x and L - x
+    ti, Li = t[img], L[img]
+    near = np.minimum(x[img], y[img])  # the sums are symmetric in x and y
     # near + kL and (k + 1)L - near over sqrt(2t), k = 0, 1, 2, with the image signs
     # (3L - near is left out)
     z = np.stack([near, Li - near, Li + near, 2.0 * Li - near, 2.0 * Li + near]) \
@@ -351,47 +351,47 @@ def _exit_residual(t, x, L, u):
 _NEWTON_STEPS = 4
 
 
-def _exit_times(x, L, u, lo, hi):
-    """The exit times T with S(T) = u of coordinates at gap x in (0, L), given bounds
+def _exit_times(x, y, L, u, lo, hi):
+    """The exit times T with S(T) = u of coordinates at gaps x, y in (0, L), given bounds
     lo <= T <= hi, by a fixed schedule of safeguarded Newton steps, elementwise, so that
     a coordinate's T has the same bits in any batch.  A coordinate with g(L^2/16) >= 0 is
     on the image side: it steps in z = d/sqrt(2t), d its nearest wall gap, from the z with
     erfc(z) = 1 - u by Winitzki's approximation.  The others step in t from L^2/16 on.  A
     step that leaves the bracket is replaced by its midpoint."""
     star = L * L / 16.0
-    g, dg = _exit_residual(star, x, L, u)
+    g, dg = _exit_residual(star, x, y, L, u)
     img = g >= 0.0
     lo, hi = np.where(img, lo, star), np.where(img, np.minimum(star, hi), hi)
     ell = np.log1p(-u) + np.log1p(u)  # log(1 - erf^2) at erf = u
     c = 2.0 / (math.pi * 0.147) + 0.5 * ell
     z2 = np.sqrt(c * c - ell / 0.147) - c
-    near = np.minimum(x, L - x)
+    near = np.minimum(x, y)
     with np.errstate(divide="ignore"):
         t = np.where(img, near * near / (2.0 * z2), star - g / dg)
     for _ in range(_NEWTON_STEPS):
         t = np.where((t >= lo) & (t <= hi), t, 0.5 * (lo + hi))
-        g, dg = _exit_residual(t, x, L, u)
+        g, dg = _exit_residual(t, x, y, L, u)
         lo, hi = np.where(g < 0.0, t, lo), np.where(g > 0.0, t, hi)
         # on the image side, z + g/(dg/dz) with dg/dz = -2 t dg/z
         t = np.where(img, t / (1.0 + 0.5 * g / (t * dg)) ** 2, t - g / dg)
     return np.where((t >= lo) & (t <= hi), t, 0.5 * (lo + hi))
 
 
-def _lower_wall_share(t, x, L):
-    """For coordinates at gap x in (0, L) that exit at time t, the share of the lower
+def _lower_wall_share(t, x, y, L):
+    """For coordinates at gaps x, y in (0, L) that exit at time t, the share of the lower
     wall's flux in the total: by images about the nearest wall (three terms a wall,
     relative to the nearest wall's first) or by the eigen sums."""
     out = np.empty(t.shape)
     img = t < L * L / 16.0
-    ti, xi, Li = t[img], x[img], L[img]
-    near = np.minimum(xi, Li - xi)
+    ti, xi, yi, Li = t[img], x[img], y[img], L[img]
+    near = np.minimum(xi, yi)
     far = Li - near
     f_near = near - (2.0 * Li - near) * _exp(-2.0 * Li * far / ti) \
         + (2.0 * Li + near) * _exp(-2.0 * Li * (Li + near) / ti)
     f_far = far * _exp(-0.5 * (far - near) * Li / ti) \
         - (Li + near) * _exp(-0.5 * Li * (Li + 2.0 * near) / ti) \
         + (3.0 * Li - near) * _exp(-1.5 * Li * (3.0 * Li - 2.0 * near) / ti)
-    out[img] = np.where(xi <= Li - xi, f_near, f_far) / (f_near + f_far)
+    out[img] = np.where(xi <= yi, f_near, f_far) / (f_near + f_far)
     # fluxes k sin(k pi x / L) e^{-(lambda_k - lambda_1) t}, the odd k at both walls
     te, xe, Le = t[~img], x[~img], L[~img]
     a = _MODES * (math.pi / Le)
@@ -504,24 +504,24 @@ def first_exit_batch(domain: Domain, starts, dt, rng):
     B, n, d = pos.shape
     pos = pos.reshape(B, n * d)
     lo, hi = np.tile(domain.lo, (B, n)), np.tile(domain.hi, (B, n))
-    x, L = pos - lo, hi - lo
+    x, y, L = pos - lo, hi - pos, hi - lo  # gaps from each wall, each to full precision
     u = np.maximum(rng.random((B, n, d)).reshape(B, n * d), 2.0**-54)
-    near = np.minimum(x, L - x)
+    near = np.minimum(x, y)
     bound = near * near / (2.0 * np.log(2.0 / (1.0 - u)))
     cap = 2.0 * near * near / (math.pi * u * u)
     rows, first = np.arange(B), cap.argmin(axis=1)
     T1 = cap[rows, first]
     now = T1 < 1e-280 * L.max(initial=0.0) ** 2  # solving for T there would overflow
     b, j = np.nonzero((bound <= T1[:, None]) & ~now[:, None])
-    keep = (_exit_residual(T1[b], x[b, j], L[b, j], u[b, j])[0] >= 0.0) | (j == first[b])
+    keep = (_exit_residual(T1[b], x[b, j], y[b, j], L[b, j], u[b, j])[0] >= 0.0) | (j == first[b])
     at = b[keep], j[keep]
     T = np.full(pos.shape, np.inf)
-    T[at] = _exit_times(x[at], L[at], u[at], bound[at], cap[at])
+    T[at] = _exit_times(x[at], y[at], L[at], u[at], bound[at], cap[at])
     T[rows[now], first[now]] = 0.0
     win = T.argmin(axis=1)
-    taus, xw, Lw = T[rows, win], x[rows, win], L[rows, win]
-    share = (xw <= Lw - xw).astype(float)  # at tau = 0, the nearest wall's
-    share[~now] = _lower_wall_share(taus[~now], xw[~now], Lw[~now])
+    taus, xw, yw, Lw = T[rows, win], x[rows, win], y[rows, win], L[rows, win]
+    share = (xw <= yw).astype(float)  # at tau = 0, the nearest wall's
+    share[~now] = _lower_wall_share(taus[~now], xw[~now], yw[~now], Lw[~now])
     lower = rng.random(B) < share
     finals = pos.copy()
     # the others, in rows whose tau is not 0 (there they stay at their starts)
@@ -567,25 +567,26 @@ def mean_and_stderr(values):
 
 
 def _replica_starts(law: InitialLaw, n, sets, jobs):
-    """Per replica of each (M, seed) of ``sets``, its stream and an n-particle
-    start drawn from the initial law with it, through one ``run_replicas`` call
-    on ``jobs`` threads; returns the starts as one stack and the streams."""
+    """Per replica of each (M, seed) of ``sets``, its stream and an n-particle start drawn with it
+    by one ``run_replicas`` call on ``jobs`` threads: (starts (B, n, d), streams), B = 0 if none."""
     def worker(rng, _m):
         return rng, sample_initial_configuration(law, n, rng)
 
     children = [child for M, seed in sets for child in _as_seedseq(seed).spawn(M)]
-    rngs, starts = zip(*run_replicas(len(children), children, worker, jobs))
-    return np.stack(starts), rngs
+    rngs, starts = list(zip(*run_replicas(len(children), children, worker, jobs))) or [(), ()]
+    return np.array(starts, float).reshape(len(rngs), n, law.basis.domain.dimension), rngs
 
 
 def _stacked_estimates(law: InitialLaw, n, dt, kernel: RelocationKernel, jobs, estimators):
-    """What ``semigroup_estimate`` or ``resolvent_estimate`` returns for each
-    ("semigroup", g, psi, t, M, seed) or ("resolvent", g, psi, beta, M, seed)
-    of ``estimators`` (a resolvent ignores psi), all replicas stepping as one
-    stack in order of step count.  One that reaches its count is read, and the
-    rest of the stack steps on in place, so each replica steps as it would alone.
-    A resolvent copies its rows at the start and after each step, and observes
-    the copies in one call once they hold ``_BLOCK`` atom coordinates, and when read."""
+    """What ``semigroup_estimate`` or ``resolvent_estimate`` returns for each ("semigroup", g,
+    psi, t, M, seed) or ("resolvent", g, psi, beta, M, seed) of ``estimators`` (a resolvent
+    ignores psi), all replicas stepping as one stack in order of step count.  One that reaches
+    its count is read, and the rest of the stack steps on in place, so each replica steps as it
+    would alone.  A resolvent copies its rows at the start and after each step, and observes the
+    copies in one call once they hold ``_BLOCK`` atom coordinates, and when read.  An estimator
+    whose observables read no mode takes no path: it observes phi on no pairings."""
+    if n < 1:  # a pathless estimator draws no start that would check it
+        raise ValueError("need at least one particle")
     for kind, _g, _psi, x, M, _seed in estimators:
         if kind == "resolvent" and x <= 0:
             raise ValueError("beta must be positive")
@@ -595,14 +596,21 @@ def _stacked_estimates(law: InitialLaw, n, dt, kernel: RelocationKernel, jobs, e
     # a resolvent's count is 12/beta rounded up to whole steps, once _step_count has checked dt
     steps = [_step_count(dt, dt) * math.ceil(12.0 / x / dt) if kind == "resolvent"
              else _step_count(x, dt) for kind, _g, _psi, x, _M, _seed in estimators]
-    order = sorted(range(len(estimators)), key=steps.__getitem__)
+    pathless = [e for e, (kind, g, psi, *_) in enumerate(estimators)
+                if g.n_modes == 0 and (kind == "resolvent" or psi.n_modes == 0)]
+    order = sorted(set(range(len(estimators))) - set(pathless), key=steps.__getitem__)
     pos, rngs = _replica_starts(law, n, [estimators[e][4:] for e in order], jobs)
     at = np.cumsum([0] + [estimators[e][4] for e in order])  # each estimator's first row
     rows = {e: pos[at[i]:at[i + 1]] for i, e in enumerate(order)}  # views, stepped in place
-    # a semigroup's psi at the start; a resolvent's g, observed on copies of its rows
-    seen = {e: [cylinder_value_many(psi, rows[e], basis)] if kind == "semigroup" else []
-            for e, (kind, _g, psi, *_) in enumerate(estimators)}
-    kept = {e: [rows[e].copy()] for e, (kind, *_) in enumerate(estimators) if kind == "resolvent"}
+
+    def values(f, e):  # f on each of e's rows, or on M rows of no pairings
+        return cylinder_value_many(f, rows[e], basis) if e in rows else \
+            np.array(f.phi(np.zeros((estimators[e][4], 0))), float)
+
+    # a semigroup's psi at the start; a resolvent's g, on copies of its rows or, pathless, at once
+    seen = {e: [values(psi, e)] if kind == "semigroup" else [] if e in rows
+            else [values(g, e)] * (steps[e] + 1) for e, (kind, g, psi, *_) in enumerate(estimators)}
+    kept = {e: [rows[e].copy()] for e in order if estimators[e][0] == "resolvent"}
 
     def observe(e, block):  # once a resolvent's copies hold ``block`` atom coordinates
         if len(kept[e]) * rows[e].size >= block:
@@ -615,15 +623,17 @@ def _stacked_estimates(law: InitialLaw, n, dt, kernel: RelocationKernel, jobs, e
             observe(e, _BLOCK)
 
     out = {}
-    for i, (e, taken) in enumerate(zip(order, [0] + sorted(steps))):
+    for i, e in enumerate(order + pathless):
         kind, g, _psi, beta, M, _seed = estimators[e]
-        advance_steps(basis.domain, pos[at[i]:], steps[e] - taken, dt, kernel, rngs[at[i]:],
-                      on_step=keep)
+        if e in rows:
+            advance_steps(basis.domain, pos[at[i]:], steps[e] - (steps[order[i - 1]] if i else 0),
+                          dt, kernel, rngs[at[i]:], on_step=keep)
         if kind == "semigroup":
-            out[e] = mean_and_stderr(cylinder_value_many(g, rows[e], basis) * seen[e][0])
+            out[e] = mean_and_stderr(values(g, e) * seen[e][0])
             continue
-        observe(e, 1)
-        del kept[e]
+        if e in kept:
+            observe(e, 1)
+            del kept[e]
         # integral of e^{-beta t} over each step, plus the tail frozen at T_cut = 12/beta
         edges = np.exp(-beta * dt * np.arange(steps[e] + 1))
         weights = np.append((edges[:-1] - edges[1:]) / beta, edges[-1] / beta)

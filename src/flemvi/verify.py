@@ -669,17 +669,17 @@ def resolvent_target(law, g, beta):
 def operator_limit_checks(law, checks, n_list, dt, kernel, jobs=1, k=DEFAULT_K_SIGMA):
     """Semigroup or resolvent estimates across a particle-count ladder vs
     the flow-computed limit target, for each (mode, g, psi, t_or_beta, M,
-    seed) of ``checks``, in order; at each n their replicas step as one stack.
+    seed) of ``checks``, in order; at each n those whose observables read a mode step as one stack.
 
     mode="semigroup": estimates mean[g(state at t) psi(state at 0)] per n
     against the mixture average of g(flow(d, t)) psi(d).  mode="resolvent":
     estimates the beta-resolvent of g per n (psi must be the constant one;
     the estimator carries no start weighting) against the flow's
     exponentially weighted time integral.  In both modes the largest-n row
-    is asserted at k sigma and the deviation ladder must be nonincreasing;
-    a constant observable's resolvent rows are exact, so all of them are
-    asserted.  Table runtimes: a row shows its n's stacked run, shared by all
-    checks stacked with it, and a trend row their sum (the JSON has none).
+    is asserted at k sigma and the deviation ladder must be nonincreasing; a
+    constant's resolvent rows are exact (the measure has mass 1), so all are
+    asserted.  Table runtimes: a row shows its n's run, shared by all checks
+    run with it, and a trend row their sum (the JSON has none).
     """
     n_list = _ladder_sizes(n_list, kernel)
     blocks, runs = [], []

@@ -606,7 +606,8 @@ def test_exit_wall_against_the_flux_split():
     for t in (0.05, 0.3, 0.6, 2.0):
         for x in (0.2, 1.0, 1.6, 3.0):
             lo, hi = _flux(t, x, PI)
-            share = simulator._lower_wall_share(np.array([t]), np.array([x]), np.array([PI]))
+            share = simulator._lower_wall_share(np.array([t]), np.array([x]), np.array([PI - x]),
+                                                np.array([PI]))
             assert share[0] == pytest.approx(lo / (lo + hi), rel=1e-12, abs=1e-300)
 
 
@@ -665,19 +666,29 @@ def test_first_exit_2d_corner_flux_split():
                   + 1e-9)
 
 
+def test_first_exit_keeps_the_upper_gap():
+    """A start 1e-20 below the upper wall of (-1, 0) exits as one 1e-20 above the lower wall
+    of (0, 1): the upper gap is taken from the upper wall, not lost as 1 - (1 - 1e-20)."""
+    upper = first_exit_batch(interval(-1.0, 0.0), np.full((1, 1, 1), -1e-20), 1e-3, _rng(5))
+    lower = first_exit_batch(interval(0.0, 1.0), np.full((1, 1, 1), 1e-20), 1e-3, _rng(5))
+    assert upper[2][0] == lower[2][0] > 0.0
+    assert upper[0][0, 0, 0] == lower[0][0, 0, 0] == 0.0  # each through its nearest wall
+
+
 def test_exit_times_have_the_same_bits_alone_or_in_a_batch():
     gen = np.random.default_rng(45)
     L = gen.choice([PI, 1.5], 128)
     x = L * gen.uniform(1e-6, 1.0 - 1e-6, 128)
+    y = L - x
     u = np.maximum(gen.random(128), 2.0**-54)
-    near = np.minimum(x, L - x)
+    near = np.minimum(x, y)
     lo, hi = near ** 2 / (2.0 * np.log(2.0 / (1.0 - u))), 2.0 * near ** 2 / (PI * u ** 2)
-    batch = simulator._exit_times(x, L, u, lo, hi)
-    alone = [simulator._exit_times(*(v[i:i + 1] for v in (x, L, u, lo, hi)))[0]
+    batch = simulator._exit_times(x, y, L, u, lo, hi)
+    alone = [simulator._exit_times(*(v[i:i + 1] for v in (x, y, L, u, lo, hi)))[0]
              for i in range(128)]
     assert np.array_equal(batch, alone)
     assert np.all((lo <= batch) & (batch <= hi))
-    g, _dg = simulator._exit_residual(batch, x, L, u)
+    g, _dg = simulator._exit_residual(batch, x, y, L, u)
     assert np.all(np.abs(g) < 1e-12)
 
 
@@ -849,8 +860,9 @@ def _per_step_estimates(law, n, dt, kernel, jobs, estimators):
 
 
 ONE = CylinderFunction.constant(1.0)
-# sorted by step count: the semigroup (13 steps), then the G2 resolvent (240),
-# then the constant resolvent (400), whose rows are the last three
+# sorted by step count: the semigroup (13 steps, rows 0-3), then the G2 resolvent
+# (240, rows 4-7), then the constant resolvent (400), which reads no mode: only the
+# per-step reference steps it, in the last three rows
 BLOCK_STACK = [("resolvent", ONE, ONE, 3.0, 3, 83),
                ("semigroup", G2, CylinderFunction.coordinate(2), 0.13, 4, 89),
                ("resolvent", G2, ONE, 5.0, 4, 97)]
@@ -877,10 +889,9 @@ def test_block_observation_matches_per_step_observation(perturbed_law, basis_2d,
         assert simulator._stacked_estimates(law, n, dt, kernel, 2, BLOCK_STACK) == want
 
 
-def test_block_observation_of_a_constant_still_checks_the_domain(basis_2d, monkeypatch):
-    """A relocation that puts an atom on a wall in the constant resolvent's
-    rows, once the other estimators are read, ends the call as it did when
-    every step was observed."""
+def test_block_observation_of_a_resolvent_still_checks_the_domain(basis_2d, monkeypatch):
+    """A relocation that puts an atom on a wall in the G2 resolvent's rows, once the
+    semigroup is read, ends the call as it does when every step is observed."""
     law = InitialLaw.single(admissible_from_perturbation(basis_2d, {}))
     kernel = RelocationKernel.ground_mode(basis_2d)
     real_starts, real_step = simulator._replica_starts, simulator._step_inplace
@@ -888,7 +899,7 @@ def test_block_observation_of_a_constant_still_checks_the_domain(basis_2d, monke
 
     def starts(*args):
         pos, rngs = real_starts(*args)
-        victims[:] = rngs[-3:]
+        victims[:] = rngs[4:8]
         return pos, rngs
 
     def step(*args):
@@ -898,7 +909,7 @@ def test_block_observation_of_a_constant_still_checks_the_domain(basis_2d, monke
     def on_wall(kernel_, positions, i, rngs, terms=None):
         targets = sample_relocation(kernel_, positions, i, rngs, terms)
         for r, rng in enumerate(rngs):
-            if len(steps) > 300 and not placed and any(rng is v for v in victims):
+            if len(steps) > 13 and not placed and any(rng is v for v in victims):
                 placed.append(len(steps))
                 targets[r] = basis_2d.domain.lo
         return targets
@@ -906,14 +917,77 @@ def test_block_observation_of_a_constant_still_checks_the_domain(basis_2d, monke
     monkeypatch.setattr(simulator, "_replica_starts", starts)
     monkeypatch.setattr(simulator, "_step_inplace", step)
     monkeypatch.setattr(simulator, "sample_relocation", on_wall)
-    for estimate in (_per_step_estimates, simulator._stacked_estimates):
+    # after the semigroup, the reference steps the G2 rows and the constant's; the stack
+    # steps the G2 rows alone
+    for estimate, stepping in ((_per_step_estimates, 7), (simulator._stacked_estimates, 4)):
         steps.clear()
         placed.clear()
         with pytest.raises(ValueError, match="outside the open domain"):
             estimate(law, 5, 0.01, kernel, 1, BLOCK_STACK)
-        assert placed and steps[placed[0] - 1] == 3  # only the constant resolvent stepped
+        assert placed and steps[placed[0] - 1] == stepping
         # per step, the call ends at that step; by blocks, at a later one
         assert (len(steps) > placed[0]) == (estimate is simulator._stacked_estimates)
+
+
+def _record_stepping(monkeypatch):
+    """Record the sets of every ``_replica_starts`` call and the (B, n) of every step."""
+    sets, stacks = [], []
+    real_starts, real_step = simulator._replica_starts, simulator._step_inplace
+
+    def starts(law, n, sets_, jobs):
+        sets.append(list(sets_))
+        return real_starts(law, n, sets_, jobs)
+
+    def step(domain, positions, *args):
+        stacks.append(positions.shape[:2])
+        return real_step(domain, positions, *args)
+
+    monkeypatch.setattr(simulator, "_replica_starts", starts)
+    monkeypatch.setattr(simulator, "_step_inplace", step)
+    return sets, stacks
+
+
+def test_estimators_that_read_no_mode_take_no_path(perturbed_law, monkeypatch):
+    """The resolvent of a constant, and a semigroup of a constant against a constant, draw
+    no start and take no step, and give the bits of stepping their replicas."""
+    kernel, c = _kernel(perturbed_law), CylinderFunction.constant(2.5)
+    stack = [("resolvent", ONE, ONE, 3.0, 3, 83), ("semigroup", c, c, 0.13, 4, 89)]
+    want = _per_step_estimates(perturbed_law, 5, 0.01, kernel, 1, stack)
+    sets, stacks = _record_stepping(monkeypatch)
+    assert resolvent_estimate(perturbed_law, ONE, 3.0, 5, 3, 0.01, kernel, 83) == want[0]
+    assert simulator._stacked_estimates(perturbed_law, 5, 0.01, kernel, 2, stack) == want
+    assert sets == [[], []] and stacks == []
+    # the arguments are still checked first
+    for args, match in (((0.0, 5, 3, 0.01), "beta"), ((3.0, 5, 1, 0.01), "two replicas"),
+                        ((3.0, 5, 3, 0.0), "dt"), ((3.0, 0, 3, 0.01), "one particle")):
+        with pytest.raises(ValueError, match=match):
+            resolvent_estimate(perturbed_law, ONE, *args, kernel, 83)
+    with pytest.raises(ValueError, match="horizon"):
+        semigroup_estimate(perturbed_law, c, c, 0.005, 5, 4, 0.01, kernel, 89)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_stack_steps_only_the_estimators_that_read_a_mode(perturbed_law, monkeypatch, jobs):
+    kernel = _kernel(perturbed_law)
+    want = _per_step_estimates(perturbed_law, 5, 0.01, kernel, 1, BLOCK_STACK)
+    sets, stacks = _record_stepping(monkeypatch)
+    assert simulator._stacked_estimates(perturbed_law, 5, 0.01, kernel, jobs, BLOCK_STACK) == want
+    assert sets == [[(4, 89), (4, 97)]]
+    assert stacks == [(8, 5)] * 13 + [(4, 5)] * 227
+
+
+def test_operator_limits_steps_two_estimators(stationary_law, monkeypatch):
+    """At the shape of the ``operator`` benchmark workload the constant's resolvent takes
+    no path: per n, 8 + 8 rows step to t = 2 (100 steps) and 8 on to 12/beta (300 steps),
+    3,200 replica-steps, where stepping the constant's 8 rows too made 5,600."""
+    g, seeds = CylinderFunction.coordinate(1), np.random.SeedSequence(64).spawn(3)
+    _sets, stacks = _record_stepping(monkeypatch)
+    operator_limit_checks(stationary_law, [("semigroup", g, ONE, 2.0, 8, seeds[0]),
+                                           ("resolvent", ONE, ONE, 2.0, 8, seeds[1]),
+                                           ("resolvent", g, ONE, 2.0, 8, seeds[2])],
+                          [8, 32], 0.02, RelocationKernel.ground_mode(stationary_law.basis), 2)
+    assert stacks == [s for n in (8, 32) for s in [(16, n)] * 100 + [(8, n)] * 200]
+    assert [sum(B for B, m in stacks if m == n) for n in (8, 32)] == [3200, 3200]
 
 
 # -- hashing and artifacts --------------------------------------------------------------
