@@ -61,11 +61,11 @@ class AdmissibleDensity:
 
     def sample(self, rng, size):
         """i.i.d. draws by rejection against the ground-mode envelope."""
-        return _rejection_sample(rng, size, self.basis, self.mu.density, self.c)
+        return _rejection_sample(rng, size, self.basis, self.mu.coeffs, self.c)
 
     def sample_neg_half_laplacian(self, rng, size):
         """i.i.d. draws from the normalized negative half-Laplacian."""
-        return _rejection_sample(rng, size, self.basis, lambda pts: -self.mu.half_laplacian(pts),
+        return _rejection_sample(rng, size, self.basis, -self.mu.coeffs * self.basis.lambdas,
                                  -self.basis.lambdas[0] * self.c)
 
 
@@ -90,9 +90,9 @@ def _proposal_count(want, basis, envelope_factor):
     return min(max(64, int(want * envelope_factor * basis.unit_integrals[0] * 1.2)), 1 << 17)
 
 
-def _rejection_sample(rng, size, basis, target, envelope_factor):
-    """Draw from ``target`` (a density up to scale) under the envelope
-    envelope_factor times the ground mode, proposing from it normalized."""
+def _rejection_sample(rng, size, basis, coeffs, envelope_factor):
+    """Draw from the series of ``coeffs`` (a density up to scale) under envelope_factor
+    times the ground mode (row 0 of a round's one table), proposing from it normalized."""
     out = np.empty((size, basis.domain.dimension))
     got = 0
     used = 0
@@ -105,7 +105,8 @@ def _rejection_sample(rng, size, basis, target, envelope_factor):
             )
         props = sample_ground_mode(basis, rng, batch)
         used += batch
-        accept = rng.random(batch) * (envelope_factor * basis.eigenfunction(1, props)) < target(props)
+        H = basis.eigenfunction_matrix(props, _last_mode(coeffs))
+        accept = rng.random(batch) * (envelope_factor * H[0]) < _series(coeffs, H)
         take = props[accept][:want]
         out[got : got + len(take)] = take
         got += len(take)
@@ -120,7 +121,7 @@ def admissible_from_perturbation(basis, higher_coeffs, c=None):
     smallest valid constant is found on the grid (with a tiny safety margin)
     and rejected if it exceeds ``_C_CAP``; a given c is checked against every
     bound there, raising with the violation count.  The grid is 512 points per
-    axis; its eigenfunction table is built from one sine table per axis, in chunks.
+    axis; built from one sine table per axis, its table is reduced chunk by chunk.
     """
     raw = np.zeros(basis.K)
     raw[0] = 1.0
@@ -136,22 +137,24 @@ def admissible_from_perturbation(basis, higher_coeffs, c=None):
     axes = [np.linspace(a, b, 512 + 2)[1:-1] for a, b in zip(basis.domain.lo, basis.domain.hi)]
     rows = np.array(basis.mode_indices[:_last_mode(d.coeffs)]) - 1  # (k_top, dimension)
     tables = [basis._axis_table(ax, np.arange(1, rows[:, ax].max() + 2), x) for ax, x in enumerate(axes)]
-    step = 512 if len(axes) == 1 else 32  # first coordinates per chunk of at most 16k points
-    parts = []  # per chunk, the ground mode and DensityMeasure.density's and .half_laplacian's series
-    for s in range(0, 512, step):
-        H = tables[0][rows[:, 0], s:s + step]  # eigenfunction_matrix's table on the chunk
-        if len(axes) == 2:
-            H = (H[:, :, None] * tables[1][rows[:, 1], None, :]).reshape(len(rows), -1)
-        parts.append((H[0], _series(d.coeffs, H), -_series(d.coeffs * basis.lambdas, H)))
     neg_lam1 = -basis.lambdas[0]
+
+    def chunks():  # per chunk of 512 or 16k points, the ground mode and the density's series
+        step = 512 if len(axes) == 1 else 32  # first coordinates per chunk
+        for s in range(0, 512, step):
+            H = tables[0][rows[:, 0], s:s + step]  # eigenfunction_matrix's table on the chunk
+            if len(axes) == 2:
+                H = (H[:, :, None] * tables[1][rows[:, 1], None, :]).reshape(len(rows), -1)
+            yield H[0], _series(d.coeffs, H), -_series(d.coeffs * basis.lambdas, H)
+
     pinned = c is not None
     if not pinned:  # the chunks' extrema reduce as the whole grid's (NaN included)
-        if (np.min([(dens.min(), neglap.min()) for _, dens, neglap in parts], axis=0) <= 0.0).any():
+        ext = np.array([(dens.min(), neglap.min(), (dens / h1).max(), (h1 / dens).max(),
+                         (neglap / (neg_lam1 * h1)).max(), ((neg_lam1 * h1) / neglap).max())
+                        for h1, dens, neglap in chunks()])
+        if (ext[:, :2].min(axis=0) <= 0.0).any():
             raise ValueError("density or its curvature loses positivity")
-        c_min = max(np.max([((dens / h1).max(), (h1 / dens).max(), (neglap / (neg_lam1 * h1)).max(),
-                             ((neg_lam1 * h1) / neglap).max()) for h1, dens, neglap in parts],
-                           axis=0).tolist())
-        c = c_min * (1.0 + 1e-9)
+        c = max(ext[:, 2:].max(axis=0).tolist()) * (1.0 + 1e-9)
         if c > _C_CAP:
             raise ValueError(
                 f"smallest admissible constant {c:.4f} exceeds the cap {_C_CAP:g}"
@@ -164,16 +167,13 @@ def admissible_from_perturbation(basis, higher_coeffs, c=None):
         raise ValueError(f"density mass {mass!r} is not 1 within 1e-8")
     if pinned:  # a found c holds every bound by its margin, so the scan could not fire
         slack = 1e-12
-        bad = np.concatenate([
-            (dens < h1 / c - slack)
-            | (dens > c * h1 + slack)
-            | (neglap < neg_lam1 * h1 / c - slack)
-            | (neglap > neg_lam1 * c * h1 + slack)
-            for h1, dens, neglap in parts])
-        if bad.any():
-            idx = np.flatnonzero(bad)
+        idx = np.concatenate([k * len(h1) + np.flatnonzero(  # chunk k of N points starts at k N
+            (dens < h1 / c - slack) | (dens > c * h1 + slack)
+            | (neglap < neg_lam1 * h1 / c - slack) | (neglap > neg_lam1 * c * h1 + slack))
+            for k, (h1, dens, neglap) in enumerate(chunks())])
+        if len(idx):
             raise ValueError(
-                f"admissibility bounds violated at {len(idx)} of {len(bad)} grid "
+                f"admissibility bounds violated at {len(idx)} of {512 ** len(axes)} grid "
                 f"points for c={c:g} (first at {tuple(_tensor_points(axes)[idx[0]])})"
             )
     K = -initial_decay_rate(d)

@@ -473,6 +473,30 @@ def _killed_draws(x, lo, hi, t, rng):
     return y
 
 
+def _exit_phase(pos, lo, hi, rng):
+    """Draws 1 and 2 of ``first_exit_batch`` for rows of coordinates pos (B, m) in walls lo, hi
+    (m,): each row's exit column and time, whether that is taken as 0, and whether it exits low."""
+    x, y, L = pos - lo, hi - pos, hi - lo  # gaps from each wall, each to full precision
+    u = np.maximum(rng.random(pos.shape), 2.0**-54)
+    near = np.minimum(x, y)
+    bound = near * near / (2.0 * np.log(2.0 / (1.0 - u)))
+    cap = 2.0 * near * near / (math.pi * u * u)
+    rows, first = np.arange(len(pos)), cap.argmin(axis=1)
+    T1 = cap[rows, first]
+    now = T1 < 1e-280 * L.max(initial=0.0) ** 2  # solving for T there would overflow
+    b, j = np.nonzero((bound <= T1[:, None]) & ~now[:, None])
+    keep = (_exit_residual(T1[b], x[b, j], y[b, j], L[j], u[b, j])[0] >= 0.0) | (j == first[b])
+    at = b[keep], j[keep]
+    T = np.full(pos.shape, np.inf)
+    T[at] = _exit_times(x[at], y[at], L[at[1]], u[at], bound[at], cap[at])
+    T[rows[now], first[now]] = 0.0
+    win = T.argmin(axis=1)
+    taus, xw, yw, Lw = T[rows, win], x[rows, win], y[rows, win], L[win]
+    share = (xw <= yw).astype(float)  # at tau = 0, the nearest wall's
+    share[~now] = _lower_wall_share(taus[~now], xw[~now], yw[~now], Lw[~now])
+    return win, taus, now, rng.random(len(pos)) < share
+
+
 def first_exit_batch(domain: Domain, starts, dt, rng):
     """Exact first exit for a stack of independent configurations (B, n, d) in the open
     box ``domain``: each diffuses without relocation until one of its atoms reaches the
@@ -502,34 +526,15 @@ def first_exit_batch(domain: Domain, starts, dt, rng):
     if not np.all(domain.contains_many(pos)):
         raise ValueError("start atom outside the open domain")
     B, n, d = pos.shape
-    pos = pos.reshape(B, n * d)
-    lo, hi = np.tile(domain.lo, (B, n)), np.tile(domain.hi, (B, n))
-    x, y, L = pos - lo, hi - pos, hi - lo  # gaps from each wall, each to full precision
-    u = np.maximum(rng.random((B, n, d)).reshape(B, n * d), 2.0**-54)
-    near = np.minimum(x, y)
-    bound = near * near / (2.0 * np.log(2.0 / (1.0 - u)))
-    cap = 2.0 * near * near / (math.pi * u * u)
-    rows, first = np.arange(B), cap.argmin(axis=1)
-    T1 = cap[rows, first]
-    now = T1 < 1e-280 * L.max(initial=0.0) ** 2  # solving for T there would overflow
-    b, j = np.nonzero((bound <= T1[:, None]) & ~now[:, None])
-    keep = (_exit_residual(T1[b], x[b, j], y[b, j], L[b, j], u[b, j])[0] >= 0.0) | (j == first[b])
-    at = b[keep], j[keep]
-    T = np.full(pos.shape, np.inf)
-    T[at] = _exit_times(x[at], y[at], L[at], u[at], bound[at], cap[at])
-    T[rows[now], first[now]] = 0.0
-    win = T.argmin(axis=1)
-    taus, xw, yw, Lw = T[rows, win], x[rows, win], y[rows, win], L[rows, win]
-    share = (xw <= yw).astype(float)  # at tau = 0, the nearest wall's
-    share[~now] = _lower_wall_share(taus[~now], xw[~now], yw[~now], Lw[~now])
-    lower = rng.random(B) < share
-    finals = pos.copy()
+    pos = pos.reshape(B, n * d)  # a copy of starts: it becomes the finals
+    lo, hi = np.tile(domain.lo, n), np.tile(domain.hi, n)  # each coordinate's walls
+    win, taus, now, lower = _exit_phase(pos, lo, hi, rng)
     # the others, in rows whose tau is not 0 (there they stay at their starts)
     other = np.flatnonzero((np.arange(n * d) != win[:, None]) & ~now[:, None])
-    finals.flat[other] = _killed_draws(pos.flat[other], lo.flat[other], hi.flat[other],
-                                       taus[other // (n * d)], rng)
-    finals[rows, win] = np.where(lower, lo[rows, win], hi[rows, win])
-    return finals.reshape(B, n, d), win // d, taus
+    col = other % (n * d)
+    pos.flat[other] = _killed_draws(pos.flat[other], lo[col], hi[col], taus[other // (n * d)], rng)
+    pos[np.arange(B), win] = np.where(lower, lo[win], hi[win])
+    return pos.reshape(B, n, d), win // d, taus
 
 
 def _as_seedseq(seed):

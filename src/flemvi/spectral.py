@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -104,10 +105,6 @@ class SpectralBasis:
             [self._unit_integral(m) for m in self.mode_indices]
         )
 
-        nodes, weights = zip(*(_axis_rule(a, b) for a, b in zip(domain.lo, domain.hi)))
-        self.quad_points = _tensor_points(nodes)
-        self.quad_weights = _tensor_points(weights).prod(axis=1)
-
     # -- closed forms --------------------------------------------------------
 
     def _eigenvalue(self, multi):
@@ -195,6 +192,15 @@ class SpectralBasis:
         return out
 
     # -- quadrature ----------------------------------------------------------
+
+    @cached_property
+    def _quad_rule(self):
+        """The tensor rule's points (N, d) and weights (N,), built on first use."""
+        nodes, weights = zip(*(_axis_rule(a, b) for a, b in zip(self.domain.lo, self.domain.hi)))
+        return _tensor_points(nodes), _tensor_points(weights).prod(axis=1)
+
+    quad_points = property(lambda self: self._quad_rule[0])
+    quad_weights = property(lambda self: self._quad_rule[1])
 
     def integrate(self, fn):
         """Quadrature over the domain of a callable evaluated on quad_points."""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,26 @@ def perturbed_law(basis_1d):
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(99)))
+
+
+@pytest.fixture
+def traced_peak_mb():
+    """A function that runs fn() and returns the peak of what tracemalloc saw
+    allocated meanwhile, in MB (10**6 bytes)."""
+    def measure(fn):
+        started = not tracemalloc.is_tracing()  # leave a caller's tracing running
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            fn()
+            return (tracemalloc.get_traced_memory()[1] - before) / 1e6
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    return measure
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -8,8 +8,8 @@ import pytest
 from flemvi import __version__, kernels, simulator
 from flemvi.geometry import interval, rectangle
 from flemvi.kernels import (InitialLaw, KernelKind, RelocationKernel, admissible_from_perturbation,
-                            mixture_terms, sample_ground_mode, sample_initial_configuration,
-                            sample_relocation)
+                            mixture_terms, sample_curvature_weighted, sample_ground_mode,
+                            sample_initial_configuration, sample_relocation)
 from flemvi.measures import (CylinderFunction, EmpiricalMeasure, cylinder_value,
                              cylinder_value_many, pair)
 from flemvi.verify import convergence_experiment, operator_limit_checks
@@ -527,6 +527,14 @@ def test_first_exit_batch_at_a_start_on_the_edge_of_a_wall():
     assert hit_index[:2].tolist() == [0, 0]
     np.testing.assert_array_equal(finals[0], [[-0.5, 0.0], [-1e-300, 0.7]])
     np.testing.assert_array_equal(finals[1], [[0.0, 0.7], [-0.6, 0.2]])
+
+
+def test_first_exit_batch_keeps_its_peak_small(basis_2d, traced_peak_mb):
+    # an exit2d benchmark batch of 128 configurations of 64 atoms; its 16,384 coordinates
+    # take 0.13 MB an array, and the batch peaked at 3.9 MB when it tiled the bounds
+    law = InitialLaw.single(admissible_from_perturbation(basis_2d, {}))
+    starts, _masses = sample_curvature_weighted(law, 64, 128, _rng(9))
+    assert traced_peak_mb(lambda: first_exit_batch(RECT, starts, 1e-3, _rng(10))) < 3.2
 
 
 def test_first_exit_batch_checks_the_shape():

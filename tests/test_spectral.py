@@ -1,14 +1,19 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from flemvi import spectral
+from flemvi.cli import main
 from flemvi.geometry import interval, rectangle
 from flemvi.spectral import (
     DensityMeasure,
     SpectralBasis,
+    _axis_rule,
     _last_mode,
     _series,
+    _tensor_points,
     curvature_mass_routes,
     diffusion_part,
     flow,
@@ -50,6 +55,39 @@ def _gram_error(basis):
     H = basis.eigenfunction_matrix(basis.quad_points)
     G = (H * basis.quad_weights) @ H.T
     return float(np.max(np.abs(G - np.eye(basis.K))))
+
+
+def _no_rule(*_args):
+    raise AssertionError("the quadrature rule was built")
+
+
+@pytest.mark.parametrize("domain", [interval(0.0, PI), rectangle(0.0, PI, 0.0, 1.5)])
+def test_quadrature_rule_is_built_on_first_use(domain, monkeypatch, traced_peak_mb):
+    basis = []
+    with monkeypatch.context() as patched:
+        patched.setattr(spectral, "_axis_rule", _no_rule)
+        # the basis of the exit2d benchmark workload, whose 2-D rule would hold 65,536 points
+        assert traced_peak_mb(lambda: basis.append(SpectralBasis(domain, 16))) < 0.5
+    [basis] = basis
+    nodes, weights = zip(*(_axis_rule(a, b) for a, b in zip(domain.lo, domain.hi)))
+    assert np.array_equal(basis.quad_points, _tensor_points(nodes))
+    assert np.array_equal(basis.quad_weights, _tensor_points(weights).prod(axis=1))
+    assert basis.quad_points is basis.quad_points  # built once
+
+
+@pytest.mark.parametrize("suite", ["jumps", "convergence"])
+def test_2d_verify_reads_no_quadrature_rule(tmp_path, monkeypatch, suite):
+    config = {
+        "domain": {"kind": "rectangle", "bounds": [[0.0, PI], [0.0, 1.5]]},
+        "truncation": 9, "components": [{"weight": 1.0, "modes": {"2": 0.05}}],
+        "kernel": "mixture_reweighted", "n_list": [4, 8], "replicas": 12, "dt": 0.01,
+        "horizon": 0.05, "observables": [{"name": "m1", "modes": [1], "terms": [[1.0, [1]]]}],
+        "seed": 3, "output_dir": str(tmp_path / "out"),
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    monkeypatch.setattr(spectral, "_axis_rule", _no_rule)
+    assert main(["verify", "--config", str(tmp_path / "cfg.json"), "--suite", suite]) in (0, 1)
+    assert (tmp_path / "out" / f"report_{suite}.json").exists()
 
 
 def test_orthonormality(basis_1d):

@@ -33,7 +33,10 @@ output gets one ``sha256  name`` line:
 - at seed 64 and with ``--jobs`` 1 and 2, the report of ``flemvi verify
   --suite convergence`` for the ``exit2d`` workload config (a stepped 2-D
   stack) with a second component ``{"2": 0.05}``, with survivor-copy
-  relocation, and with ground-mode relocation.
+  relocation, and with ground-mode relocation;
+- for the ``exit2d`` workload config at seed 64, the report of ``flemvi
+  verify --suite identities``, whose curvature-mass row integrates over the
+  2-D quadrature rule.
 
 The last line is what README.md's quick-start program prints.  The first
 line names numpy's version and the SIMD targets it found on this CPU,
@@ -81,6 +84,7 @@ VARIANTS = (
      {"components": [{"weight": 0.6, "modes": {}}, {"weight": 0.4, "modes": {"2": 0.05}}]}, JOBS),
     ("exit2d", "convergence", "kernel=uniform_survivor", {"kernel": "uniform_survivor"}, JOBS),
     ("exit2d", "convergence", "kernel=ground_mode", {"kernel": "ground_mode"}, JOBS),
+    ("exit2d", "identities", "seed=64", {}, (None,)),
 )
 
 # puts the tree argv[1] first on the path and checks that flemvi loads from it
