@@ -7,19 +7,21 @@ spawned from the master seed by replica index, an exit-side batch of up to
 ``verify._BATCH`` (128) configurations shares one (spawning one a
 configuration for relocations that read the other atoms), and every cross-replica
 reduction is an ordered compensated sum — so results are bit-identical for
-any worker count.  Within a step a replica draws one Gaussian block and one
-bridge-uniform block, then its relocations, whose draws depend on its hits;
-so paths are reproducible, and the same whether a replica steps alone or
-stacked with others.
+any worker count.  Within a step a replica draws one Gaussian block, then one
+uniform for each face where its bridge test can fire, then its relocations, whose draws
+depend on its hits; so paths are reproducible, and the same whether a replica steps alone
+or stacked with others.
 
-Exit detection while stepping: a step is declared a boundary hit if the
-straight segment leaves the open box, or, for an interior segment, if a
-per-face Brownian bridge test fires — the bridge crossing probability for a
-face at gaps a (before) and b (after) over a step of size dt is
-exp(-2ab/dt); without it the hit rate is undercounted at order sqrt(dt).
-Relocation does not read where a hitter hit, so stepping finds only who hit;
-``run`` alone resolves where, for its jump log: the segment-boundary
-intersection (bridge fires: the point a/(a+b) along it, clamped onto the face).
+Exit detection while stepping: a step is declared a boundary hit if a per-face
+Brownian-bridge test fires.  For a face at gaps a (before) and b (after) over a step of
+size dt the crossing probability is exp(e), e = -2 a max(b, 0)/dt, so a step that ends
+outside the box crosses the faces it passed with probability 1; without the bridge the
+hit rate is undercounted at order sqrt(dt).  A face with e <= -37 never fires (below the
+uniforms' spacing 2^-53) and draws no uniform; on the others u < exp(e) is decided with
+the same result on every CPU (``_fires``).  Relocation does not read where a hitter hit,
+so stepping finds only who hit; ``run`` alone resolves where, for its jump log: the
+segment-boundary intersection (bridge fires: the point a/(a+b) along it, clamped onto
+the face).
 
 First exits (``first_exit_batch``, the exit side) take no steps: on a box a
 configuration's coordinates are independent killed 1-D motions, so its exit
@@ -32,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,10 +72,11 @@ class JumpEvent:
     distance: float
 
 
-def _faces(domain, pos, prop, dt, u_bridge):
-    """Per face (lo0, hi0, lo1, hi1, ...) of steps of any leading shape (..., n, d), bridge
-    uniforms (..., n, d, 2): gaps before and after, whether the step ends outside, the
-    bridge crossing probability and whether the bridge fires, each (..., 2d)."""
+def _faces(domain, pos, prop, dt):
+    """Per face (lo0, hi0, lo1, hi1, ...) of steps of any leading shape (..., n, d): gaps before
+    and after, and the bridge exponent e = -2 max(gap after, 0) gap before / dt, each (..., 2d).
+    A face's bridge crossing probability is exp(e); an end outside the box has e = -0 on the
+    faces it passed, so it crosses them with probability 1."""
     lead, d = pos.shape[:-1], pos.shape[-1]
 
     def gaps(x):  # x - lo and hi - x per face
@@ -83,38 +86,100 @@ def _faces(domain, pos, prop, dt, u_bridge):
         return g.reshape(lead + (2 * d,))
 
     gap_p, gap_q = gaps(pos), gaps(prop)
-    # the bridge test only counts where both ends are interior, which the
-    # exit split guarantees; below -746 the exponential is 0 and is skipped,
-    # the exponent failing u < p as 0 would
-    p_cross = np.maximum(gap_q, 0.0)
-    p_cross *= -2.0 * gap_p
-    p_cross /= dt
-    np.exp(p_cross, out=p_cross, where=p_cross > -746.0)
-    return gap_p, gap_q, gap_q <= 0.0, p_cross, u_bridge.reshape(p_cross.shape) < p_cross
+    e = np.maximum(gap_q, 0.0)
+    e *= -2.0 * gap_p
+    e /= dt
+    return gap_p, gap_q, e
 
 
-def _detect_hits(domain, pos, prop, dt, u_bridge):
-    """The hit mask (...) of steps from ``pos`` to ``prop`` (..., n, d), bridge uniforms
-    (..., n, d, 2): a step hits if it ends outside the open box or a face's bridge fires."""
-    _, _, out, _, fire = _faces(domain, pos, prop, dt, u_bridge)
-    hit = out | fire
-    hit_mask = hit[..., 0].copy()
-    for j in range(1, hit.shape[-1]):  # ors beat numpy's reduction over a short axis
-        hit_mask |= hit[..., j]
-    return hit_mask
+# A face whose exponent is at most -37 never fires: its crossing probability is below
+# e^-37 < 2^-53, the spacing of the uniforms, so no uniform is drawn for it.
+_NEVER = -37.0
+# Relative bound on the distance of numpy's exp and of _portable_exp from exp: numpy states
+# 2.52 ulp for its AVX-512F exp and calls the C library's (within 1 ulp for glibc) on other
+# targets, and _portable_exp is within 1 ulp on (-37, 0]; an ulp of p is at most 2^-52 p.
+_EXP_BOUND = 2.0**-48
+# Cody-Waite: 1/ln 2, fdlibm's split of ln 2 (k ln2_hi is exact for |k| < 2^20), and
+# 1.5 * 2^52, with which (x + it) - it rounds x to the nearest integer
+_INV_LN2, _LN2_HI, _LN2_LO = 1.44269504088896338700, 6.93147180369123816490e-01, \
+    1.90821492927058770002e-10
+_SHIFT = 1.5 * 2.0**52
+_TAYLOR = [1.0 / math.factorial(j) for j in range(13, 1, -1)]  # 1/13!, ..., 1/2!
+# From this many coordinates a stack screens its atoms before it takes any face's exponent:
+# below it the screen's own calls cost more than the faces it skips
+_SCREEN_FROM = 2048
+
+
+def _portable_exp(x):
+    """exp of each element of x in [-708, 0], in IEEE +, -, x and / only, so with the same
+    bits on every CPU: Cody-Waite reduction x = k ln2 + r, |r| <= ln2/2, then
+    1 + (r + r^2 q(r)) with q the Taylor series to r^13 by Horner, scaled by 2^k (exact)."""
+    k = (x * _INV_LN2 + _SHIFT) - _SHIFT
+    r = (x - k * _LN2_HI) - k * _LN2_LO
+    q = np.full(r.shape, _TAYLOR[0])
+    for c in _TAYLOR[1:]:
+        q *= r
+        q += c
+    return np.ldexp(1.0 + (r + r * r * q), k.astype(int))
+
+
+def _fires(u, e):
+    """Whether u < exp(e), elementwise, as ``_portable_exp`` decides it, following
+    ``kernels._choose``: numpy's exp decides where |u - p| exceeds _EXP_BOUND p, for there
+    both exps put exp(e) on the same side of u; ``_portable_exp`` decides the rest."""
+    p = np.exp(e)
+    fire = u < p
+    tie = (np.abs(u - p) <= p * _EXP_BOUND).nonzero()
+    if len(tie[0]):
+        fire[tie] = u[tie] < _portable_exp(e[tie])
+    return fire
+
+
+def _detect_hits(domain, pos, prop, dt, rngs):
+    """The hit mask (B, n) of steps from ``pos`` to ``prop`` (B, n, d), and the bridge draws:
+    the flat indices of the drawn faces in the stack's (B, n, d, 2) faces, and their uniforms.
+    Replica b draws from rngs[b] one uniform for each face whose exponent is above _NEVER, in
+    (atom, axis, face) order; a step hits if one of them fires (``_fires``), as every face an
+    end outside the box passed does.  A large stack takes exponents only of the atoms that
+    have an end within w of a wall: the others' are below _NEVER."""
+    B, n, d = pos.shape
+    x, y, atoms = pos.reshape(-1, d), prop.reshape(-1, d), None
+    if x.size >= _SCREEN_FROM:
+        # gaps of w or more give exponents of -2 w^2/dt or less; w's factor and term
+        # cover the roundings of w and of the gaps
+        w = math.sqrt(-0.5 * _NEVER * dt) * (1.0 + 2.0**-40) \
+            + 2.0**-50 * max(map(abs, domain.lo + domain.hi))
+        near = np.minimum(x, y) < np.add(domain.lo, w)
+        near |= np.maximum(x, y) > np.subtract(domain.hi, w)
+        atoms = near.any(axis=1).nonzero()[0]
+        x, y = x[atoms], y[atoms]
+    e = _faces(domain, x, y, dt)[2].reshape(-1)
+    at = (e > _NEVER).nonzero()[0]
+    e = e[at]
+    if atoms is not None:
+        at = atoms[at // (2 * d)] * (2 * d) + at % (2 * d)
+    cut = at.searchsorted(np.arange(0, B * n * 2 * d + 1, 2 * n * d)).tolist()  # by replica
+    u = np.empty(len(at))
+    for rng, a, z in zip(rngs, cut, cut[1:]):
+        if z > a:
+            rng.random(out=u[a:z])
+    hit = np.zeros(B * n, bool)
+    hit[at[_fires(u, e)] // (2 * d)] = True
+    return hit.reshape(B, n), at, u
 
 
 def _hit_points(domain, p, q, dt, u):
     """Where k hitting steps from p to q (k, d), bridge uniforms u (k, d, 2), met the
     boundary.  A segment that leaves the box hits the first face it meets, by the IEEE
-    operations of ``Domain.project_to_boundary``.  An interior segment hits the first most
-    probable fired bridge face, at the segment point a/(a+b) moved onto that face."""
-    a, b, out, p_cross, fire = _faces(domain, p, q, dt, u)
-    exits, at, seg = out.any(axis=-1), np.arange(len(p)), q - p
+    operations of ``Domain.project_to_boundary``.  An interior segment hits the first fired
+    bridge face of largest exponent, at the segment point a/(a+b) moved onto that face."""
+    a, b, e = _faces(domain, p, q, dt)
+    exits, at, seg = (b <= 0.0).any(axis=-1), np.arange(len(p)), q - p
     # where the segment meets each face ahead: (lo-p)/seg = a/-seg, (hi-p)/seg = a/seg
     ahead = (seg[..., None] * _TOWARDS).reshape(a.shape)
     t = np.divide(a, ahead, out=np.full(a.shape, np.inf), where=ahead > 0.0)
-    face = np.where(exits[:, None], -t, np.where(fire, p_cross, -1.0)).argmax(axis=-1)
+    fire = _fires(u.reshape(e.shape), e)
+    face = np.where(exits[:, None], -t, np.where(fire, e, -np.inf)).argmax(axis=-1)
     a, b, t = a[at, face], b[at, face], t[at, face]
     th = np.where(exits, np.minimum(np.maximum(t, 0.0), 1.0),
                   np.divide(a, a + b, out=np.zeros_like(a), where=a + b > 0.0))
@@ -129,8 +194,9 @@ _TOWARDS = np.array([-1.0, 1.0])  # sign of a step towards the lo, hi face
 def _step_inplace(domain, positions, dt, kernel, rngs):
     """Advance a stack of independent configurations (B, n, d) one step,
     mutating ``positions``; returns its jumps as arrays (replica, index, pre-step position,
-    proposal, bridge uniforms, target), replica by replica in ascending index.  Replica b
-    draws its Gaussian block, its bridge-uniform block and then its relocations from ``rngs[b]``.
+    proposal, drawn faces, their uniforms, target): the hits replica by replica in ascending
+    index, and the stack's bridge draws (``_detect_hits``).  Replica b draws its Gaussian
+    block, its bridge uniforms and then its relocations from ``rngs[b]``.
 
     Relocation happens at the step's end, rank by rank: one ``sample_relocation``
     call relocates the r-th hit (in ascending index) of every replica that has one
@@ -141,30 +207,32 @@ def _step_inplace(domain, positions, dt, kernel, rngs):
     """
     B, n, d = positions.shape
     prop = np.empty((B, n, d))
-    u_bridge = np.empty((B, n, d, 2))
     for b, rng in enumerate(rngs):
         rng.standard_normal(out=prop[b])
-        rng.random(out=u_bridge[b])
     # normal(0, s) draws 0.0 + s*z; the 0.0 can only flip the sign of a zero
     # increment, which leaves the sum below unchanged
     prop *= math.sqrt(dt)
     prop += positions
-    hit_mask = _detect_hits(domain, positions, prop, dt, u_bridge)
+    hit_mask, faces, u = _detect_hits(domain, positions, prop, dt, rngs)
     # hit rows keep their pre-step positions until relocated
     np.copyto(positions, prop, where=~hit_mask[..., None])
 
     hb, hi = np.nonzero(hit_mask)  # replica by replica, each replica's hits in ascending index
-    moves = positions[hb, hi], prop[hb, hi], u_bridge[hb, hi]  # what _hit_points reads
+    moves = positions[hb, hi], prop[hb, hi], faces, u  # what the jump log reads
+    if not len(hb):
+        return hb, hi, *moves, moves[0]  # no hit, no target
     rows = np.flatnonzero(hit_mask.any(axis=1))
-    terms = mixture_terms(kernel, positions[rows]) if len(rows) else None
+    terms = mixture_terms(kernel, positions[rows])
     t, rank = np.searchsorted(rows, hb), np.arange(len(hb)) - np.searchsorted(hb, hb)
-    for r in range(rank.max(initial=-1) + 1):
-        at = np.flatnonzero(rank == r)
+    for r in range(rank.max() + 1):
+        at = (rank == r).nonzero()[0]
         b, i = hb[at], hi[at]
         positions[b, i] = sample_relocation(kernel, positions[b], i, [rngs[k] for k in b],
                                             None if terms is None else terms.take(t[at], axis=2))
+        if terms is None:
+            continue
         at = at[rank[np.minimum(at + 1, len(hb) - 1)] == r + 1]  # the columns a later rank reads
-        if terms is not None and len(at):
+        if len(at):
             terms[:, :, t[at], hi[at]] = mixture_terms(kernel, positions[hb[at], hi[at]])
     return hb, hi, *moves, positions[hb, hi]  # each hit is relocated once
 
@@ -185,7 +253,7 @@ def advance_steps(domain, positions, n_steps, dt, kernel, rngs, on_step=None):
     """In-place multi-step advance of a (B, n, d) stack with one stream per
     replica, its clock starting at 0.  ``on_step(k, time, jumps)``, if given,
     observes the state after step k (0-based); ``jumps`` are the step's (replica, index,
-    pre-step position, proposal, bridge uniforms, target) arrays of ``_step_inplace``."""
+    pre-step position, proposal, drawn faces, their uniforms, target) of ``_step_inplace``."""
     time = 0.0
     for k in range(n_steps):
         jumps = _step_inplace(domain, positions, dt, kernel, rngs)
@@ -222,8 +290,12 @@ def run(start, rng, T, dt, kernel: RelocationKernel, observables, basis,
     times, rows, counts = [0.0], [observe()], [0]
 
     def record(k, time, jumps):
-        _b, hi, p, q, u, targets = jumps  # one replica
-        hit_points = _hit_points(basis.domain, p, q, dt, u) if len(hi) else ()
+        _b, hi, p, q, faces, u, targets = jumps  # one replica
+        hit_points = ()
+        if len(hi):  # the hits' bridge uniforms: 1.0, which never fires, on undrawn faces
+            drawn = np.ones(2 * pos.size)
+            drawn[faces] = u
+            hit_points = _hit_points(basis.domain, p, q, dt, drawn.reshape(pos.shape + (2,))[hi])
         events.extend(JumpEvent(time, int(i), tuple(float(v) for v in y),
                                 tuple(float(v) for v in target),
                                 float(np.linalg.norm(target - y)))
@@ -545,7 +617,8 @@ def _as_seedseq(seed):
 def run_replicas(M, seed, worker, jobs=1):
     """Evaluate ``worker(rng, replica_index)`` for M replicas on independent
     Philox streams seeded by M children of ``seed`` (or by ``seed``, a list of
-    M SeedSequences); results come back in replica order for any ``jobs``."""
+    M SeedSequences); results come back in replica order for any ``jobs``.  At jobs > 1
+    each of ``jobs`` threads takes a share, and a worker's exception is re-raised here."""
     children = seed if isinstance(seed, list) else _as_seedseq(seed).spawn(M)
     jobs = max(1, jobs or 1)
 
@@ -555,8 +628,22 @@ def run_replicas(M, seed, worker, jobs=1):
 
     if jobs == 1:
         return share(0)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        shares = list(pool.map(share, range(jobs)))
+    shares, errors = [None] * jobs, [None] * jobs
+
+    def task(c):
+        try:
+            shares[c] = share(c)
+        except BaseException as exc:  # re-raised in the caller
+            errors[c] = exc
+
+    threads = [threading.Thread(target=task, args=(c,)) for c in range(jobs)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     return [shares[m % jobs][m // jobs] for m in range(M)]
 
 

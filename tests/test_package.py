@@ -97,6 +97,13 @@ def test_verify_call_imports_no_numpy_submodule_or_scipy():
     assert _run_python(_VERIFY_IMPORTS).split(" ", 1)[1].strip() == "[]"
 
 
+def test_threaded_verify_call_leaves_out_the_executor():
+    # concurrent.futures pulls in logging, queue, traceback and string: several ms of start-up
+    code = _VERIFY_IMPORTS.replace('"--out", out]', '"--out", out, "--jobs", "2"]') + \
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'logging')))\n"
+    assert _run_python(code).splitlines()[-1] == "[]"
+
+
 # a module imports only from modules of a lower layer; kernels and measures share one
 _LAYERS = (("geometry",), ("spectral",), ("kernels", "measures"), ("simulator",), ("verify",), ("cli",))
 
@@ -157,3 +164,28 @@ def test_sizes_counts_lines_and_the_documented_defaults(tmp_path):
     assert out == ["     0 lines    0 defaults  __init__.py",
                    f"{lines:6d} lines    7 defaults  mod.py",
                    f"{lines:6d} lines    7 defaults  total"]
+
+
+_LISTING = """\
+# numpy 2.4.6 SIMD found: X86_V3
+{a}  ladder/seed=64/jobs=1/report_convergence.json [steps]
+{b}  exit2d/seed=64/jobs=1/report_jumps.json
+quick start: {q} vs 0.6266570686577502 [steps]
+"""
+
+
+@pytest.mark.parametrize("moved,code", [("", 0), ("a", 0), ("q", 0), ("b", 1), ("simd", 1)])
+def test_bytecheck_compare_lets_only_stepped_lines_move(tmp_path, moved, code):
+    old = _LISTING.format(a="1" * 64, b="2" * 64, q="0.61")
+    new = _LISTING.format(a="3" * 64 if moved == "a" else "1" * 64,
+                          b="4" * 64 if moved == "b" else "2" * 64,
+                          q="0.63" if moved == "q" else "0.61")
+    if moved == "simd":
+        new = new.replace("X86_V3", "X86_V3 X86_V4")
+    (tmp_path / "old.txt").write_text(old)
+    (tmp_path / "new.txt").write_text(new)
+    tool = pathlib.Path(__file__).resolve().parents[1] / "tools" / "bytecheck.py"
+    proc = subprocess.run([sys.executable, str(tool), "--compare", str(tmp_path / "old.txt"),
+                           str(tmp_path / "new.txt")], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code, proc.stdout
+    assert ("CHANGED" in proc.stdout) == (moved == "b")

@@ -1,6 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -101,8 +106,7 @@ def _reference_step(domain, positions, time, dt, kernel, rng):
     relocation per hit, each evaluating its weights from scratch."""
     n, d = positions.shape
     prop = positions + rng.normal(0.0, math.sqrt(dt), size=(n, d))
-    u_bridge = rng.random((n, d, 2))
-    hit_mask, hit_points = _scalar_detect_hits(domain, positions, prop, dt, u_bridge)
+    hit_mask, hit_points = _scalar_detect_hits(domain, positions, prop, dt, rng)
     work = np.where(hit_mask[:, None], positions, prop)
     events = []
     for i in np.flatnonzero(hit_mask):
@@ -185,7 +189,8 @@ def _check_stacked_step(kernel, law, n, n_steps, dt, most, monkeypatch):
     pos, jumps = starts.copy(), [[] for _ in range(B)]
 
     def record(_k, _t, new):
-        hb, hi, p, q, u, targets = new
+        hb, hi, p, q, faces, u, targets = new
+        u = _drawn_uniforms(pos.shape, faces, u)[hb, hi]
         for b, i, y, z in zip(hb, hi, simulator._hit_points(domain, p, q, dt, u), targets):
             jumps[b].append((i, y, z))
 
@@ -292,38 +297,83 @@ def test_run_rejects_a_stride_that_is_not_a_positive_integer(stationary_law, str
 
 # -- hit resolution ------------------------------------------------------------
 
-def _scalar_detect_hits(domain, pos, prop, dt, u_bridge):
-    """The per-row hit resolver that ``_detect_hits`` replaced, kept as its
-    reference: one (n, d) configuration at a time."""
+class _Feed:
+    """A stream stand-in that hands out the given uniforms in order, one at a time
+    (``random()``) or a block at a time (``random(out=...)``), and counts them."""
+
+    def __init__(self, values):
+        self.values, self.drawn = list(values), 0
+
+    def random(self, out=None):
+        k = 1 if out is None else len(out)
+        got = self.values[self.drawn:self.drawn + k]
+        assert len(got) == k, "more uniforms drawn than given"
+        self.drawn += k
+        if out is None:
+            return got[0]
+        out[:] = got
+        return out
+
+
+def _position(stream):
+    """How far a stream has drawn: its count, or a generator's next uniform."""
+    return stream.drawn if isinstance(stream, _Feed) else stream.random()
+
+
+def _clone(rng):
+    """A Philox generator at ``rng``'s position."""
+    twin = np.random.Generator(np.random.Philox())
+    twin.bit_generator.state = rng.bit_generator.state
+    return twin
+
+
+def _drawn_uniforms(shape, faces, u):
+    """The bridge uniforms (B, n, d, 2) of a stack of shape (B, n, d) whose drawn faces
+    ``faces`` (flat indices) hold ``u``, and every other face 1.0, which never fires."""
+    drawn = np.ones(2 * math.prod(shape))
+    drawn[faces] = u
+    return drawn.reshape(shape + (2,))
+
+
+def _scalar_detect_hits(domain, pos, prop, dt, rng):
+    """The per-row hit resolver that ``_detect_hits`` and ``_hit_points`` replaced, kept as
+    their reference on one (n, d) configuration: it draws one uniform from ``rng`` for each
+    face whose bridge exponent is above -37, atom by atom, axis by axis, lo before hi, and a
+    face fires where its uniform is below ``_portable_exp`` of its exponent.  Returns the
+    hit mask and the hit points, NaN where no hit."""
     n, d = pos.shape
     lo = np.asarray(domain.lo)
     hi = np.asarray(domain.hi)
     inside = domain.contains_many(prop)
 
-    # bridge gaps to each face; the test only applies where both ends are
-    # interior, which the `inside` split guarantees for the rows used
+    # the bridge exponents; a face that an end outside the box passed has -0, probability 1
     gap_lo_p, gap_lo_q = pos - lo, prop - lo
     gap_hi_p, gap_hi_q = hi - pos, hi - prop
-    with np.errstate(over="ignore"):
-        p_lo = np.exp(-2.0 * gap_lo_p * np.maximum(gap_lo_q, 0.0) / dt)
-        p_hi = np.exp(-2.0 * gap_hi_p * np.maximum(gap_hi_q, 0.0) / dt)
-    fire_lo = u_bridge[:, :, 0] < p_lo
-    fire_hi = u_bridge[:, :, 1] < p_hi
-    bridge_hit = inside & (fire_lo.any(axis=1) | fire_hi.any(axis=1))
+    e_lo = -2.0 * gap_lo_p * np.maximum(gap_lo_q, 0.0) / dt
+    e_hi = -2.0 * gap_hi_p * np.maximum(gap_hi_q, 0.0) / dt
+    u_lo, u_hi = np.ones((n, d)), np.ones((n, d))
+    for i in range(n):
+        for ax in range(d):
+            for e, u in ((e_lo, u_lo), (e_hi, u_hi)):
+                if e[i, ax] > -37.0:
+                    u[i, ax] = rng.random()
+    fire_lo = u_lo < simulator._portable_exp(e_lo)
+    fire_hi = u_hi < simulator._portable_exp(e_hi)
+    hit_mask = fire_lo.any(axis=1) | fire_hi.any(axis=1)
+    assert hit_mask[~inside].all()  # an end outside the box always hits
 
-    hit_mask = ~inside | bridge_hit
     hit_points = np.full((n, d), np.nan)
     for i in np.flatnonzero(hit_mask):
         if not inside[i]:
             y = domain.project_to_boundary(pos[i], prop[i])
         else:
-            # among fired faces pick the most probable crossing
-            best_p, best = -1.0, None
+            # among fired faces pick the largest exponent, the most probable crossing
+            best_e, best = -np.inf, None
             for ax in range(d):
-                if fire_lo[i, ax] and p_lo[i, ax] > best_p:
-                    best_p, best = p_lo[i, ax], (ax, lo[ax], gap_lo_p[i, ax], gap_lo_q[i, ax])
-                if fire_hi[i, ax] and p_hi[i, ax] > best_p:
-                    best_p, best = p_hi[i, ax], (ax, hi[ax], gap_hi_p[i, ax], gap_hi_q[i, ax])
+                if fire_lo[i, ax] and e_lo[i, ax] > best_e:
+                    best_e, best = e_lo[i, ax], (ax, lo[ax], gap_lo_p[i, ax], gap_lo_q[i, ax])
+                if fire_hi[i, ax] and e_hi[i, ax] > best_e:
+                    best_e, best = e_hi[i, ax], (ax, hi[ax], gap_hi_p[i, ax], gap_hi_q[i, ax])
             ax, face, a, b = best
             th = a / (a + b) if a + b > 0 else 0.0
             y = pos[i] + th * (prop[i] - pos[i])
@@ -332,77 +382,232 @@ def _scalar_detect_hits(domain, pos, prop, dt, u_bridge):
     return hit_mask, hit_points
 
 
-def _assert_resolver_matches(domain, pos, prop, dt, u_bridge):
-    """``_detect_hits``' mask on a (B, n, d) block, and ``_hit_points`` on the
-    masked rows, equal the scalar resolver on each configuration, bit for bit;
-    returns the mask and the points, NaN where no hit."""
-    hit = _detect_hits(domain, pos, prop, dt, u_bridge)
+def _assert_resolver_matches(domain, pos, prop, dt, streams):
+    """``_detect_hits``' mask on a (B, n, d) block drawing from ``streams()``, and
+    ``_hit_points`` on the masked rows, equal the scalar resolver on each configuration
+    drawing from another ``streams()``, bit for bit, and both draw as much; returns the
+    mask and the points, NaN where no hit."""
+    ours, ref = streams(), streams()
+    hit, faces, u = _detect_hits(domain, pos, prop, dt, ours)
     assert hit.shape == pos.shape[:-1]
     points = np.full(pos.shape, np.nan)
-    points[hit] = simulator._hit_points(domain, pos[hit], prop[hit], dt, u_bridge[hit])
+    points[hit] = simulator._hit_points(domain, pos[hit], prop[hit], dt,
+                                        _drawn_uniforms(pos.shape, faces, u)[hit])
     for b in range(len(pos)):
-        ref = _scalar_detect_hits(domain, pos[b], prop[b], dt, u_bridge[b])
-        assert np.array_equal(hit[b], ref[0])
-        assert np.array_equal(points[b], ref[1], equal_nan=True)
+        ref_hit, ref_points = _scalar_detect_hits(domain, pos[b], prop[b], dt, ref[b])
+        assert np.array_equal(hit[b], ref_hit)
+        assert np.array_equal(points[b], ref_points, equal_nan=True)
+        assert _position(ours[b]) == _position(ref[b])
     return hit, points
 
 
-@pytest.mark.parametrize("domain", [DOM, RECT], ids=["1d", "2d"])
-@pytest.mark.parametrize("dt", [1e-3, 0.02])
-def test_detect_hits_matches_scalar_resolver(domain, dt):
+@pytest.mark.parametrize("dt,domain,screen", [
+    pytest.param(dt, domain, screen, id=f"{dt}-{name}" + ("-screened" if screen else ""))
+    for screen in (False, True)
+    for name, domain in (("1d", DOM), ("2d", RECT), ("far", interval(1e9, 1e9 + PI)))
+    for dt in (1e-3, 0.02)])
+def test_detect_hits_matches_scalar_resolver(domain, dt, screen, monkeypatch):
+    """Screened, a stack takes exponents only of its atoms near a wall."""
+    monkeypatch.setattr(simulator, "_SCREEN_FROM", 0 if screen else 10**9)
     rng = _rng(41)
     lo, hi = np.array(domain.lo), np.array(domain.hi)
     B, n, d = 40, 25, domain.dimension
     # starts crowd the boundary so that exits and bridge fires are both common
     pos = lo + (hi - lo) * rng.beta(0.3, 0.3, size=(B, n, d))
-    pos = np.clip(pos, lo + 1e-9, hi - 1e-9)
+    pos = np.clip(pos, np.maximum(lo + 1e-9, np.nextafter(lo, hi)),
+                  np.minimum(hi - 1e-9, np.nextafter(hi, lo)))  # interior far from 0 too
     prop = pos + rng.normal(0.0, 3.0 * math.sqrt(dt), size=(B, n, d))
-    u_bridge = rng.random((B, n, d, 2))
-    hit, _ = _assert_resolver_matches(domain, pos, prop, dt, u_bridge)
+    hit, _ = _assert_resolver_matches(domain, pos, prop, dt,
+                                      lambda: [_rng(100 + b) for b in range(B)])
     exits = ~domain.contains_many(prop)
     assert exits.sum() > 50 and (hit & ~exits).sum() > 50
-    # leading shapes other than (B, n, d) resolve the same rows
-    flat = _detect_hits(domain, pos.reshape(-1, d), prop.reshape(-1, d), dt,
-                        u_bridge.reshape(-1, d, 2))
-    assert np.array_equal(flat, hit.reshape(-1))
+
+
+NEVER, ALWAYS = [1.0 - 2.0**-53] * 4, [0.0] * 4  # a row's bridge uniforms: the largest, the least
 
 
 def test_detect_hits_crafted_cases():
     dom = rectangle(0.0, 1.0, 0.0, 2.0)
-    never, always = np.ones(2 * 2), np.zeros(2 * 2)  # bridge uniforms
     cases = [
         # corner exits: through the corner, nearer one face, then the other
-        ((0.1, 0.1), (-0.1, -0.1), never),
-        ((0.1, 0.2), (-0.2, -0.1), never),
-        ((0.95, 1.9), (1.2, 2.05), never),
+        ((0.1, 0.1), (-0.1, -0.1), NEVER),
+        ((0.1, 0.2), (-0.2, -0.1), NEVER),
+        ((0.95, 1.9), (1.2, 2.05), NEVER),
         # equal t on two axes away from the corner point
-        ((0.2, 0.4), (-0.2, -0.4), never),
+        ((0.2, 0.4), (-0.2, -0.4), NEVER),
         # zero displacement on one axis
-        ((0.5, 0.1), (0.5, -0.2), never),
-        ((0.05, 1.0), (-0.1, 1.0), never),
-        # an interior step where every bridge face fires: the larger
-        # crossing probability wins, lo before hi on ties
-        ((0.02, 1.0), (0.03, 1.0), always),
-        ((0.5, 1.0), (0.5, 1.0), always),
-        ((0.97, 0.03), (0.98, 0.02), always),
-        # no hit
-        ((0.5, 1.0), (0.51, 1.01), never),
+        ((0.5, 0.1), (0.5, -0.2), NEVER),
+        ((0.05, 1.0), (-0.1, 1.0), NEVER),
+        # interior steps where every drawn bridge face fires: the larger exponent wins
+        ((0.02, 1.0), (0.03, 1.0), ALWAYS),
+        ((0.97, 0.03), (0.98, 0.02), ALWAYS),
+        # no hit: no face is drawn at exponents of -50 and below
+        ((0.5, 1.0), (0.5, 1.0), ALWAYS),
+        ((0.5, 1.0), (0.51, 1.01), NEVER),
     ]
     pos = np.array([[c[0]] for c in cases])
     prop = np.array([[c[1]] for c in cases])
-    u_bridge = np.array([[c[2].reshape(2, 2)] for c in cases])
-    hit, points = _assert_resolver_matches(dom, pos, prop, 0.01, u_bridge)
-    assert hit[:, 0].tolist() == [True] * 9 + [False]
+    hit, points = _assert_resolver_matches(dom, pos, prop, 0.01,
+                                           lambda: [_Feed(c[2]) for c in cases])
+    assert hit[:, 0].tolist() == [True] * 8 + [False] * 2
     np.testing.assert_array_equal(points[0, 0], [0.0, 0.0])  # first axis on a tie
-    np.testing.assert_array_equal(points[7, 0], [0.0, 1.0])  # lo0 before hi0
 
-    # both faces of the narrow axis fire; the nearer one is more probable
+    # both faces of the narrow axis fire; the nearer one is more probable, lo before hi on ties
     narrow = rectangle(0.0, 1.0, 0.0, 0.04)
-    pos = np.array([[[0.5, 0.015]], [[0.5, 0.03]]])
-    prop = np.array([[[0.5, 0.02]], [[0.5, 0.025]]])
-    u_bridge = np.tile(np.array([[1.0, 1.0], [0.0, 0.0]]), (2, 1, 1, 1))
-    _, points = _assert_resolver_matches(narrow, pos, prop, 0.01, u_bridge)
-    assert points[0, 0, 1] == 0.0 and points[1, 0, 1] == 0.04
+    pos = np.array([[[0.5, 0.015]], [[0.5, 0.03]], [[0.5, 0.02]]])
+    prop = np.array([[[0.5, 0.02]], [[0.5, 0.025]], [[0.5, 0.02]]])
+    _, points = _assert_resolver_matches(narrow, pos, prop, 0.01,
+                                         lambda: [_Feed(ALWAYS) for _ in range(3)])
+    assert points[0, 0, 1] == 0.0 and points[1, 0, 1] == 0.04 and points[2, 0, 1] == 0.0
+
+
+@pytest.mark.parametrize("screen", [False, True], ids=["faces", "screened"])
+def test_bridge_draws_only_where_a_face_can_fire(screen, monkeypatch):
+    """On (0, 1000) at dt = 1 an atom at 1 that steps to b has lo-face exponent -2b; its hi
+    face (-2 * 999 * (1000 - b) and below) draws nothing.  A face at e <= -37 draws no
+    uniform, so it never fires, not even where u = 0 < exp(e) (e = -37, -37.1, -745); an end
+    outside the box draws one and fires; near p = exp(e) the portable exp decides, at an e
+    where numpy's exp differs from it if there is one."""
+    monkeypatch.setattr(simulator, "_SCREEN_FROM", 0 if screen else 10**9)
+    grid = -np.linspace(0.01, 36.0, 4001)
+    differ = grid[np.exp(grid) != simulator._portable_exp(grid)]
+    dom, e = interval(0.0, 1000.0), float(differ[0]) if len(differ) else -0.5
+    p = float(simulator._portable_exp(np.array([e]))[0])
+    p_numpy = float(np.exp(np.array([e]))[0])
+    rows = [(-36.9, [0.0], True), (-37.0, [], False), (-37.1, [], False), (-745.0, [], False),
+            (-746.0, [], False), ("out", [0.99], True),
+            (e, [np.nextafter(p, 0.0)], True), (e, [p], False), (e, [np.nextafter(p, 1.0)], False),
+            (e, [np.nextafter(p_numpy, 0.0)], np.nextafter(p_numpy, 0.0) < p),
+            (e, [np.nextafter(p_numpy, 1.0)], np.nextafter(p_numpy, 1.0) < p)]
+    pos = np.ones((len(rows), 1, 1))
+    prop = np.array([[[-0.5 if r == "out" else -r / 2.0]] for r, _u, _fires in rows])
+    feed = [u for _r, us, _fires in rows for u in us]
+    hit, _ = _assert_resolver_matches(dom, pos.reshape(1, -1, 1), prop.reshape(1, -1, 1), 1.0,
+                                      lambda: [_Feed(feed)])
+    assert hit[0].tolist() == [fires for *_, fires in rows]
+    want = simulator._faces(dom, pos[:, 0], prop[:, 0], 1.0)[2][:, 0]  # the lo faces' exponents
+    assert want[:5].tolist() == [-36.9, -37.0, -37.1, -745.0, -746.0] and want[5] == 0.0
+    # the rows one ulp either side of numpy's p take the portable decision as well
+    u = np.array(feed[2:])
+    assert simulator._fires(u, np.full(len(u), e)).tolist() == (u < p).tolist()
+
+
+@pytest.mark.parametrize("lo", [0.0, 1e9])
+def test_the_screen_keeps_every_face_that_can_fire(lo, monkeypatch):
+    """Atoms that stay where they are, at the 81 floats around lo + sqrt(18.5 dt) and around
+    hi - sqrt(18.5 dt), have exponents on both sides of -37: screened or not, a stack draws
+    for the same faces and decides the same hits."""
+    dom, dt = interval(lo, lo + 1000.0), 1e-3
+    g = math.sqrt(18.5 * dt)
+
+    def floats_around(v):  # the 81 floats from 40 below v to 40 above it
+        for _ in range(40):
+            v = np.nextafter(v, -np.inf)
+        out = [v]
+        for _ in range(80):
+            out.append(np.nextafter(out[-1], np.inf))
+        return out
+
+    x = np.array(floats_around(dom.lo[0] + g) + floats_around(dom.hi[0] - g))[None, :, None]
+    e = simulator._faces(dom, x, x, dt)[2]
+    near = e[np.abs(e + 37.0) < 1e-3]
+    assert (near > -37.0).any() and (near <= -37.0).any()
+    got = []
+    for screen_from in (0, 10**9):
+        monkeypatch.setattr(simulator, "_SCREEN_FROM", screen_from)
+        got.append(_detect_hits(dom, x, x, dt, [_rng(5)]))
+    assert all(np.array_equal(a, b) for a, b in zip(*got))
+
+
+def test_bridge_fires_at_the_crossing_probability():
+    """Atoms at 1 that step to 0.25, 1 and 2 on (0, 1000) at dt = 1 have lo-face exponents
+    -0.5, -2 and -4; over 10^5 atoms a replica's fire frequency is within 4 sigma of exp(e),
+    and it draws one uniform per atom."""
+    dom, N = interval(0.0, 1000.0), 100_000
+    pos = np.ones((3, N, 1))
+    prop = np.array([0.25, 1.0, 2.0])[:, None, None] * np.ones((3, N, 1))
+    rngs = [_rng(200 + b) for b in range(3)]
+    twins = [_clone(rng) for rng in rngs]
+    hit, faces, u = _detect_hits(dom, pos, prop, 1.0, rngs)
+    assert len(u) == 3 * N and np.array_equal(faces, np.arange(0, 6 * N, 2))
+    for b, e in enumerate([-0.5, -2.0, -4.0]):
+        want = math.exp(e)
+        assert abs(hit[b].mean() - want) <= 4.0 * math.sqrt(want * (1.0 - want) / N)
+        twins[b].random(N)
+        assert rngs[b].random() == twins[b].random()
+
+
+def test_portable_exp_is_within_one_ulp():
+    """Against exp(e) to 40 digits on (-37, 0], and exact at 0, where ``_fires`` uses it."""
+    e = np.concatenate([-37.0 * _rng(7).random(3000), -1e-3 * _rng(8).random(500),
+                        [-36.9, -0.5 * math.log(2.0), -math.log(2.0), -1e-300]])
+    got = simulator._portable_exp(e)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        ulps = [abs(Decimal(float(g)) - Decimal(float(x)).exp()) / Decimal(float(np.spacing(g)))
+                for g, x in zip(got, e)]
+    assert max(ulps) < 1
+    assert simulator._portable_exp(np.array([-0.0, 0.0])).tolist() == [1.0, 1.0]
+
+
+def test_bridge_fallback_is_rare_on_ladder_inputs(basis_1d, monkeypatch):
+    """The ``ladder`` benchmark's convergence ladder (n = 50, 200, 800, 16 replicas, dt = 1e-3,
+    horizon 0.03, two-component mixture relocation, K = 16) at seed 64: no candidate face
+    falls back to the portable exp."""
+    law = InitialLaw(((0.6, admissible_from_perturbation(basis_1d, {})),
+                      (0.4, admissible_from_perturbation(basis_1d, {2: 0.05}))))
+    fires, portable, counts = simulator._fires, simulator._portable_exp, [0, 0]
+
+    def counted_fires(u, e):
+        counts[0] += len(u)
+        return fires(u, e)
+
+    def counted_portable(e):
+        counts[1] += len(e)
+        return portable(e)
+
+    monkeypatch.setattr(simulator, "_fires", counted_fires)
+    monkeypatch.setattr(simulator, "_portable_exp", counted_portable)
+    convergence_experiment(law, 0.03, [50, 200, 800], 16, 1e-3, _kernel(law), 64)
+    candidates, fallbacks = counts
+    assert candidates > 1000 and fallbacks * 10**6 <= candidates
+
+
+_CPU_DECISIONS = """
+import sys
+import numpy as np
+from flemvi import simulator
+e, u = np.load(sys.argv[1])
+np.save(sys.argv[2], np.stack([simulator._fires(u, e), u < np.exp(e)]))
+"""
+
+
+def test_bridge_decisions_do_not_depend_on_the_cpu(tmp_path):
+    """Near-tie rows, u within 3 ulps of numpy's exp(e), decided by default and with every
+    SIMD target the host found above numpy's baseline disabled: the decisions are equal,
+    where numpy's own u < exp(e) is not."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    if not __cpu_features__.get("AVX512F"):
+        pytest.skip("checks nothing on a host without AVX-512: numpy's exp takes one path")
+    found = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
+    e = -37.0 * _rng(11).random(20_000)
+    u = np.exp(e) + np.spacing(np.exp(e)) * _rng(12).integers(-3, 4, len(e))
+    np.save(tmp_path / "rows.npy", np.stack([e, u]))
+    src = os.path.dirname(os.path.dirname(simulator.__file__))
+    masks = []
+    for disabled in (None, " ".join(found)):
+        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        env.update(PYTHONPATH=src, **({"NPY_DISABLE_CPU_FEATURES": disabled} if disabled else {}))
+        out = tmp_path / f"mask{len(masks)}.npy"
+        subprocess.run([sys.executable, "-c", _CPU_DECISIONS, str(tmp_path / "rows.npy"),
+                        str(out)], env=env, check=True, timeout=120)
+        masks.append(np.load(out))
+    (ours, raw), (ours_off, raw_off) = masks
+    assert np.array_equal(ours, ours_off)
+    assert (raw != raw_off).any()  # numpy's exp moves between the two
 
 
 def test_only_the_jump_log_resolves_hit_points(perturbed_law, basis_2d, monkeypatch):
@@ -411,10 +616,11 @@ def test_only_the_jump_log_resolves_hit_points(perturbed_law, basis_2d, monkeypa
     and bridge fires, holds the scalar resolver's hit points."""
     steps, detect, resolve = [], simulator._detect_hits, simulator._hit_points
 
-    def spied(domain, pos, prop, dt, u_bridge):
-        hit = detect(domain, pos, prop, dt, u_bridge)
-        steps.append((pos.copy(), prop.copy(), u_bridge.copy(), hit))
-        return hit
+    def spied(domain, pos, prop, dt, rngs):
+        twins = [_clone(rng) for rng in rngs]
+        hit, faces, u = detect(domain, pos, prop, dt, rngs)
+        steps.append((pos.copy(), prop.copy(), twins, hit))
+        return hit, faces, u
 
     def refused(*_args):
         raise AssertionError("hit points resolved outside the jump log")
@@ -434,8 +640,8 @@ def test_only_the_jump_log_resolves_hit_points(perturbed_law, basis_2d, monkeypa
         basis_2d, {})), 12, _rng(83))
     result = run(start, _rng(89), 0.6, dt, RelocationKernel.ground_mode(basis_2d), [], basis_2d)
     want, exits, fires = [], 0, 0
-    for pos, prop, u_bridge, hit in steps:
-        ref_hit, ref_points = _scalar_detect_hits(dom, pos[0], prop[0], dt, u_bridge[0])
+    for pos, prop, twins, hit in steps:
+        ref_hit, ref_points = _scalar_detect_hits(dom, pos[0], prop[0], dt, twins[0])
         assert np.array_equal(hit[0], ref_hit)
         out = ~dom.contains_many(prop[0])
         exits, fires = exits + int((hit[0] & out).sum()), fires + int((hit[0] & ~out).sum())
@@ -461,6 +667,21 @@ def test_run_replicas_distinct_streams():
 
     vals = run_replicas(16, 5, worker, jobs=2)
     assert len(set(vals)) == 16
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_run_replicas_reraises_a_worker_error(jobs):
+    """The error of the first failing share (replica 4's, in share 1 at jobs = 3) reaches the
+    caller, after every thread has ended."""
+    def worker(_rng, m):
+        if m in (4, 5):
+            raise ValueError(f"replica {m}")
+        return m
+
+    alive = threading.active_count()
+    with pytest.raises(ValueError, match="replica 4"):
+        run_replicas(12, 5, worker, jobs=jobs)
+    assert threading.active_count() == alive
 
 
 def test_mean_and_stderr():
@@ -758,7 +979,7 @@ def _one_replica_worker(law, n, n_steps, dt, kernel, jumps):
 def test_semigroup_estimate_equals_one_replica_at_a_time(perturbed_law, kind):
     kernel = STACK_KERNELS[kind](perturbed_law)
     basis, psi = perturbed_law.basis, CylinderFunction.coordinate(2)
-    n, M, t, dt, seed = 6, 5, 0.3, 0.01, 61
+    n, M, t, dt, seed = 6, 20, 0.3, 0.01, 61
     jumps = []
     worker = _one_replica_worker(perturbed_law, n, 30, dt, kernel, jumps)
     vals = [seen[-1] * cylinder_value(psi, EmpiricalMeasure(basis.domain, start), basis)

@@ -41,9 +41,18 @@ output gets one ``sha256  name`` line:
 The last line is what README.md's quick-start program prints.  The first
 line names numpy's version and the SIMD targets it found on this CPU,
 because some of numpy's kernels give other bits on other targets: compare
-two listings only when that line matches.  The exit code is 0 when every
-call exited as it should (``verify`` with 0 or 1, the others with 0) and
-wrote its outputs, 1 otherwise.  Nothing under ``perfbench/`` is written.
+two listings only when that line matches.  A line ends in `` [steps]`` when
+the call that wrote its output took a step (``simulator._step_inplace``),
+so a change that declares a break of the stepped outputs can be checked
+line by line: every untagged line must stay the same.
+
+    python3 tools/bytecheck.py --compare OLD.txt NEW.txt
+
+prints each line whose output differs between two listings, tagged or not,
+and exits 1 if an untagged line differs, a line is missing from either, or
+the SIMD lines differ.  Otherwise the exit code is 0 when every call exited
+as it should (``verify`` with 0 or 1, the others with 0) and wrote its
+outputs, 1 otherwise.  Nothing under ``perfbench/`` is written.
 """
 
 import argparse
@@ -87,15 +96,22 @@ VARIANTS = (
     ("exit2d", "identities", "seed=64", {}, (None,)),
 )
 
-# puts the tree argv[1] first on the path and checks that flemvi loads from it
+# the tag of a line whose call took a step, the quick start's line, and the marker of the
+# step count that every call prints last on stderr
+TAG, QUICK, STEPS = " [steps]", "quick start: ", "bytecheck steps:"
+# puts the tree argv[1] first on the path, checks that flemvi loads from it, and prints at
+# exit, on stderr's last line, STEPS and how many steps were taken
 _PRELUDE = """\
-import os, sys
+import atexit, os, sys
 src = os.path.abspath(sys.argv[1])
 sys.path.insert(0, src)
-import flemvi
+import flemvi, flemvi.simulator as simulator
 if not os.path.abspath(flemvi.__file__).startswith(src + os.sep):
     sys.exit(f"flemvi imported from {flemvi.__file__}, not from {src}")
-"""
+steps, step = [], simulator._step_inplace
+simulator._step_inplace = lambda *args: steps.append(1) or step(*args)
+atexit.register(lambda: print("\\n%s", len(steps), file=sys.stderr))
+""" % STEPS
 # runs flemvi.cli.main on argv[2:]
 _CALL = _PRELUDE + "import flemvi.cli as cli\nsys.exit(cli.main(sys.argv[2:]))\n"
 
@@ -122,17 +138,17 @@ def readme_block(heading, lang):
 
 
 def run(src, code, args, work, ok_codes=(0,)):
-    """Run ``code`` in a fresh interpreter on the tree ``src`` with ``args``;
-    returns its standard output, or None (after a note on stderr) if it
-    exited with a code not in ``ok_codes``."""
+    """Run ``code`` (after ``_PRELUDE``) in a fresh interpreter on the tree ``src`` with
+    ``args``; returns its standard output and whether it took a step, or None (after a
+    note on stderr) if it exited with a code not in ``ok_codes``."""
     proc = subprocess.run([sys.executable, "-c", code, src, *args], cwd=work,
                           stdin=subprocess.DEVNULL, capture_output=True, text=True)
-    if proc.returncode not in ok_codes:
-        tail = proc.stderr.strip().splitlines()[-1:]
-        print(f"FAIL {' '.join(args) or 'quick start'}: exit {proc.returncode} {tail}",
+    lines = proc.stderr.strip().splitlines()
+    if proc.returncode not in ok_codes or not lines or not lines[-1].startswith(STEPS):
+        print(f"FAIL {' '.join(args) or 'quick start'}: exit {proc.returncode} {lines[-2:]}",
               file=sys.stderr)
         return None
-    return proc.stdout
+    return proc.stdout, int(lines[-1][len(STEPS):]) > 0
 
 
 def file_sum(path):
@@ -145,10 +161,11 @@ def file_sum(path):
 
 
 def cli_sums(src, argv, names, work, out, ok_codes=(0,)):
-    """[(name, sha256 or None)] of the files ``names`` that one CLI call
-    writes to ``out``."""
-    done = run(src, _CALL, [*argv, "--out", out], work, ok_codes) is not None
-    return [(name, file_sum(os.path.join(out, name)) if done else None) for name in names]
+    """[(name, sha256 or None, whether the call took a step)] of the files ``names``
+    that one CLI call writes to ``out``."""
+    done = run(src, _CALL, [*argv, "--out", out], work, ok_codes)
+    return [(name, file_sum(os.path.join(out, name)) if done else None, bool(done and done[1]))
+            for name in names]
 
 
 def workload_sums(src, work):
@@ -162,9 +179,9 @@ def workload_sums(src, work):
                 argv = ["verify", "--config", config, "--suite", workload.suite,
                         "--seed", str(seed), "--jobs", str(jobs)]
                 report = f"report_{workload.suite}.json"
-                [(_, digest)] = cli_sums(src, argv, [report], work, os.path.join(work, tag),
-                                         ok_codes=(0, 1))
-                yield f"{workload.name}/seed={seed}/jobs={jobs}/{report}", digest
+                [(_, *sums)] = cli_sums(src, argv, [report], work, os.path.join(work, tag),
+                                        ok_codes=(0, 1))
+                yield f"{workload.name}/seed={seed}/jobs={jobs}/{report}", *sums
 
 
 def readme_sums(src, work):
@@ -181,9 +198,9 @@ def readme_sums(src, work):
     ]
     for tag, argv, names, ok_codes in calls:
         out = os.path.join(work, "readme_" + tag)
-        for name, digest in cli_sums(src, [*argv, "--config", config], names, work, out,
-                                     ok_codes):
-            yield f"readme/{tag}/{name}", digest
+        for name, *sums in cli_sums(src, [*argv, "--config", config], names, work, out,
+                                    ok_codes):
+            yield f"readme/{tag}/{name}", *sums
 
 
 def variant_sums(src, work):
@@ -198,15 +215,54 @@ def variant_sums(src, work):
             if jobs is not None:
                 argv += ["--jobs", str(jobs)]
                 where += f"jobs={jobs}/"
-            [(_, digest)] = cli_sums(src, argv, [report], work,
-                                     os.path.join(work, where.replace("/", "_")), ok_codes=(0, 1))
-            yield where + report, digest
+            [(_, *sums)] = cli_sums(src, argv, [report], work,
+                                    os.path.join(work, where.replace("/", "_")), ok_codes=(0, 1))
+            yield where + report, *sums
+
+
+def read_listing(path):
+    """A listing's SIMD line and {name: (digest or printed value, whether it took a step)}."""
+    with open(path) as fh:
+        simd, *lines = fh.read().splitlines()
+    out = {}
+    for line in lines:
+        stepped = line.endswith(TAG)
+        line = line[:-len(TAG)] if stepped else line
+        value, name = line.split("  ", 1) if not line.startswith(QUICK) else \
+            (line[len(QUICK):], QUICK.rstrip(": "))
+        out[name] = value, stepped
+    return simd, out
+
+
+def compare(old_path, new_path):
+    """Print each line of two listings whose output differs; 0 if only lines that took a
+    step in both differ, 1 if any other line differs or is missing, or the SIMD lines differ."""
+    (simd_old, old), (simd_new, new) = read_listing(old_path), read_listing(new_path)
+    ok = simd_old == simd_new
+    if not ok:
+        print(f"SIMD lines differ:\n  {simd_old}\n  {simd_new}")
+    for name in dict.fromkeys([*old, *new]):
+        if name not in old or name not in new:
+            print(f"MISSING from {new_path if name in old else old_path}: {name}")
+            ok = False
+        elif old[name][0] != new[name][0]:
+            stepped = old[name][1] and new[name][1]
+            print(f"{'stepped' if stepped else 'CHANGED'}: {name}")
+            ok = ok and stepped
+    return 0 if ok else 1
+
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("src", help="directory holding the flemvi package")
+    parser.add_argument("src", nargs="?", help="directory holding the flemvi package")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two listings instead")
     args = parser.parse_args(argv)
+    if (args.src is None) == (args.compare is None):
+        parser.error("give either SRC or --compare OLD NEW")
+    if args.compare:
+        return compare(*args.compare)
     src = os.path.abspath(args.src)
     if not os.path.isfile(os.path.join(src, "flemvi", "cli.py")):
         parser.error(f"no flemvi package under {src}")
@@ -215,12 +271,13 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as work:
         sums = itertools.chain(workload_sums(src, work), readme_sums(src, work),
                                variant_sums(src, work))
-        for name, digest in sums:
+        for name, digest, stepped in sums:
             ok = ok and digest is not None
-            print(f"{digest or 'FAILED'}  {name}", flush=True)
-        printed = run(src, _PRELUDE + readme_block("## Quick start", "python"), [], work)
-        ok = ok and printed is not None
-        print(f"quick start: {(printed or 'FAILED').strip()}", flush=True)
+            print(f"{digest or 'FAILED'}  {name}{TAG if stepped else ''}", flush=True)
+        done = run(src, _PRELUDE + readme_block("## Quick start", "python"), [], work)
+        ok = ok and done is not None
+        printed, stepped = done or ("FAILED", False)
+        print(f"{QUICK}{printed.strip()}{TAG if stepped else ''}", flush=True)
     return 0 if ok else 1
 
 
